@@ -3,7 +3,8 @@
 Subcommands: solve (one algorithm, JSON report), compare (all algorithms
 against the exact optimum, CSV), experiment (seeded random trials with bound
 checks, CSV), gadget (emit instance JSON).  Exit codes: 0 success, 2 bad
-input, 3 instance too large for exact enumeration.
+input, 3 instance too large for exact enumeration (the oracle's size limits
+or the makespan scheme's branch cap).
 """
 
 from __future__ import annotations
@@ -58,10 +59,7 @@ def _read_instance(path: str) -> Instance:
                 text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return instance_from_json(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return instance_from_json(text)
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
@@ -94,19 +92,13 @@ def _run_algorithm(inst: Instance, args, objective: Objective) -> tuple[Schedule
         else:
             raise InputError("scheme-makespan needs --epsilon or --d")
         params["d"] = d
-        try:
-            return schemes.makespan_scheme(inst, d), params
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return schemes.makespan_scheme(inst, d), params
     if alg == "scheme-totaltime":
         if args.epsilon is None:
             raise InputError("scheme-totaltime needs --epsilon")
         eps = _parse_fraction(args.epsilon, "--epsilon")
         params["epsilon"] = str(eps)
-        try:
-            return schemes.totaltime_scheme(inst, eps), params
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return schemes.totaltime_scheme(inst, eps), params
     if alg == "oracle":
         result = exact_optimal(inst, objective)
         params["states_explored"] = result.states_explored
@@ -266,10 +258,7 @@ def cmd_gadget(args) -> int:
             if args.kind == "partition-makespan"
             else generators.partition_gadget_totaltime
         )
-        try:
-            inst = build(sizes, args.f)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        inst = build(sizes, args.f)
     elif args.kind == "named":
         kwargs = {}
         if args.e0 is not None:
@@ -278,10 +267,7 @@ def cmd_gadget(args) -> int:
             kwargs["x"] = _parse_fraction(args.x, "--x")
         if args.alpha is not None:
             kwargs["alpha"] = _parse_fraction(args.alpha, "--alpha")
-        try:
-            inst = generators.named_example(args.name, **kwargs)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        inst = generators.named_example(args.name, **kwargs)
     else:
         spec = generators.RandomSpec(
             n=args.n, m=args.m, m1=args.m1 if args.m1 is not None else args.m,
@@ -289,10 +275,7 @@ def cmd_gadget(args) -> int:
             p_max=args.p_max, min_breakpoints=args.min_breakpoints,
             max_breakpoints=args.max_breakpoints, seed=args.seed,
         )
-        try:
-            inst = generators.random_instance(spec)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        inst = generators.random_instance(spec)
     print(instance_to_json(inst))
     return 0
 
@@ -367,7 +350,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
+        # the library raises ValueError on every input it rejects
         return _fail("input", str(exc))
     except OracleLimitError as exc:
         return _fail("limit", str(exc))

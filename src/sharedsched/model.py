@@ -212,7 +212,7 @@ def instance_from_json(text: str) -> Instance:
     """Parse an instance; raises ValueError on malformed input."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError("instance JSON must be an object")
@@ -223,15 +223,27 @@ def instance_from_json(text: str) -> Instance:
         raw_e0 = payload["e0"]
     except KeyError as exc:
         raise ValueError(f"instance JSON is missing key {exc}") from exc
+    if not isinstance(raw_machines, list) or not isinstance(raw_jobs, list):
+        raise ValueError("machines and jobs must be lists")
     machines = []
     for i, raw_mp in enumerate(raw_machines, start=1):
+        if not isinstance(raw_mp, dict):
+            raise ValueError(f"machine {i} must be an object")
+        raw_intervals = raw_mp.get("intervals", [])
+        if not isinstance(raw_intervals, list):
+            raise ValueError(f"machine {i}: intervals must be a list")
         intervals = []
-        for k, raw_iv in enumerate(raw_mp.get("intervals", []), start=1):
+        for k, raw_iv in enumerate(raw_intervals, start=1):
             where = f"machine {i} interval {k}"
-            start = _frac_from_str(raw_iv["start"], where)
-            raw_end = raw_iv["end"]
+            if not isinstance(raw_iv, dict):
+                raise ValueError(f"{where} must be an object")
+            try:
+                raw_start, raw_end, raw_ratio = raw_iv["start"], raw_iv["end"], raw_iv["ratio"]
+            except KeyError as exc:
+                raise ValueError(f"{where} is missing key {exc}") from exc
+            start = _frac_from_str(raw_start, where)
             end = None if raw_end == "inf" else _frac_from_str(raw_end, where)
-            ratio = _frac_from_str(raw_iv["ratio"], where)
+            ratio = _frac_from_str(raw_ratio, where)
             intervals.append(SharedInterval(start=start, end=end, ratio=ratio))
         machines.append(MachineProfile(intervals=tuple(intervals), machine_index=i))
     if not isinstance(raw_m1, int) or isinstance(raw_m1, bool):

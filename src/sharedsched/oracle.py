@@ -11,14 +11,15 @@ from __future__ import annotations
 import math
 import os
 import sys
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from .capacity import build_capacity_table, finish_time
-from .model import Instance, Objective, Schedule, evaluate
+from .heuristics import OrderRule, job_order
+from .model import Instance, Objective, Schedule
+from .search import OracleLimitError, SubsetTable, best_placement
 
 __all__ = [
     "OracleLimitError",
@@ -32,10 +33,6 @@ DEFAULT_MAX_N = 10
 DEFAULT_MAX_M = 4
 
 
-class OracleLimitError(Exception):
-    """Instance exceeds the enumeration size limits."""
-
-
 @dataclass(frozen=True)
 class OracleResult:
     best: Schedule
@@ -47,7 +44,12 @@ def _resolved_max_n(max_n: Optional[int]) -> int:
     if max_n is not None:
         return max_n
     env = os.environ.get("SCHED_ORACLE_MAX_N")
-    return int(env) if env else DEFAULT_MAX_N
+    if not env:
+        return DEFAULT_MAX_N
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"SCHED_ORACLE_MAX_N={env!r} is not an integer") from None
 
 
 def exact_optimal(
@@ -60,7 +62,9 @@ def exact_optimal(
 
     Assignments are explored with the machine index ascending per job and the
     jobs in index order, and only strict improvements are kept, so the
-    reported minimizer is the lexicographically smallest one.
+    reported minimizer is the lexicographically smallest one.  Each job set's
+    value on each machine is computed once, so a call makes at most m*2^n
+    `finish_time` calls for its m^n leaves.
     """
     max_n = _resolved_max_n(max_n)
     max_m = DEFAULT_MAX_M if max_m is None else max_m
@@ -71,84 +75,30 @@ def exact_optimal(
         )
     if m == 0:
         raise ValueError("instance has no machines")
-    tables = [build_capacity_table(mp) for mp in inst.machines]
-    jobs = inst.jobs
-    vec = [0] * n
-    best_val: Optional[Fraction] = None
-    best_vec: Optional[list[int]] = None
-    leaves = 0
-
+    subsets = SubsetTable(inst)
+    get = subsets.get
     if objective is Objective.MAKESPAN:
-        loads = [Fraction(0)] * m
-        finishes = [Fraction(0)] * m
 
-        def walk(j: int) -> None:
-            nonlocal best_val, best_vec, leaves
-            if j == n:
-                leaves += 1
-                val = max(finishes)
-                if best_val is None or val < best_val:
-                    best_val, best_vec = val, vec.copy()
-                return
-            p = jobs[j]
-            for i in range(m):
-                saved = finishes[i]
-                loads[i] += p
-                finishes[i] = finish_time(tables[i], loads[i])
-                vec[j] = i
-                walk(j + 1)
-                loads[i] -= p
-                finishes[i] = saved
+        def value(masks: list[int]) -> Fraction:
+            return max([get(i, mask)[1] for i, mask in enumerate(masks)])
 
     else:
-        # per machine: jobs kept sorted shortest-first, with the running sum
-        # of completion times recomputed for whichever machine changed
-        queues: list[list[tuple[Fraction, int]]] = [[] for _ in range(m)]
-        sums = [Fraction(0)] * m
 
-        def machine_sum(i: int) -> Fraction:
-            prefix = Fraction(0)
-            total = Fraction(0)
-            for p, _ in queues[i]:
-                prefix += p
-                total += finish_time(tables[i], prefix)
-            return total
+        def value(masks: list[int]) -> Fraction:
+            costs = [get(i, mask)[2] for i, mask in enumerate(masks)]
+            return sum(costs[1:], costs[0])
 
-        def walk(j: int) -> None:
-            nonlocal best_val, best_vec, leaves
-            if j == n:
-                leaves += 1
-                val = sum(sums, Fraction(0))
-                if best_val is None or val < best_val:
-                    best_val, best_vec = val, vec.copy()
-                return
-            key = (jobs[j], j)
-            for i in range(m):
-                saved = sums[i]
-                insort(queues[i], key)
-                sums[i] = machine_sum(i)
-                vec[j] = i
-                walk(j + 1)
-                queues[i].remove(key)
-                sums[i] = saved
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n + 100))
-    try:
-        walk(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    assert best_vec is not None
+    best_val, best_vec, leaves = best_placement(m, subsets.bits, value)
     assignment: list[list[int]] = [[] for _ in range(m)]
     if objective is Objective.MAKESPAN:
         for j, i in enumerate(best_vec):
             assignment[i].append(j)
     else:
-        for j in sorted(range(n), key=lambda j: (jobs[j], j)):
+        for j in job_order(inst.jobs, OrderRule.SPT):
             assignment[best_vec[j]].append(j)
-    schedule = evaluate(inst, assignment)
-    return OracleResult(best=schedule, objective_value=best_val, states_explored=leaves)
+    return OracleResult(
+        best=subsets.schedule(assignment), objective_value=best_val, states_explored=leaves
+    )
 
 
 def verify_spt_within_machine(inst: Instance, max_n: int = 8) -> bool:

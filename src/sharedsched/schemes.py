@@ -9,13 +9,14 @@ merging states that agree bucket-by-bucket on a geometric grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .capacity import build_capacity_table, finish_time
 from .heuristics import OrderRule, ect_placement, job_order
-from .model import Instance, Schedule, evaluate
+from .model import Instance, Schedule
+from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N
+from .search import SubsetTable, best_placement
 
 __all__ = [
     "compute_d",
@@ -61,54 +62,48 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
     Tries all m^d placements of the d longest jobs; the rest follow longest
     first onto whichever machine completes them earliest.  Ties keep the
     lexicographically smallest placement vector, so the result is
-    deterministic.
+    deterministic.  Refuses with OracleLimitError when m^d exceeds the
+    oracle's own ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.
     """
     n, m = inst.n, inst.m
     if not (0 <= d <= n):
         raise ValueError(f"d={d} is outside [0, {n}]")
     if m == 0:
         raise ValueError("instance has no machines")
-    tables = [build_capacity_table(mp) for mp in inst.machines]
+    subsets = SubsetTable(inst)
+    get = subsets.get
     by_length = job_order(inst.jobs, OrderRule.LPT)
     large = by_length[:d]
     rest = by_length[d:]
     jobs = inst.jobs
 
-    loads = [Fraction(0)] * m
-    choice = [0] * d
-    best: Optional[tuple[Fraction, tuple[int, ...], tuple[int, ...]]] = None
-
-    def finish_branch() -> None:
-        nonlocal best
-        branch_loads = loads.copy()
+    def finish_rest(masks: list[int]) -> tuple[list[Fraction], list[int]]:
+        # per-machine finish times after the greedy tail, and its choices
+        entries = [get(i, mask) for i, mask in enumerate(masks)]
+        loads = [entry[0] for entry in entries]
+        finishes = [entry[1] for entry in entries]
         rest_choice = []
         for j in rest:
-            i, _ = ect_placement(tables, branch_loads, jobs[j])
-            branch_loads[i] += jobs[j]
+            i, finish = ect_placement(subsets.capacity, loads, jobs[j])
+            loads[i] += jobs[j]
+            finishes[i] = finish
             rest_choice.append(i)
-        mk = max(finish_time(tables[i], branch_loads[i]) for i in range(m))
-        if best is None or mk < best[0]:
-            best = (mk, tuple(choice), tuple(rest_choice))
+        return finishes, rest_choice
 
-    def place(t: int) -> None:
-        if t == d:
-            finish_branch()
-            return
-        p = jobs[large[t]]
-        for i in range(m):
-            loads[i] += p
-            choice[t] = i
-            place(t + 1)
-            loads[i] -= p
-
-    place(0)
-    assert best is not None
+    _, choice, _ = best_placement(
+        m,
+        [subsets.bits[j] for j in large],
+        lambda masks: max(finish_rest(masks)[0]),
+        DEFAULT_MAX_M**DEFAULT_MAX_N,
+    )
+    masks = [0] * m
     assignment: list[list[int]] = [[] for _ in range(m)]
-    for j, i in zip(large, best[1]):
+    for j, i in zip(large, choice):
+        masks[i] |= subsets.bits[j]
         assignment[i].append(j)
-    for j, i in zip(rest, best[2]):
+    for j, i in zip(rest, finish_rest(masks)[1]):
         assignment[i].append(j)
-    return evaluate(inst, assignment)
+    return subsets.schedule(assignment)
 
 
 class GeometricBuckets:
@@ -174,15 +169,14 @@ class GeometricBuckets:
 class PartialState:
     """Per-machine (load, completion-time sum) after a prefix of jobs.
 
-    `machine` is where the most recent job went; following `parent` links
-    back to the root recovers the whole assignment.  `serial` is the creation
+    `masks[i]` is the set of jobs on machine i, as a `SubsetTable` bitmask,
+    so the state alone recovers its assignment.  `serial` is the creation
     order, used for deterministic tie-breaking.
     """
 
     loads: tuple[Fraction, ...]
     costs: tuple[Fraction, ...]
-    parent: Optional["PartialState"] = field(repr=False, default=None)
-    machine: Optional[int] = None
+    masks: tuple[int, ...] = ()
     serial: int = 0
 
 
@@ -205,7 +199,6 @@ def totaltime_scheme(
     inst: Instance,
     epsilon: Fraction,
     delta: Optional[Fraction] = None,
-    infer_e0: bool = False,
     on_step=None,
 ) -> Schedule:
     """(1 + epsilon)-approximate completion-time sum via state-space sweeps.
@@ -226,67 +219,72 @@ def totaltime_scheme(
         )
     epsilon = _check_epsilon(epsilon)
     if delta is None:
-        e0 = inst.e0
-        if infer_e0 and m > 1:
-            e0 = min(
-                (iv.ratio for mp in inst.machines[: m - 1] for iv in mp.intervals),
-                default=Fraction(1),
-            )
-        delta = epsilon * e0 / (6 * n)
+        delta = epsilon * inst.e0 / (6 * n)
     else:
         delta = Fraction(delta)
         if delta < 0:
             raise ValueError("delta must be nonnegative")
 
-    tables = [build_capacity_table(mp) for mp in inst.machines]
-    jobs = inst.jobs
+    subsets = SubsetTable(inst)
+    get = subsets.get
     zero = (Fraction(0),) * m
-    root = PartialState(loads=zero, costs=zero)
-    states: list[PartialState] = [root]
-    signatures: Optional[list[tuple]] = None
+    states = [PartialState(loads=zero, costs=zero, masks=(0,) * m)]
     buckets = GeometricBuckets(delta) if delta > 0 else None
     if buckets is not None:
-        signatures = [_signature(root, buckets)]
-    serial = 1
+        signatures = [_signature(states[0], buckets)]
+        pairs: list[dict[int, tuple]] = [{} for _ in range(m)]
 
-    for j in job_order(jobs, OrderRule.SPT):
-        p = jobs[j]
-        extended: list[PartialState] = []
-        extended_sigs: list[tuple] = []
-        for idx, s in enumerate(states):
-            for i in range(m):
-                c = finish_time(tables[i], s.loads[i] + p)
-                loads = s.loads[:i] + (s.loads[i] + p,) + s.loads[i + 1 :]
-                costs = s.costs[:i] + (s.costs[i] + c,) + s.costs[i + 1 :]
-                extended.append(PartialState(loads, costs, s, i, serial))
-                serial += 1
-                if buckets is not None:
-                    sig = list(signatures[idx])
-                    sig[i] = (buckets.index(loads[i]), buckets.index(costs[i]))
-                    extended_sigs.append(tuple(sig))
+        def pair(i: int, mask: int) -> tuple:
+            # bucket indices of a set's (load, cost) on machine i
+            got = pairs[i].get(mask)
+            if got is None:
+                load, _, cost = get(i, mask)
+                got = pairs[i][mask] = (buckets.index(load), buckets.index(cost))
+            return got
+
+    serial = 1
+    for j in job_order(inst.jobs, OrderRule.SPT):
+        bit = subsets.bits[j]
+        # every state extended onto every machine, in creation order:
+        # (state position, machine, that machine's new job set)
+        extended = [(idx, i, s.masks[i] | bit) for idx, s in enumerate(states) for i in range(m)]
         if buckets is None:
-            states = extended
+            chosen: Sequence[int] = range(len(extended))
         else:
-            kept: dict[tuple, int] = {}
-            for pos, sig in enumerate(extended_sigs):
+            kept: dict[tuple, tuple[int, Fraction]] = {}
+            extended_sigs = []
+            for pos, (idx, i, mask) in enumerate(extended):
+                sig = signatures[idx]
+                sig = sig[:i] + (pair(i, mask),) + sig[i + 1 :]
+                extended_sigs.append(sig)
+                last_load = get(i, mask)[0] if i == m - 1 else states[idx].loads[m - 1]
                 prev = kept.get(sig)
                 # survivor keeps the smaller load on the last machine
-                if prev is None or extended[pos].loads[m - 1] < extended[prev].loads[m - 1]:
-                    kept[sig] = pos
-            order = sorted(kept.values())
-            states = [extended[pos] for pos in order]
-            signatures = [extended_sigs[pos] for pos in order]
+                if prev is None or last_load < prev[1]:
+                    kept[sig] = (pos, last_load)
+            chosen = sorted(pos for pos, _ in kept.values())
+            signatures = [extended_sigs[pos] for pos in chosen]
+        survivors = []
+        for pos in chosen:
+            idx, i, mask = extended[pos]
+            s = states[idx]
+            load, _, cost = get(i, mask)
+            survivors.append(
+                PartialState(
+                    loads=s.loads[:i] + (load,) + s.loads[i + 1 :],
+                    costs=s.costs[:i] + (cost,) + s.costs[i + 1 :],
+                    masks=s.masks[:i] + (mask,) + s.masks[i + 1 :],
+                    serial=serial + pos,
+                )
+            )
+        serial += len(extended)
+        states = survivors
         if on_step is not None:
             on_step(j, states)
 
-    best = min(states, key=lambda s: (sum(s.costs, Fraction(0)), s.serial))
+    # summing onto the first cost saves an exact addition of zero per state
+    best = min(states, key=lambda s: (sum(s.costs[1:], s.costs[0]), s.serial))
     assignment: list[list[int]] = [[] for _ in range(m)]
-    chain: list[int] = []
-    node = best
-    while node.parent is not None:
-        chain.append(node.machine)
-        node = node.parent
-    chain.reverse()
-    for j, i in zip(job_order(jobs, OrderRule.SPT), chain):
-        assignment[i].append(j)
-    return evaluate(inst, assignment)
+    for j in job_order(inst.jobs, OrderRule.SPT):
+        assignment[next(i for i in range(m) if best.masks[i] & subsets.bits[j])].append(j)
+    return subsets.schedule(assignment)

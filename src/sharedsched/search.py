@@ -1,0 +1,127 @@
+"""Exact placement search shared by the oracle and the approximation schemes.
+
+The jobs on one machine form a set, written as a bitmask.  `SubsetTable`
+holds each set's exact values per machine, computed once however many
+placements contain the set; `best_placement` walks every placement of a job
+list over the machines and reads the table at each leaf.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, Optional, Sequence
+
+from .capacity import build_capacity_table, finish_time
+from .heuristics import OrderRule, job_order
+from .model import Instance, Schedule
+
+__all__ = ["OracleLimitError", "SubsetTable", "best_placement"]
+
+
+class OracleLimitError(Exception):
+    """Instance exceeds the enumeration size limits."""
+
+
+class SubsetTable:
+    """Load, finish time and shortest-first completion-time sum of job sets, per machine.
+
+    Bit b of a mask stands for the b-th job in shortest-first order (equal
+    lengths by index), so a set's highest bit is the job it runs last.  An
+    entry is made on first use from the set without that job, at one
+    `finish_time` call, so filling a machine's table costs at most 2^n of them.
+    """
+
+    def __init__(self, inst: Instance):
+        order = job_order(inst.jobs, OrderRule.SPT)
+        self.bits = [0] * inst.n  # by job index
+        for b, j in enumerate(order):
+            self.bits[j] = 1 << b
+        self.capacity = [build_capacity_table(mp) for mp in inst.machines]
+        self._jobs = inst.jobs
+        self._sizes = [inst.jobs[j] for j in order]
+        zero = Fraction(0)
+        self._entries = [{0: (zero, zero, zero)} for _ in inst.machines]
+
+    def get(self, i: int, mask: int) -> tuple[Fraction, Fraction, Fraction]:
+        """(load, finish time, shortest-first completion-time sum) of set `mask` on machine i."""
+        entries = self._entries[i]
+        got = entries.get(mask)
+        if got is not None:
+            return got
+        missing = []
+        while got is None:
+            missing.append(mask)
+            mask ^= 1 << (mask.bit_length() - 1)
+            got = entries.get(mask)
+        for mask in reversed(missing):
+            load, _, cost = got
+            load += self._sizes[mask.bit_length() - 1]
+            finish = finish_time(self.capacity[i], load)
+            got = entries[mask] = (load, finish, cost + finish)
+        return got
+
+    def schedule(self, assignment: Sequence[Sequence[int]]) -> Schedule:
+        """The schedule running each machine's jobs in the given order.
+
+        Completion times the table already holds are read from it; the others
+        are computed without being stored.
+        """
+        completions = [Fraction(0)] * len(self.bits)
+        for i, seq in enumerate(assignment):
+            entries = self._entries[i]
+            mask, load = 0, Fraction(0)
+            for j in seq:
+                mask |= self.bits[j]
+                load += self._jobs[j]
+                entry = entries.get(mask)
+                completions[j] = finish_time(self.capacity[i], load) if entry is None else entry[1]
+        return Schedule(
+            assignment=tuple(tuple(seq) for seq in assignment),
+            completions=tuple(completions),
+            makespan=max(completions, default=Fraction(0)),
+            total_completion=sum(completions, Fraction(0)),
+        )
+
+
+def best_placement(
+    m: int,
+    bits: Sequence[int],
+    value: Callable[[list[int]], Fraction],
+    limit: Optional[int] = None,
+) -> tuple[Fraction, tuple[int, ...], int]:
+    """Minimize `value` over all m^k placements of k jobs, given by their bits, on m machines.
+
+    `value` receives the per-machine masks of one placement (a list the walk
+    goes on to change).  Placements run in lexicographic order of the machine
+    vector, first job most significant and machine index ascending, and only
+    strict improvements are kept, so the first minimizer in that order wins.
+    Returns the best value, its machine vector and the number of placements.
+    Refuses with OracleLimitError, before any work, when m^k exceeds `limit`.
+    """
+    k = len(bits)
+    if limit is not None and m**k > limit:
+        raise OracleLimitError(f"{m}^{k} placements exceed the limit of {limit}")
+    choice = [0] * k
+    masks = [0] * m
+    masks[0] = sum(bits)
+    best, best_choice, leaves = value(masks), tuple(choice), 1
+    last = m - 1
+    while True:
+        # odometer step: trailing jobs on the last machine go back to machine
+        # 0, and the job before them moves one machine up
+        t = k - 1
+        while t >= 0 and choice[t] == last:
+            choice[t] = 0
+            masks[last] ^= bits[t]
+            masks[0] |= bits[t]
+            t -= 1
+        if t < 0:
+            return best, best_choice, leaves
+        i = choice[t]
+        choice[t] = i + 1
+        masks[i] ^= bits[t]
+        masks[i + 1] |= bits[t]
+        leaves += 1
+        got = value(masks)
+        if got < best:
+            best, best_choice = got, tuple(choice)

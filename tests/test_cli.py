@@ -119,6 +119,46 @@ def test_solve_oracle_limit_exits_3(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_scheme_makespan_branch_cap_exits_3(capsys, tmp_path):
+    # d = n = 20 here, so the search would have 3^20 branches
+    code, out, _ = _run(
+        capsys,
+        ["gadget", "random", "--n", "20", "--m", "3", "--m1", "1", "--e0", "1/4", "--seed", "1"],
+    )
+    assert code == 0
+    path = tmp_path / "deep.json"
+    path.write_text(out)
+    code, _, err = _run(
+        capsys,
+        ["solve", str(path), "--alg", "scheme-makespan", "--obj", "makespan", "--epsilon", "1/2"],
+    )
+    assert code == 3
+    assert json.loads(err)["error"] == "limit"
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["compare", "{example}", "--obj", "makespan", "--epsilon", "0"], None),
+        (["experiment", "--n", "4", "--m", "2", "--m1", "0", "--e0", "1/2", "--trials", "1"], None),
+        (
+            ["experiment", "--n", "4", "--m", "2", "--m1", "2", "--e0", "1/2", "--trials", "1",
+             "--epsilon", "2"],
+            None,
+        ),
+        (["solve", "{example}", "--alg", "oracle", "--obj", "makespan"], "abc"),
+    ],
+    ids=["compare-epsilon-0", "experiment-m1-0", "experiment-epsilon-2", "oracle-max-n-not-int"],
+)
+def test_library_value_errors_exit_2(capsys, monkeypatch, example_path, argv, env):
+    if env is not None:
+        monkeypatch.setenv("SCHED_ORACLE_MAX_N", env)
+    code, out, err = _run(capsys, [arg.format(example=example_path) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
+
+
 def test_compare_makespan_table(capsys, tmp_path):
     path = tmp_path / "ls_bad.json"
     path.write_text(instance_to_json(named_example("ls_bad", e0=F(1, 2), x=F(1, 100))))

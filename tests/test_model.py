@@ -1,5 +1,6 @@
 """Instance validation, schedule evaluation, and JSON round-trips."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -208,12 +209,48 @@ def test_json_parse_errors_are_value_errors():
     with pytest.raises(ValueError):
         instance_from_json("[]")
     with pytest.raises(ValueError):
+        instance_from_json("[" * 100000)
+    with pytest.raises(ValueError):
         instance_from_json('{"machines": [], "jobs": []}')
     good = instance_to_json(named_example("lptect_322"))
     with pytest.raises(ValueError):
         instance_from_json(good.replace('"3/4"', '"3/4/5"'))
     with pytest.raises(ValueError):
         instance_from_json(good.replace('"m1": 2', '"m1": "2"'))
+
+
+def _mutated(edit) -> str:
+    payload = json.loads(instance_to_json(named_example("lptect_322")))
+    edit(payload)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: p["machines"][1]["intervals"][0].pop("start"),
+        lambda p: p["machines"][1]["intervals"][0].pop("end"),
+        lambda p: p["machines"][1]["intervals"][0].pop("ratio"),
+        lambda p: p.update(machines=[5, 5]),
+        lambda p: p["machines"][1].update(intervals=[5]),
+        lambda p: p["machines"][1].update(intervals="0"),
+        lambda p: p.update(machines={"intervals": []}),
+        lambda p: p.update(jobs="12"),
+    ],
+    ids=[
+        "interval-without-start",
+        "interval-without-end",
+        "interval-without-ratio",
+        "machine-not-an-object",
+        "interval-not-an-object",
+        "intervals-not-a-list",
+        "machines-not-a-list",
+        "jobs-not-a-list",
+    ],
+)
+def test_json_shape_errors_are_value_errors(edit):
+    with pytest.raises(ValueError):
+        instance_from_json(_mutated(edit))
 
 
 def test_json_rejects_invalid_instances():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from sharedsched import (
     check_claim2_bound,
     evaluate,
     exact_optimal,
+    finish_time,
     lpt_ect,
     ls,
     ls_ect,
@@ -28,7 +30,10 @@ from sharedsched.oracle import _spt_sum_full_speed
 
 
 def _naive_optimal(inst, objective):
-    """Independent reference: try every assignment through evaluate()."""
+    """Independent reference: every assignment through evaluate(), in lexicographic order.
+
+    Returns the optimal value and the first assignment reaching it.
+    """
     best = None
     for vec in itertools.product(range(inst.m), repeat=inst.n):
         assignment = [[] for _ in range(inst.m)]
@@ -40,9 +45,24 @@ def _naive_optimal(inst, objective):
             ]
         sched = evaluate(inst, assignment)
         value = sched.makespan if objective is Objective.MAKESPAN else sched.total_completion
-        if best is None or value < best:
-            best = value
+        if best is None or value < best[0]:
+            best = (value, sched.assignment)
     return best
+
+
+def _cross_check_instances():
+    for seed in range(3):
+        for m, n in ((1, 6), (2, 7), (3, 6)):
+            yield random_instance(RandomSpec(n=n, m=m, m1=max(m - 1, 1), e0=F(1, 2), seed=seed))
+    # identical full-speed machines and few distinct lengths: ties everywhere
+    rng = random.Random(5)
+    for m, n in ((2, 7), (3, 7), (3, 5)):
+        yield Instance(
+            machines=(MachineProfile(intervals=()),) * m,
+            jobs=tuple(F(rng.randint(1, 3)) for _ in range(n)),
+            m1=m,
+            e0=F(1),
+        )
 
 
 def test_oracle_makespan_on_worked_example():
@@ -56,7 +76,7 @@ def test_oracle_makespan_on_worked_example():
 def test_oracle_total_completion_on_worked_example():
     inst = named_example("lptect_322")
     result = exact_optimal(inst, Objective.TOTAL_COMPLETION)
-    assert result.objective_value == _naive_optimal(inst, Objective.TOTAL_COMPLETION)
+    assert result.objective_value == _naive_optimal(inst, Objective.TOTAL_COMPLETION)[0]
     assert result.objective_value == F(29, 3)
 
 
@@ -66,12 +86,33 @@ def test_oracle_prefers_the_bounded_machine_in_ls_bad():
 
 
 def test_oracle_matches_naive_enumeration_on_random_instances():
-    for seed in range(12):
-        inst = random_instance(RandomSpec(n=5, m=3, m1=2, e0=F(1, 2), seed=seed))
+    # same value and same minimizer: the lexicographically first one
+    for inst in _cross_check_instances():
         for objective in Objective:
             got = exact_optimal(inst, objective)
-            assert got.objective_value == _naive_optimal(inst, objective)
-            assert got.states_explored == 3**5
+            value, assignment = _naive_optimal(inst, objective)
+            assert got.objective_value == value
+            assert got.best.assignment == assignment
+            assert got.best == evaluate(inst, assignment)
+            assert got.states_explored == inst.m**inst.n
+
+
+def test_oracle_makes_at_most_m_times_2_to_the_n_kernel_calls(monkeypatch):
+    calls = []
+
+    def counted(table, work):
+        calls.append(work)
+        return finish_time(table, work)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sharedsched" and getattr(module, "finish_time", None) is finish_time:
+            monkeypatch.setattr(module, "finish_time", counted)
+    inst = random_instance(RandomSpec(n=8, m=3, m1=2, e0=F(1, 2), seed=5))
+    for objective in Objective:
+        calls.clear()
+        result = exact_optimal(inst, objective)
+        assert result.states_explored == 3**8
+        assert 0 < len(calls) <= 3 * 2**8
 
 
 def test_oracle_value_is_reproduced_by_its_schedule():

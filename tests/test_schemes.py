@@ -1,5 +1,6 @@
 """Accuracy-parameterized schemes and the geometric bucket machinery."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,12 +8,18 @@ import pytest
 
 from sharedsched import (
     GeometricBuckets,
+    Instance,
+    MachineProfile,
     Objective,
+    OracleLimitError,
+    OrderRule,
     PartialState,
     RandomSpec,
+    build_capacity_table,
     compute_d,
     evaluate,
     exact_optimal,
+    job_order,
     lpt_ect,
     makespan_scheme,
     named_example,
@@ -21,6 +28,7 @@ from sharedsched import (
     spt_ect,
     totaltime_scheme,
 )
+from sharedsched.heuristics import ect_placement
 
 
 def test_compute_d_worked_values():
@@ -47,6 +55,59 @@ def test_makespan_scheme_full_enumeration_is_optimal():
         rnd = random_instance(RandomSpec(n=5, m=2, m1=1, e0=F(1, 2), seed=seed))
         opt = exact_optimal(rnd, Objective.MAKESPAN).objective_value
         assert makespan_scheme(rnd, rnd.n).makespan == opt
+
+
+def _reference_scheme(inst, d):
+    """Independent reference: every m^d placement of the d longest jobs in lexicographic order,
+    each finished by the greedy earliest-completion tail; the first best one wins."""
+    tables = [build_capacity_table(mp) for mp in inst.machines]
+    by_length = job_order(inst.jobs, OrderRule.LPT)
+    best = None
+    for vec in itertools.product(range(inst.m), repeat=d):
+        assignment = [[] for _ in range(inst.m)]
+        loads = [F(0)] * inst.m
+        for j, i in zip(by_length, vec):
+            assignment[i].append(j)
+            loads[i] += inst.jobs[j]
+        for j in by_length[d:]:
+            i, _ = ect_placement(tables, loads, inst.jobs[j])
+            assignment[i].append(j)
+            loads[i] += inst.jobs[j]
+        sched = evaluate(inst, assignment)
+        if best is None or sched.makespan < best.makespan:
+            best = sched
+    return best
+
+
+def test_makespan_scheme_matches_reference_enumeration():
+    rng = random.Random(9)
+    instances = [
+        random_instance(RandomSpec(n=n, m=m, m1=1, e0=F(1, 3), seed=seed))
+        for seed in range(3)
+        for m, n in ((1, 5), (2, 7), (3, 6))
+    ]
+    # identical full-speed machines and few distinct lengths: ties everywhere
+    instances += [
+        Instance(
+            machines=(MachineProfile(intervals=()),) * m,
+            jobs=tuple(F(rng.randint(1, 3)) for _ in range(n)),
+            m1=m,
+            e0=F(1),
+        )
+        for m, n in ((2, 7), (3, 6))
+    ]
+    for inst in instances:
+        for d in range(inst.n + 1):
+            assert makespan_scheme(inst, d) == _reference_scheme(inst, d)
+
+
+def test_makespan_scheme_refuses_beyond_the_oracle_ceiling():
+    deep = random_instance(RandomSpec(n=20, m=3, m1=1, e0=F(1, 4), seed=1))
+    with pytest.raises(OracleLimitError):
+        makespan_scheme(deep, 20)
+    # one machine has a single branch at any depth
+    single = random_instance(RandomSpec(n=40, m=1, m1=1, e0=F(1, 2), seed=1))
+    assert makespan_scheme(single, 40) == lpt_ect(single)
 
 
 def test_makespan_scheme_zero_depth_is_the_greedy_longest_first_run():
