@@ -42,19 +42,12 @@ from .model import (
     objective_value,
     validate_instance,
 )
-from .oracle import (
-    OracleLimitError,
-    OracleResult,
-    check_claim2_bound,
-    exact_optimal,
-    verify_spt_within_machine,
-)
+from .oracle import OracleLimitError, OracleResult, exact_optimal
 from .schemes import (
     GeometricBuckets,
     PartialState,
     compute_d,
     makespan_scheme,
-    similar,
     totaltime_scheme,
 )
 
@@ -89,14 +82,11 @@ __all__ = [
     "compute_d",
     "makespan_scheme",
     "GeometricBuckets",
-    "similar",
     "PartialState",
     "totaltime_scheme",
     "OracleLimitError",
     "OracleResult",
     "exact_optimal",
-    "verify_spt_within_machine",
-    "check_claim2_bound",
     "partition_gadget_makespan",
     "partition_gadget_totaltime",
     "named_example",

@@ -3,8 +3,8 @@
 Subcommands: solve (one algorithm, JSON report), compare (all algorithms
 against the exact optimum, CSV), experiment (seeded random trials with bound
 checks, CSV), gadget (emit instance JSON).  Exit codes: 0 success, 2 bad
-input, 3 instance too large for exact enumeration (the oracle's size limits
-or the makespan scheme's branch cap).
+input, 3 work beyond a limit (the oracle's size limits, the makespan
+scheme's branch cap or the total-time scheme's bucket cap).
 """
 
 from __future__ import annotations
@@ -16,33 +16,79 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import generators, heuristics, schemes
 from .model import (
     Instance,
     Objective,
     Schedule,
+    _frac_from_str,
     instance_from_json,
     instance_to_json,
     objective_value,
 )
 from .oracle import OracleLimitError, exact_optimal
 
-HEURISTICS = {
-    "ls": heuristics.ls,
-    "lpt": heuristics.lpt,
-    "ls-ect": heuristics.ls_ect,
-    "lpt-ect": heuristics.lpt_ect,
-    "spt": heuristics.spt,
-    "spt-ect": heuristics.spt_ect,
+
+class Algorithm(NamedTuple):
+    objective: Optional[Objective]  # None: the oracle, which serves either objective
+    # (inst, objective, epsilon, d) -> (schedule, the parameters solve reports)
+    run: Callable[[Instance, Objective, Optional[Fraction], Optional[int]], tuple[Schedule, dict]]
+    # (m, m1, epsilon) -> whether compare and experiment run it
+    listed: Callable[[int, int, Optional[Fraction]], bool]
+
+
+def _heuristic(rule: Callable[[Instance], Schedule]) -> Callable:
+    return lambda inst, objective, epsilon, d: (rule(inst), {})
+
+
+def _scheme_makespan(missing: str, inst: Instance, objective, epsilon, d) -> tuple:
+    params: dict = {}
+    if d is None:
+        if epsilon is None:
+            raise ValueError(missing)
+        d = schemes.compute_d(inst.m, inst.m1, inst.e0, epsilon, inst.n)
+        params["epsilon"] = str(epsilon)
+    params["d"] = d
+    return schemes.makespan_scheme(inst, d), params
+
+
+def _scheme_totaltime(missing: str, inst: Instance, objective, epsilon, d) -> tuple:
+    if epsilon is None:
+        raise ValueError(missing)
+    return schemes.totaltime_scheme(inst, epsilon), {"epsilon": str(epsilon)}
+
+
+def _oracle(inst: Instance, objective, epsilon, d) -> tuple:
+    result = exact_optimal(inst, objective)
+    return result.best, {"states_explored": result.states_explored}
+
+
+def _always(m: int, m1: int, epsilon: Optional[Fraction]) -> bool:
+    return True
+
+
+ALGORITHMS = {
+    "ls": Algorithm(Objective.MAKESPAN, _heuristic(heuristics.ls), _always),
+    "lpt": Algorithm(Objective.MAKESPAN, _heuristic(heuristics.lpt), _always),
+    "ls-ect": Algorithm(Objective.MAKESPAN, _heuristic(heuristics.ls_ect), _always),
+    "lpt-ect": Algorithm(Objective.MAKESPAN, _heuristic(heuristics.lpt_ect), _always),
+    "spt": Algorithm(Objective.TOTAL_COMPLETION, _heuristic(heuristics.spt), _always),
+    "spt-ect": Algorithm(Objective.TOTAL_COMPLETION, _heuristic(heuristics.spt_ect), _always),
+    "scheme-makespan": Algorithm(
+        Objective.MAKESPAN,
+        partial(_scheme_makespan, "scheme-makespan needs --epsilon or --d"),
+        lambda m, m1, epsilon: epsilon is not None,
+    ),
+    "scheme-totaltime": Algorithm(
+        Objective.TOTAL_COMPLETION,
+        partial(_scheme_totaltime, "scheme-totaltime needs --epsilon"),
+        lambda m, m1, epsilon: epsilon is not None and m1 >= m - 1,
+    ),
+    "oracle": Algorithm(None, _oracle, _always),
 }
-
-ALGORITHMS = tuple(HEURISTICS) + ("scheme-makespan", "scheme-totaltime", "oracle")
-
-
-class InputError(Exception):
-    pass
 
 
 def _fail(kind: str, message: str) -> int:
@@ -58,59 +104,30 @@ def _read_instance(path: str) -> Instance:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     return instance_from_json(text)
 
 
-def _parse_fraction(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{what}: cannot parse {text!r} as a rational") from exc
-
-
-def _objective(args) -> Objective:
-    return Objective.MAKESPAN if args.obj == "makespan" else Objective.TOTAL_COMPLETION
+def _epsilon(args) -> Optional[Fraction]:
+    # absent only when the flag is; every given value must parse
+    return None if args.epsilon is None else _frac_from_str(args.epsilon, "--epsilon")
 
 
 def _fmt(value: Fraction, decimal: bool) -> str:
-    return repr(float(value)) if decimal else str(value)
-
-
-def _run_algorithm(inst: Instance, args, objective: Objective) -> tuple[Schedule, dict]:
-    alg = args.alg
-    params: dict = {}
-    if alg in HEURISTICS:
-        return HEURISTICS[alg](inst), params
-    if alg == "scheme-makespan":
-        if args.d is not None:
-            d = args.d
-        elif args.epsilon is not None:
-            eps = _parse_fraction(args.epsilon, "--epsilon")
-            d = schemes.compute_d(inst.m, inst.m1, inst.e0, eps, inst.n)
-            params["epsilon"] = str(eps)
-        else:
-            raise InputError("scheme-makespan needs --epsilon or --d")
-        params["d"] = d
-        return schemes.makespan_scheme(inst, d), params
-    if alg == "scheme-totaltime":
-        if args.epsilon is None:
-            raise InputError("scheme-totaltime needs --epsilon")
-        eps = _parse_fraction(args.epsilon, "--epsilon")
-        params["epsilon"] = str(eps)
-        return schemes.totaltime_scheme(inst, eps), params
-    if alg == "oracle":
-        result = exact_optimal(inst, objective)
-        params["states_explored"] = result.states_explored
-        return result.best, params
-    raise InputError(f"unknown algorithm {alg!r}")
+    if not decimal:
+        return str(value)
+    try:
+        return repr(float(value))
+    except OverflowError:
+        raise ValueError("--decimal: a value is beyond the range of a float") from None
 
 
 def cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
-    objective = _objective(args)
+    objective = Objective(args.obj)
+    epsilon = _epsilon(args)
     started = time.perf_counter()
-    schedule, params = _run_algorithm(inst, args, objective)
+    schedule, params = ALGORITHMS[args.alg].run(inst, objective, epsilon, args.d)
     elapsed = time.perf_counter() - started
     digest = hashlib.sha256(instance_to_json(inst).encode("utf-8")).hexdigest()
     report = {
@@ -130,74 +147,50 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     inst = _read_instance(args.instance)
-    objective = _objective(args)
-    epsilon = _parse_fraction(args.epsilon, "--epsilon") if args.epsilon else None
+    objective = Objective(args.obj)
+    epsilon = _epsilon(args)
 
-    if objective is Objective.MAKESPAN:
-        names = ["ls", "lpt", "ls-ect", "lpt-ect"]
-    else:
-        names = ["spt", "spt-ect"]
-    runs: list[tuple[str, Fraction]] = [
-        (name, objective_value(HEURISTICS[name](inst), objective)) for name in names
-    ]
-    if epsilon is not None:
-        if objective is Objective.MAKESPAN:
-            d = schemes.compute_d(inst.m, inst.m1, inst.e0, epsilon, inst.n)
-            runs.append(
-                ("scheme-makespan", objective_value(schemes.makespan_scheme(inst, d), objective))
-            )
-        elif inst.m1 >= inst.m - 1:
-            runs.append(
-                (
-                    "scheme-totaltime",
-                    objective_value(schemes.totaltime_scheme(inst, epsilon), objective),
-                )
-            )
+    runs: list[tuple[str, Fraction]] = []
     oracle_value: Optional[Fraction] = None
-    try:
-        oracle_value = exact_optimal(inst, objective).objective_value
-    except OracleLimitError:
-        pass
-    if oracle_value is not None:
-        runs.append(("oracle", oracle_value))
+    for name, alg in ALGORITHMS.items():
+        if alg.objective not in (objective, None) or not alg.listed(inst.m, inst.m1, epsilon):
+            continue
+        if alg.objective is None:
+            # the reference row; beyond the oracle's limits every ratio is unavailable
+            try:
+                oracle_value = exact_optimal(inst, objective).objective_value
+            except OracleLimitError:
+                continue
+            runs.append((name, oracle_value))
+        else:
+            schedule, _ = alg.run(inst, objective, epsilon, None)
+            runs.append((name, objective_value(schedule, objective)))
 
+    rows = [
+        [
+            name,
+            _fmt(value, args.decimal),
+            "unavailable" if oracle_value is None else _fmt(value / oracle_value, args.decimal),
+        ]
+        for name, value in runs
+    ]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["algorithm", "value", "ratio_to_oracle"])
-    for name, value in runs:
-        if oracle_value is None:
-            ratio = "unavailable"
-        else:
-            ratio = _fmt(value / oracle_value, args.decimal)
-        writer.writerow([name, _fmt(value, args.decimal), ratio])
+    writer.writerows(rows)
     return 0
 
 
 def cmd_experiment(args) -> int:
-    e0 = _parse_fraction(args.e0, "--e0")
-    epsilon = _parse_fraction(args.epsilon, "--epsilon") if args.epsilon else None
-    objective = _objective(args)
+    e0 = _frac_from_str(args.e0, "--e0")
+    epsilon = _epsilon(args)
+    objective = Objective(args.obj)
     if args.trials < 0:
-        raise InputError("--trials must be nonnegative")
-
-    if objective is Objective.MAKESPAN:
-        names = ["ls", "lpt", "ls-ect", "lpt-ect"]
-        if epsilon is not None:
-            names.append("scheme-makespan")
-    else:
-        names = ["spt", "spt-ect"]
-        if epsilon is not None and args.m1 >= args.m - 1:
-            names.append("scheme-totaltime")
-
-    if args.with_oracle and args.trials > 0:
-        # fail fast instead of mid-run
-        probe = generators.random_instance(
-            generators.RandomSpec(
-                n=args.n, m=args.m, m1=args.m1, e0=e0, p_max=args.p_max,
-                min_breakpoints=args.min_breakpoints, max_breakpoints=args.max_breakpoints,
-                seed=args.seed,
-            )
-        )
-        exact_optimal(probe, objective)
+        raise ValueError("--trials must be nonnegative")
+    names = [
+        name
+        for name, alg in ALGORITHMS.items()
+        if alg.objective is objective and alg.listed(args.m, args.m1, epsilon)
+    ]
 
     rows = []
     for trial in range(args.trials):
@@ -211,15 +204,11 @@ def cmd_experiment(args) -> int:
         )
         opt: Optional[Fraction] = None
         if args.with_oracle:
+            # the first trial's oracle call refuses an oversized run before any other work
             opt = exact_optimal(inst, objective).objective_value
         for name in names:
-            if name == "scheme-makespan":
-                d = schemes.compute_d(inst.m, inst.m1, inst.e0, epsilon, inst.n)
-                value = objective_value(schemes.makespan_scheme(inst, d), objective)
-            elif name == "scheme-totaltime":
-                value = objective_value(schemes.totaltime_scheme(inst, epsilon), objective)
-            else:
-                value = objective_value(HEURISTICS[name](inst), objective)
+            schedule, _ = ALGORITHMS[name].run(inst, objective, epsilon, None)
+            value = objective_value(schedule, objective)
             bound = heuristics.guarantee_ratio(
                 name, n=inst.n, m=inst.m, m1=inst.m1, e0=inst.e0, epsilon=epsilon
             )
@@ -252,7 +241,7 @@ def cmd_gadget(args) -> int:
         try:
             sizes = [int(part) for part in args.a.split(",") if part.strip() != ""]
         except ValueError as exc:
-            raise InputError(f"--a: cannot parse {args.a!r} as comma-separated integers") from exc
+            raise ValueError(f"--a: cannot parse {args.a!r} as comma-separated integers") from exc
         build = (
             generators.partition_gadget_makespan
             if args.kind == "partition-makespan"
@@ -262,16 +251,16 @@ def cmd_gadget(args) -> int:
     elif args.kind == "named":
         kwargs = {}
         if args.e0 is not None:
-            kwargs["e0"] = _parse_fraction(args.e0, "--e0")
+            kwargs["e0"] = _frac_from_str(args.e0, "--e0")
         if args.x is not None:
-            kwargs["x"] = _parse_fraction(args.x, "--x")
+            kwargs["x"] = _frac_from_str(args.x, "--x")
         if args.alpha is not None:
-            kwargs["alpha"] = _parse_fraction(args.alpha, "--alpha")
+            kwargs["alpha"] = _frac_from_str(args.alpha, "--alpha")
         inst = generators.named_example(args.name, **kwargs)
     else:
         spec = generators.RandomSpec(
             n=args.n, m=args.m, m1=args.m1 if args.m1 is not None else args.m,
-            e0=_parse_fraction(args.e0, "--e0") if args.e0 is not None else Fraction(1, 2),
+            e0=_frac_from_str(args.e0, "--e0") if args.e0 is not None else Fraction(1, 2),
             p_max=args.p_max, min_breakpoints=args.min_breakpoints,
             max_breakpoints=args.max_breakpoints, seed=args.seed,
         )
@@ -350,7 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         # the library raises ValueError on every input it rejects
         return _fail("input", str(exc))
     except OracleLimitError as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .model import Instance, MachineProfile, SharedInterval, validate_instance
+from .model import Instance, MachineProfile, SharedInterval, _checked
 
 __all__ = [
     "partition_gadget_makespan",
@@ -24,14 +24,9 @@ __all__ = [
 ]
 
 
-def _checked(inst: Instance) -> Instance:
-    errors = validate_instance(inst)
-    if errors:
-        raise ValueError("; ".join(errors))
-    return inst
-
-
 def _int_jobs(a: Sequence[int]) -> tuple[Fraction, ...]:
+    if len(a) == 0:
+        raise ValueError("a gadget needs at least one job")
     jobs = []
     for v in a:
         if int(v) != v or v <= 0:
@@ -60,9 +55,7 @@ def partition_gadget_makespan(a: Sequence[int], f: int) -> Instance:
         SharedInterval(start=Fraction(0), end=half, ratio=Fraction(1)),
         SharedInterval(start=half, end=half + f * total, ratio=slow),
     )
-    machines = tuple(
-        MachineProfile(intervals=profile, machine_index=i) for i in (1, 2)
-    )
+    machines = (MachineProfile(intervals=profile),) * 2
     return _checked(Instance(machines=machines, jobs=jobs, m1=2, e0=slow))
 
 
@@ -82,19 +75,16 @@ def partition_gadget_totaltime(a: Sequence[int], f: int) -> Instance:
         SharedInterval(start=Fraction(0), end=half, ratio=Fraction(1)),
         SharedInterval(start=half, end=None, ratio=slow),
     )
-    machines = tuple(
-        MachineProfile(intervals=profile, machine_index=i) for i in (1, 2)
-    )
+    machines = (MachineProfile(intervals=profile),) * 2
     return _checked(Instance(machines=machines, jobs=jobs, m1=2, e0=slow))
 
 
-def _full_machine(index: int) -> MachineProfile:
-    return MachineProfile(intervals=(), machine_index=index)
+_FULL_MACHINE = MachineProfile(intervals=())
 
 
-def _constant_machine(index: int, ratio: Fraction) -> MachineProfile:
+def _constant_machine(ratio: Fraction) -> MachineProfile:
     iv = SharedInterval(start=Fraction(0), end=None, ratio=ratio)
-    return MachineProfile(intervals=(iv,), machine_index=index)
+    return MachineProfile(intervals=(iv,))
 
 
 NAMED_EXAMPLES = (
@@ -124,7 +114,7 @@ def named_example(
         x = Fraction(x) if x is not None else Fraction(1, 100)
         if not (0 < x <= e0 <= 1):
             raise ValueError("ls_bad needs 0 < x <= e0 <= 1")
-        machines = (_constant_machine(1, e0), _constant_machine(2, x))
+        machines = (_constant_machine(e0), _constant_machine(x))
         return _checked(Instance(machines=machines, jobs=(Fraction(1), Fraction(1)), m1=1, e0=e0))
     if name == "lsect_tight":
         e0 = Fraction(e0) if e0 is not None else Fraction(1, 2)
@@ -135,32 +125,26 @@ def named_example(
             intervals=(
                 SharedInterval(Fraction(0), x + 2, Fraction(1)),
                 SharedInterval(x + 2, None, e0),
-            ),
-            machine_index=1,
-        )
-        shared = e0 / (3 * x)
-
-        def crowded(i: int) -> MachineProfile:
-            return MachineProfile(
-                intervals=(
-                    SharedInterval(Fraction(0), x, Fraction(1)),
-                    SharedInterval(x, None, shared),
-                ),
-                machine_index=i,
             )
-
+        )
+        crowded = MachineProfile(
+            intervals=(
+                SharedInterval(Fraction(0), x, Fraction(1)),
+                SharedInterval(x, None, e0 / (3 * x)),
+            )
+        )
         jobs = (x, Fraction(1), Fraction(1), x, x)
         return _checked(
-            Instance(machines=(m1_profile, crowded(2), crowded(3)), jobs=jobs, m1=1, e0=e0)
+            Instance(machines=(m1_profile, crowded, crowded), jobs=jobs, m1=1, e0=e0)
         )
     if name == "lpt_n2":
         e0 = Fraction(e0) if e0 is not None else Fraction(1, 4)
         if not (0 < e0 <= 1):
             raise ValueError("lpt_n2 needs e0 in (0, 1]")
-        machines = (_full_machine(1), _constant_machine(2, e0))
+        machines = (_FULL_MACHINE, _constant_machine(e0))
         return _checked(Instance(machines=machines, jobs=(Fraction(1), Fraction(1)), m1=1, e0=e0))
     if name == "lptect_322":
-        machines = (_full_machine(1), _constant_machine(2, Fraction(3, 4)))
+        machines = (_FULL_MACHINE, _constant_machine(Fraction(3, 4)))
         jobs = (Fraction(3), Fraction(2), Fraction(2))
         return _checked(Instance(machines=machines, jobs=jobs, m1=2, e0=Fraction(3, 4)))
     if name in ("spt_vs_sptect", "spt_vs_sptect_plus3"):
@@ -168,15 +152,14 @@ def named_example(
             intervals=(
                 SharedInterval(Fraction(0), Fraction(1), Fraction(1)),
                 SharedInterval(Fraction(1), None, Fraction(1, 2)),
-            ),
-            machine_index=1,
+            )
         )
         jobs = [Fraction(1), Fraction(2), Fraction(2)]
         if name.endswith("plus3"):
             jobs.append(Fraction(3))
         return _checked(
             Instance(
-                machines=(slowdown, _full_machine(2)),
+                machines=(slowdown, _FULL_MACHINE),
                 jobs=tuple(jobs),
                 m1=2,
                 e0=Fraction(1, 2),
@@ -186,7 +169,7 @@ def named_example(
         alpha = Fraction(alpha) if alpha is not None else Fraction(100)
         if alpha < 1:
             raise ValueError("spt_unbounded needs alpha >= 1")
-        machines = (_full_machine(1), _constant_machine(2, 1 / alpha))
+        machines = (_FULL_MACHINE, _constant_machine(1 / alpha))
         return _checked(Instance(machines=machines, jobs=(Fraction(1), Fraction(1)), m1=1, e0=Fraction(1)))
     raise ValueError(f"unknown example {name!r}; known names: {', '.join(NAMED_EXAMPLES)}")
 
@@ -241,7 +224,7 @@ def random_instance(spec: RandomSpec) -> Instance:
             t = t_next
         if rng.random() < 0.5:
             intervals.append(SharedInterval(start=t, end=None, ratio=draw_ratio(bounded)))
-        machines.append(MachineProfile(intervals=tuple(intervals), machine_index=i))
+        machines.append(MachineProfile(intervals=tuple(intervals)))
     jobs = []
     for _ in range(spec.n):
         den = rng.randint(1, 8)

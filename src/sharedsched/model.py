@@ -54,7 +54,6 @@ class MachineProfile:
     """
 
     intervals: tuple[SharedInterval, ...]
-    machine_index: Optional[int] = None  # 1-based position, informational
 
 
 @dataclass(frozen=True)
@@ -174,13 +173,33 @@ def objective_value(schedule: Schedule, objective: Objective) -> Fraction:
     return schedule.total_completion
 
 
-def _frac_to_str(value: Fraction) -> str:
-    return str(value)
+def _checked(inst: Instance) -> Instance:
+    errors = validate_instance(inst)
+    if errors:
+        raise ValueError("; ".join(errors))
+    return inst
+
+
+# Fraction expands a decimal exponent into an integer before anything can
+# check it, so "1e10000000" alone takes seconds.  Python converts no integer
+# of more than 4300 digits to a string, so no value this package writes out
+# needs a larger exponent.
+MAX_EXPONENT = 4300
 
 
 def _frac_from_str(text, what: str) -> Fraction:
+    """Parse one exact rational from instance JSON or a command line flag."""
+    text = str(text)
+    if "e" in text or "E" in text:
+        # Fraction rejects the text below when no integer follows the last "e"
+        try:
+            exponent = int(text.lower().rpartition("e")[2])
+        except ValueError:
+            exponent = 0
+        if abs(exponent) > MAX_EXPONENT:
+            raise ValueError(f"{what}: the exponent of {text!r} is beyond {MAX_EXPONENT}")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{what}: cannot parse {text!r} as a rational") from exc
 
@@ -192,18 +211,18 @@ def instance_to_json(inst: Instance) -> str:
             {
                 "intervals": [
                     {
-                        "start": _frac_to_str(iv.start),
-                        "end": "inf" if iv.end is None else _frac_to_str(iv.end),
-                        "ratio": _frac_to_str(iv.ratio),
+                        "start": str(iv.start),
+                        "end": "inf" if iv.end is None else str(iv.end),
+                        "ratio": str(iv.ratio),
                     }
                     for iv in mp.intervals
                 ]
             }
             for mp in inst.machines
         ],
-        "jobs": [_frac_to_str(p) for p in inst.jobs],
+        "jobs": [str(p) for p in inst.jobs],
         "m1": inst.m1,
-        "e0": _frac_to_str(inst.e0),
+        "e0": str(inst.e0),
     }
     return json.dumps(payload, indent=2)
 
@@ -245,16 +264,14 @@ def instance_from_json(text: str) -> Instance:
             end = None if raw_end == "inf" else _frac_from_str(raw_end, where)
             ratio = _frac_from_str(raw_ratio, where)
             intervals.append(SharedInterval(start=start, end=end, ratio=ratio))
-        machines.append(MachineProfile(intervals=tuple(intervals), machine_index=i))
+        machines.append(MachineProfile(intervals=tuple(intervals)))
     if not isinstance(raw_m1, int) or isinstance(raw_m1, bool):
         raise ValueError("m1 must be an integer")
-    inst = Instance(
-        machines=tuple(machines),
-        jobs=tuple(_frac_from_str(p, f"job {j + 1}") for j, p in enumerate(raw_jobs)),
-        m1=raw_m1,
-        e0=_frac_from_str(raw_e0, "e0"),
+    return _checked(
+        Instance(
+            machines=tuple(machines),
+            jobs=tuple(_frac_from_str(p, f"job {j + 1}") for j, p in enumerate(raw_jobs)),
+            m1=raw_m1,
+            e0=_frac_from_str(raw_e0, "e0"),
+        )
     )
-    errors = validate_instance(inst)
-    if errors:
-        raise ValueError("; ".join(errors))
-    return inst

@@ -16,13 +16,12 @@ from typing import Optional, Sequence
 from .heuristics import OrderRule, ect_placement, job_order
 from .model import Instance, Schedule
 from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N
-from .search import SubsetTable, best_placement
+from .search import OracleLimitError, SubsetTable, best_placement
 
 __all__ = [
     "compute_d",
     "makespan_scheme",
     "GeometricBuckets",
-    "similar",
     "PartialState",
     "totaltime_scheme",
 ]
@@ -106,13 +105,20 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
     return subsets.schedule(assignment)
 
 
+# The exact powers of q behind a bucket index x have about |x| times the
+# bits of q's numerator, and one power of 2**22 bits takes about half a
+# second to compute.  The criterion-2 checks reach about 50,000 bits.
+MAX_BUCKET_BITS = 2**22
+
+
 class GeometricBuckets:
     """Geometric value buckets [q^x, q^(x+1)) with q = 1 + delta.
 
     Bucket indices are found from a float log estimate and then pinned down
     by exact integer comparisons against cached powers of q, so two values
     land in the same bucket exactly when the rationals say so.  Zero gets its
-    own bucket (None).
+    own bucket (None).  An index whose powers of q would exceed
+    MAX_BUCKET_BITS raises OracleLimitError.
     """
 
     def __init__(self, delta: Fraction):
@@ -123,6 +129,7 @@ class GeometricBuckets:
         self._qn = q.numerator
         self._qd = q.denominator
         self._log_q = math.log(self._qn) - math.log(self._qd)
+        self._bits = self._qn.bit_length()
         self._pow_n: dict[int, int] = {0: 1}
         self._pow_d: dict[int, int] = {0: 1}
         self._index_cache: dict[Fraction, int] = {}
@@ -156,7 +163,15 @@ class GeometricBuckets:
         if got is not None:
             return got
         num, den = value.numerator, value.denominator
-        x = math.floor((math.log(num) - math.log(den)) / self._log_q)
+        log_value = math.log(num) - math.log(den)
+        # |log_value / log_q| * bits >= MAX_BUCKET_BITS, multiplied out so
+        # that a q which is 1 in floating point (log_q == 0) is always refused
+        if abs(log_value) * self._bits >= MAX_BUCKET_BITS * self._log_q:
+            raise OracleLimitError(
+                f"the bucket grid is too fine: an index needs powers of q beyond "
+                f"{MAX_BUCKET_BITS} bits; use a larger epsilon or delta"
+            )
+        x = math.floor(log_value / self._log_q)
         while not self._at_least(num, den, x):
             x -= 1
         while self._at_least(num, den, x + 1):
@@ -185,14 +200,6 @@ def _signature(state: PartialState, buckets: GeometricBuckets) -> tuple:
         (buckets.index(load), buckets.index(cost))
         for load, cost in zip(state.loads, state.costs)
     )
-
-
-def similar(s1: PartialState, s2: PartialState, delta: Fraction) -> bool:
-    """True when both states agree bucket-by-bucket on every load and cost."""
-    if len(s1.loads) != len(s2.loads):
-        raise ValueError("states span different machine counts")
-    buckets = GeometricBuckets(delta)
-    return _signature(s1, buckets) == _signature(s2, buckets)
 
 
 def totaltime_scheme(

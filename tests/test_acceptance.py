@@ -33,10 +33,11 @@ from sharedsched import (
     spt,
     spt_ect,
     totaltime_scheme,
-    verify_spt_within_machine,
     work_at,
 )
 from sharedsched.generators import RandomSpec
+
+from oracle_checks import verify_spt_within_machine
 
 
 def _timed(fn):
@@ -228,7 +229,7 @@ def _scaled(inst, lam):
             SharedInterval(iv.start * lam, None if iv.end is None else iv.end * lam, iv.ratio)
             for iv in mach.intervals
         )
-        machines.append(MachineProfile(intervals, machine_index=mach.machine_index))
+        machines.append(MachineProfile(intervals))
     return Instance(tuple(machines), tuple(p * lam for p in inst.jobs), inst.m1, inst.e0)
 
 

@@ -1,6 +1,7 @@
 """Command line behavior: reports, CSV shapes, exit codes, determinism."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -136,6 +137,17 @@ def test_scheme_makespan_branch_cap_exits_3(capsys, tmp_path):
     assert json.loads(err)["error"] == "limit"
 
 
+def test_scheme_totaltime_bucket_cap_exits_3(capsys, example_path):
+    code, out, err = _run(
+        capsys,
+        ["solve", example_path, "--alg", "scheme-totaltime", "--obj", "totaltime",
+         "--epsilon", "1e-400"],
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "limit"
+
+
 @pytest.mark.parametrize(
     "argv, env",
     [
@@ -157,6 +169,67 @@ def test_library_value_errors_exit_2(capsys, monkeypatch, example_path, argv, en
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "input"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{example}", "--alg", "ls", "--obj", "makespan", "--epsilon", "abc"],
+        ["solve", "{example}", "--alg", "oracle", "--obj", "makespan", "--epsilon", "abc"],
+        ["solve", "{example}", "--alg", "scheme-makespan", "--obj", "makespan", "--d", "2",
+         "--epsilon", "abc"],
+        ["compare", "{example}", "--obj", "makespan", "--epsilon", ""],
+        ["experiment", "--n", "4", "--m", "2", "--m1", "2", "--e0", "1/2", "--trials", "1",
+         "--epsilon", ""],
+    ],
+    ids=["solve-heuristic", "solve-oracle", "solve-scheme-with-d", "compare-empty",
+         "experiment-empty"],
+)
+def test_every_given_epsilon_must_parse(capsys, example_path, argv):
+    code, out, err = _run(capsys, [arg.format(example=example_path) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["message"].startswith("--epsilon: cannot parse")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{huge}", "--alg", "ls", "--obj", "makespan"],
+        ["solve", "{example}", "--alg", "scheme-totaltime", "--obj", "totaltime",
+         "--epsilon", "1e-10000000"],
+        ["compare", "{example}", "--obj", "makespan", "--epsilon", "1e-10000000"],
+        ["experiment", "--n", "3", "--m", "2", "--m1", "2", "--e0", "1e-1000000", "--trials", "1"],
+        ["experiment", "--n", "3", "--m", "2", "--m1", "2", "--e0", "1/2", "--trials", "1",
+         "--epsilon", "1e-10000000"],
+        ["gadget", "named", "ls_bad", "--e0", "1e-10000000"],
+        ["gadget", "named", "ls_bad", "--x", "1e-10000000"],
+        ["gadget", "named", "spt_unbounded", "--alpha", "1e10000000"],
+        ["gadget", "random", "--n", "3", "--m", "2", "--e0", "1e-10000000"],
+    ],
+    ids=["instance-json", "solve-epsilon", "compare-epsilon", "experiment-e0",
+         "experiment-epsilon", "named-e0", "named-x", "named-alpha", "random-e0"],
+)
+def test_huge_exponents_exit_2_quickly(capsys, tmp_path, example_path, argv):
+    huge = tmp_path / "huge.json"
+    huge.write_text(instance_to_json(named_example("lptect_322")).replace('"3"', '"1e10000000"'))
+    started = time.perf_counter()
+    code, out, err = _run(capsys, [arg.format(example=example_path, huge=huge) for arg in argv])
+    assert time.perf_counter() - started < 0.5
+    assert code == 2
+    assert out == ""
+    assert "exponent" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("subcommand", [["solve", "--alg", "ls"], ["compare"]])
+def test_decimal_beyond_float_range_exits_2(capsys, tmp_path, subcommand):
+    path = tmp_path / "huge.json"
+    path.write_text(instance_to_json(named_example("lptect_322")).replace('"3"', '"1e400"'))
+    argv = subcommand[:1] + [str(path)] + subcommand[1:] + ["--obj", "makespan", "--decimal"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["message"] == "--decimal: a value is beyond the range of a float"
 
 
 def test_compare_makespan_table(capsys, tmp_path):

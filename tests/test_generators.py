@@ -47,6 +47,9 @@ def test_gadgets_reject_bad_input():
         partition_gadget_makespan([0, 2], f=2)
     with pytest.raises(ValueError):
         partition_gadget_totaltime([1, -1], f=2)
+    for build in (partition_gadget_makespan, partition_gadget_totaltime):
+        with pytest.raises(ValueError):
+            build([], f=2)  # no jobs: nothing to split
 
 
 def test_named_examples_all_validate():

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -22,14 +23,14 @@ from sharedsched import (
 )
 
 
-def _machine(*segments, index=None):
+def _machine(*segments):
     intervals = []
     start = F(0)
     for end, ratio in segments:
         end = None if end is None else F(end)
         intervals.append(SharedInterval(start=start, end=end, ratio=F(ratio)))
         start = end
-    return MachineProfile(intervals=tuple(intervals), machine_index=index)
+    return MachineProfile(intervals=tuple(intervals))
 
 
 def _instance(machines, jobs, m1=None, e0=F(1)):
@@ -152,8 +153,7 @@ def test_scaling_jobs_and_breakpoints_scales_completions():
                             ratio=iv.ratio,
                         )
                         for iv in mp.intervals
-                    ),
-                    machine_index=mp.machine_index,
+                    )
                 )
                 for mp in inst.machines
             ),
@@ -187,6 +187,28 @@ def test_json_round_trip_is_bit_exact():
         again = instance_from_json(text)
         assert again == inst
         assert instance_to_json(again) == text
+
+
+def test_json_round_trip_equals_a_hand_built_instance():
+    inst = Instance(machines=(MachineProfile(intervals=()),) * 2, jobs=(F(1), F(2)), m1=2, e0=F(1))
+    assert instance_from_json(instance_to_json(inst)) == inst
+
+
+def test_json_numbers_with_a_huge_exponent_are_refused_quickly():
+    within = _mutated(lambda p: p.update(jobs=["25e-1", "1E+3", "2e4300"]))
+    assert instance_from_json(within).jobs == (F(5, 2), F(1000), F(2 * 10**4300))
+    for edit in [
+        lambda p: p["jobs"].__setitem__(0, "1e10000000"),
+        lambda p: p["jobs"].__setitem__(0, "1e-1_000_000_0"),
+        lambda p: p["jobs"].__setitem__(0, "1e4301"),
+        lambda p: p.update(e0="1E-999999999"),
+        lambda p: p["machines"][1]["intervals"][0].update(ratio="1e-10000000"),
+    ]:
+        text = _mutated(edit)
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            instance_from_json(text)
+        assert time.perf_counter() - started < 0.5
 
 
 def test_json_round_trip_on_random_instances():

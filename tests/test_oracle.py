@@ -12,7 +12,6 @@ from sharedsched import (
     Objective,
     OracleLimitError,
     RandomSpec,
-    check_claim2_bound,
     evaluate,
     exact_optimal,
     finish_time,
@@ -23,10 +22,10 @@ from sharedsched import (
     random_instance,
     spt,
     spt_ect,
-    verify_spt_within_machine,
 )
 from sharedsched.model import MachineProfile
-from sharedsched.oracle import _spt_sum_full_speed
+
+from oracle_checks import _spt_sum_full_speed, check_claim2_bound, verify_spt_within_machine
 
 
 def _naive_optimal(inst, objective):

@@ -24,11 +24,20 @@ from sharedsched import (
     makespan_scheme,
     named_example,
     random_instance,
-    similar,
     spt_ect,
     totaltime_scheme,
 )
 from sharedsched.heuristics import ect_placement
+
+
+def similar(s1, s2, delta):
+    """True when both states agree bucket-by-bucket on every load and cost."""
+    if len(s1.loads) != len(s2.loads):
+        raise ValueError("states span different machine counts")
+    index = GeometricBuckets(delta).index
+    return all(
+        index(a) == index(b) for a, b in zip(s1.loads + s1.costs, s2.loads + s2.costs)
+    )
 
 
 def test_compute_d_worked_values():
@@ -164,6 +173,17 @@ def test_bucket_indexing_is_exact_at_boundaries():
         buckets.index(F(-1))
     with pytest.raises(ValueError):
         GeometricBuckets(F(0))
+
+
+def test_buckets_refuse_indices_with_oversized_powers():
+    # q = 1 + 10^-400 is 1 in floating point; q = 1 + 10^-12 would need
+    # powers of about 10^13 bits for the value 2
+    for delta, value in [(F(1, 10**400), F(2)), (F(1, 10**400), F(1)), (F(1, 10**12), F(2))]:
+        with pytest.raises(OracleLimitError):
+            GeometricBuckets(delta).index(value)
+    assert GeometricBuckets(F(1, 10**12)).index(F(1)) == 0
+    with pytest.raises(OracleLimitError):
+        totaltime_scheme(named_example("lptect_322"), F(1, 10**4))
 
 
 def test_similar_compares_bucket_by_bucket():
