@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .model import Instance, MachineProfile, SharedInterval, _checked
+from .model import Instance, MachineProfile, SharedInterval, _checked, _rational
 
 __all__ = [
     "partition_gadget_makespan",
@@ -110,15 +110,15 @@ def named_example(
     spt_vs_sptect, spt_vs_sptect_plus3, spt_unbounded(alpha).
     """
     if name == "ls_bad":
-        e0 = Fraction(e0) if e0 is not None else Fraction(1, 2)
-        x = Fraction(x) if x is not None else Fraction(1, 100)
+        e0 = _rational(e0, "e0") if e0 is not None else Fraction(1, 2)
+        x = _rational(x, "x") if x is not None else Fraction(1, 100)
         if not (0 < x <= e0 <= 1):
             raise ValueError("ls_bad needs 0 < x <= e0 <= 1")
         machines = (_constant_machine(e0), _constant_machine(x))
         return _checked(Instance(machines=machines, jobs=(Fraction(1), Fraction(1)), m1=1, e0=e0))
     if name == "lsect_tight":
-        e0 = Fraction(e0) if e0 is not None else Fraction(1, 2)
-        x = Fraction(x) if x is not None else Fraction(10)
+        e0 = _rational(e0, "e0") if e0 is not None else Fraction(1, 2)
+        x = _rational(x, "x") if x is not None else Fraction(10)
         if not (0 < e0 <= 1) or x <= 0 or e0 > 3 * x:
             raise ValueError("lsect_tight needs e0 in (0, 1] and x >= e0/3")
         m1_profile = MachineProfile(
@@ -138,7 +138,7 @@ def named_example(
             Instance(machines=(m1_profile, crowded, crowded), jobs=jobs, m1=1, e0=e0)
         )
     if name == "lpt_n2":
-        e0 = Fraction(e0) if e0 is not None else Fraction(1, 4)
+        e0 = _rational(e0, "e0") if e0 is not None else Fraction(1, 4)
         if not (0 < e0 <= 1):
             raise ValueError("lpt_n2 needs e0 in (0, 1]")
         machines = (_FULL_MACHINE, _constant_machine(e0))
@@ -166,7 +166,7 @@ def named_example(
             )
         )
     if name == "spt_unbounded":
-        alpha = Fraction(alpha) if alpha is not None else Fraction(100)
+        alpha = _rational(alpha, "alpha") if alpha is not None else Fraction(100)
         if alpha < 1:
             raise ValueError("spt_unbounded needs alpha >= 1")
         machines = (_FULL_MACHINE, _constant_machine(1 / alpha))
@@ -196,7 +196,7 @@ def random_instance(spec: RandomSpec) -> Instance:
     """Deterministic pseudo-random instance for the given spec and seed."""
     if not (1 <= spec.m1 <= spec.m):
         raise ValueError(f"m1={spec.m1} is outside [1, {spec.m}]")
-    e0 = Fraction(spec.e0)
+    e0 = _rational(spec.e0, "e0")
     if not (0 < e0 <= 1):
         raise ValueError(f"e0={e0} is outside (0, 1]")
     if spec.n < 1 or spec.p_max < 1:

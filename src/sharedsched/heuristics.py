@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .capacity import CapacityTable, build_capacity_table, finish_time
-from .model import Instance, Schedule, evaluate
+from .model import Instance, Schedule, _rational, evaluate
 
 __all__ = [
     "OrderRule",
@@ -128,7 +128,7 @@ def guarantee_ratio(
     at least an e0 share (m1 = m).  SPT alone has no bound at all: its ratio
     grows without limit as the unguarded machine's share shrinks.
     """
-    e0 = Fraction(e0)
+    e0 = _rational(e0, "e0")
     if algorithm in ("ls", "lpt"):
         return 1 + 1 / e0 if m1 == m else None
     if algorithm == "ls-ect":
@@ -145,7 +145,7 @@ def guarantee_ratio(
     if algorithm == "spt-ect":
         return Fraction(math.ceil(Fraction(m, m1))) / e0
     if algorithm in ("scheme-makespan", "scheme-totaltime"):
-        return None if epsilon is None else 1 + Fraction(epsilon)
+        return None if epsilon is None else 1 + _rational(epsilon, "epsilon")
     if algorithm == "oracle":
         return Fraction(1)
     raise ValueError(f"unknown algorithm {algorithm!r}")

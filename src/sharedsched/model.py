@@ -182,26 +182,34 @@ def _checked(inst: Instance) -> Instance:
 
 # Fraction expands a decimal exponent into an integer before anything can
 # check it, so "1e10000000" alone takes seconds.  Python converts no integer
-# of more than 4300 digits to a string, so no value this package writes out
-# needs a larger exponent.
-MAX_EXPONENT = 4300
+# of more than 4300 digits to or from a string.  A decimal's numerator and
+# denominator have at most one digit more than its mantissa digits plus its
+# exponent, so a number whose sum stays below the limit parses and prints.
+MAX_DIGITS = 4300
 
 
 def _frac_from_str(text, what: str) -> Fraction:
-    """Parse one exact rational from instance JSON or a command line flag."""
+    """Parse one exact rational from instance JSON, a command line flag or a library string."""
     text = str(text)
-    if "e" in text or "E" in text:
-        # Fraction rejects the text below when no integer follows the last "e"
+    if "/" not in text:  # each side of p/q meets Python's own digit limit
+        mantissa, _, exponent = text.lower().partition("e")
         try:
-            exponent = int(text.lower().rpartition("e")[2])
-        except ValueError:
-            exponent = 0
-        if abs(exponent) > MAX_EXPONENT:
-            raise ValueError(f"{what}: the exponent of {text!r} is beyond {MAX_EXPONENT}")
+            shift = abs(int(exponent)) if exponent else 0
+        except ValueError:  # Fraction rejects the text below
+            shift = 0
+        if sum(map(str.isdigit, mantissa)) + shift >= MAX_DIGITS:
+            raise ValueError(
+                f"{what}: the mantissa digits plus exponent of {text!r} reach {MAX_DIGITS}"
+            )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{what}: cannot parse {text!r} as a rational") from exc
+
+
+def _rational(value, what: str) -> Fraction:
+    """A number a library caller passed; strings go through the bounded parser."""
+    return _frac_from_str(value, what) if isinstance(value, str) else Fraction(value)
 
 
 def instance_to_json(inst: Instance) -> str:

@@ -73,16 +73,15 @@ def exact_optimal(
     get = subsets.get
     if objective is Objective.MAKESPAN:
 
-        def value(masks: list[int]) -> Fraction:
-            return max([get(i, mask)[1] for i, mask in enumerate(masks)])
+        def value(masks: list[int]) -> int:
+            return max([get(i, mask)[4] for i, mask in enumerate(masks)])
 
     else:
 
-        def value(masks: list[int]) -> Fraction:
-            costs = [get(i, mask)[2] for i, mask in enumerate(masks)]
-            return sum(costs[1:], costs[0])
+        def value(masks: list[int]) -> int:
+            return sum([get(i, mask)[5] for i, mask in enumerate(masks)])
 
-    best_val, best_vec, leaves = best_placement(m, subsets.bits, value)
+    best_key, best_vec, leaves = best_placement(m, subsets.bits, value)
     assignment: list[list[int]] = [[] for _ in range(m)]
     if objective is Objective.MAKESPAN:
         for j, i in enumerate(best_vec):
@@ -91,5 +90,7 @@ def exact_optimal(
         for j in job_order(inst.jobs, OrderRule.SPT):
             assignment[best_vec[j]].append(j)
     return OracleResult(
-        best=subsets.schedule(assignment), objective_value=best_val, states_explored=leaves
+        best=subsets.schedule(assignment),
+        objective_value=Fraction(best_key, subsets.scale),
+        states_explored=leaves,
     )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .heuristics import OrderRule, ect_placement, job_order
-from .model import Instance, Schedule
+from .model import Instance, Schedule, _rational
 from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N
 from .search import OracleLimitError, SubsetTable, best_placement
 
@@ -28,7 +28,7 @@ __all__ = [
 
 
 def _check_epsilon(epsilon: Fraction) -> Fraction:
-    epsilon = Fraction(epsilon)
+    epsilon = _rational(epsilon, "epsilon")
     if not (0 < epsilon < 1):
         raise ValueError(f"epsilon={epsilon} is outside (0, 1)")
     return epsilon
@@ -41,7 +41,7 @@ def compute_d(m: int, m1: int, e0: Fraction, epsilon: Fraction, n: int) -> int:
     suffices; either way d never exceeds n.
     """
     epsilon = _check_epsilon(epsilon)
-    e0 = Fraction(e0)
+    e0 = _rational(e0, "e0")
     if not (0 < e0 <= 1):
         raise ValueError(f"e0={e0} is outside (0, 1]")
     if not (1 <= m1 <= m):
@@ -76,16 +76,16 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
     rest = by_length[d:]
     jobs = inst.jobs
 
-    def finish_rest(masks: list[int]) -> tuple[list[Fraction], list[int]]:
-        # per-machine finish times after the greedy tail, and its choices
+    def finish_rest(masks: list[int]) -> tuple[list[int], list[int]]:
+        # per-machine finish times (as keys) after the greedy tail, and its choices
         entries = [get(i, mask) for i, mask in enumerate(masks)]
         loads = [entry[0] for entry in entries]
-        finishes = [entry[1] for entry in entries]
+        finishes = [entry[4] for entry in entries]
         rest_choice = []
         for j in rest:
             i, finish = ect_placement(subsets.capacity, loads, jobs[j])
             loads[i] += jobs[j]
-            finishes[i] = finish
+            finishes[i] = subsets.key(finish)
             rest_choice.append(i)
         return finishes, rest_choice
 
@@ -111,24 +111,34 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
 MAX_BUCKET_BITS = 2**22
 
 
+# Each math.log of an integer, and each float subtraction and division, is
+# within a few units in the last place (2^-52 relative).  So the estimate
+# (log num - log den) / log q is off by at most about 2^-52 times
+# (log num + log den + 2 + |estimate| * (log qn + log qd + 2)) / log q; the
+# filter's margin is that bound times 2^12.
+_LOG_ERROR = 2.0**-40
+
+
 class GeometricBuckets:
     """Geometric value buckets [q^x, q^(x+1)) with q = 1 + delta.
 
-    Bucket indices are found from a float log estimate and then pinned down
-    by exact integer comparisons against cached powers of q, so two values
-    land in the same bucket exactly when the rationals say so.  Zero gets its
-    own bucket (None).  An index whose powers of q would exceed
-    MAX_BUCKET_BITS raises OracleLimitError.
+    Bucket indices are found from a float log estimate.  When the estimate
+    lies farther from an integer than its certified error margin, its floor
+    is the index; otherwise exact integer comparisons against cached powers
+    of q pin it down.  Either way two values land in the same bucket exactly
+    when the rationals say so.  Zero gets its own bucket (None).  An index
+    whose powers of q would exceed MAX_BUCKET_BITS raises OracleLimitError.
     """
 
     def __init__(self, delta: Fraction):
-        delta = Fraction(delta)
+        delta = _rational(delta, "delta")
         if delta <= 0:
             raise ValueError("delta must be positive")
         q = 1 + delta
         self._qn = q.numerator
         self._qd = q.denominator
         self._log_q = math.log(self._qn) - math.log(self._qd)
+        self._log_q_size = math.log(self._qn) + math.log(self._qd) + 2
         self._bits = self._qn.bit_length()
         self._pow_n: dict[int, int] = {0: 1}
         self._pow_d: dict[int, int] = {0: 1}
@@ -163,7 +173,8 @@ class GeometricBuckets:
         if got is not None:
             return got
         num, den = value.numerator, value.denominator
-        log_value = math.log(num) - math.log(den)
+        log_num, log_den = math.log(num), math.log(den)
+        log_value = log_num - log_den
         # |log_value / log_q| * bits >= MAX_BUCKET_BITS, multiplied out so
         # that a q which is 1 in floating point (log_q == 0) is always refused
         if abs(log_value) * self._bits >= MAX_BUCKET_BITS * self._log_q:
@@ -171,7 +182,16 @@ class GeometricBuckets:
                 f"the bucket grid is too fine: an index needs powers of q beyond "
                 f"{MAX_BUCKET_BITS} bits; use a larger epsilon or delta"
             )
-        x = math.floor(log_value / self._log_q)
+        estimate = log_value / self._log_q
+        x = math.floor(estimate)
+        margin = (
+            _LOG_ERROR
+            * (log_num + log_den + 2 + abs(estimate) * self._log_q_size)
+            / self._log_q
+        )
+        if margin < estimate - x < 1 - margin:
+            self._index_cache[value] = x
+            return x
         while not self._at_least(num, den, x):
             x -= 1
         while self._at_least(num, den, x + 1):
@@ -228,12 +248,13 @@ def totaltime_scheme(
     if delta is None:
         delta = epsilon * inst.e0 / (6 * n)
     else:
-        delta = Fraction(delta)
+        delta = _rational(delta, "delta")
         if delta < 0:
             raise ValueError("delta must be nonnegative")
 
     subsets = SubsetTable(inst)
     get = subsets.get
+    last = m - 1
     zero = (Fraction(0),) * m
     states = [PartialState(loads=zero, costs=zero, masks=(0,) * m)]
     buckets = GeometricBuckets(delta) if delta > 0 else None
@@ -245,7 +266,7 @@ def totaltime_scheme(
             # bucket indices of a set's (load, cost) on machine i
             got = pairs[i].get(mask)
             if got is None:
-                load, _, cost = get(i, mask)
+                load, _, cost = get(i, mask)[:3]
                 got = pairs[i][mask] = (buckets.index(load), buckets.index(cost))
             return got
 
@@ -258,13 +279,13 @@ def totaltime_scheme(
         if buckets is None:
             chosen: Sequence[int] = range(len(extended))
         else:
-            kept: dict[tuple, tuple[int, Fraction]] = {}
+            kept: dict[tuple, tuple[int, int]] = {}
             extended_sigs = []
             for pos, (idx, i, mask) in enumerate(extended):
                 sig = signatures[idx]
                 sig = sig[:i] + (pair(i, mask),) + sig[i + 1 :]
                 extended_sigs.append(sig)
-                last_load = get(i, mask)[0] if i == m - 1 else states[idx].loads[m - 1]
+                last_load = get(last, mask if i == last else states[idx].masks[last])[3]
                 prev = kept.get(sig)
                 # survivor keeps the smaller load on the last machine
                 if prev is None or last_load < prev[1]:
@@ -275,7 +296,7 @@ def totaltime_scheme(
         for pos in chosen:
             idx, i, mask = extended[pos]
             s = states[idx]
-            load, _, cost = get(i, mask)
+            load, _, cost = get(i, mask)[:3]
             survivors.append(
                 PartialState(
                     loads=s.loads[:i] + (load,) + s.loads[i + 1 :],
@@ -289,8 +310,10 @@ def totaltime_scheme(
         if on_step is not None:
             on_step(j, states)
 
-    # summing onto the first cost saves an exact addition of zero per state
-    best = min(states, key=lambda s: (sum(s.costs[1:], s.costs[0]), s.serial))
+    best = min(
+        states,
+        key=lambda s: (sum([get(i, mask)[5] for i, mask in enumerate(s.masks)]), s.serial),
+    )
     assignment: list[list[int]] = [[] for _ in range(m)]
     for j in job_order(inst.jobs, OrderRule.SPT):
         assignment[next(i for i in range(m) if best.masks[i] & subsets.bits[j])].append(j)

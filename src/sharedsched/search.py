@@ -4,14 +4,19 @@ The jobs on one machine form a set, written as a bitmask.  `SubsetTable`
 holds each set's exact values per machine, computed once however many
 placements contain the set; `best_placement` walks every placement of a job
 list over the machines and reads the table at each leaf.
+
+Every value the table can hold is a whole multiple of one instance-wide
+1/scale, so each entry also carries its values times `scale` as integers,
+which the searches compare and sum in place of the Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .capacity import build_capacity_table, finish_time
+from .capacity import CapacityTable, build_capacity_table, finish_time
 from .heuristics import OrderRule, job_order
 from .model import Instance, Schedule
 
@@ -22,6 +27,22 @@ class OracleLimitError(Exception):
     """Instance exceeds the enumeration size limits."""
 
 
+def _scale(inst: Instance, capacity: Sequence[CapacityTable]) -> int:
+    # Loads are multiples of 1/lj.  On a segment (bp, cum, r) a load w
+    # finishes at bp + (w - cum)/r, a multiple of 1/lcm(den(bp), l*num(r))
+    # with l = lcm(lj, den(cum)); completion sums add up such multiples.
+    lj = math.lcm(*(p.denominator for p in inst.jobs))
+    scale = lj
+    for table in capacity:
+        for bp, cum, r in zip(
+            table.breakpoints, table.cum_work, table.ratios + (table.tail_ratio,)
+        ):
+            scale = math.lcm(
+                scale, bp.denominator, math.lcm(lj, cum.denominator) * r.numerator
+            )
+    return scale
+
+
 class SubsetTable:
     """Load, finish time and shortest-first completion-time sum of job sets, per machine.
 
@@ -29,6 +50,8 @@ class SubsetTable:
     lengths by index), so a set's highest bit is the job it runs last.  An
     entry is made on first use from the set without that job, at one
     `finish_time` call, so filling a machine's table costs at most 2^n of them.
+    Entries are (load, finish, cost) followed by the same three values times
+    `scale`, as integers.
     """
 
     def __init__(self, inst: Instance):
@@ -37,13 +60,22 @@ class SubsetTable:
         for b, j in enumerate(order):
             self.bits[j] = 1 << b
         self.capacity = [build_capacity_table(mp) for mp in inst.machines]
+        self.scale = _scale(inst, self.capacity)
         self._jobs = inst.jobs
-        self._sizes = [inst.jobs[j] for j in order]
+        self._sizes = [(inst.jobs[j], self.key(inst.jobs[j])) for j in order]
         zero = Fraction(0)
-        self._entries = [{0: (zero, zero, zero)} for _ in inst.machines]
+        self._entries = [{0: (zero, zero, zero, 0, 0, 0)} for _ in inst.machines]
 
-    def get(self, i: int, mask: int) -> tuple[Fraction, Fraction, Fraction]:
-        """(load, finish time, shortest-first completion-time sum) of set `mask` on machine i."""
+    def key(self, value: Fraction) -> int:
+        """`value * scale`, which must be an integer; anything else raises, never rounds."""
+        factor, rest = divmod(self.scale, value.denominator)
+        if rest:
+            raise ArithmeticError(f"{value} is not a multiple of 1/{self.scale}")
+        return value.numerator * factor
+
+    def get(self, i: int, mask: int) -> tuple[Fraction, Fraction, Fraction, int, int, int]:
+        """(load, finish time, shortest-first completion-time sum) of set `mask` on machine i,
+        then the same three times `scale`."""
         entries = self._entries[i]
         got = entries.get(mask)
         if got is not None:
@@ -54,10 +86,14 @@ class SubsetTable:
             mask ^= 1 << (mask.bit_length() - 1)
             got = entries.get(mask)
         for mask in reversed(missing):
-            load, _, cost = got
-            load += self._sizes[mask.bit_length() - 1]
+            load, _, cost, load_key, _, cost_key = got
+            size, size_key = self._sizes[mask.bit_length() - 1]
+            load += size
             finish = finish_time(self.capacity[i], load)
-            got = entries[mask] = (load, finish, cost + finish)
+            finish_key = self.key(finish)
+            got = entries[mask] = (
+                load, finish, cost + finish, load_key + size_key, finish_key, cost_key + finish_key
+            )
         return got
 
     def schedule(self, assignment: Sequence[Sequence[int]]) -> Schedule:
@@ -86,9 +122,9 @@ class SubsetTable:
 def best_placement(
     m: int,
     bits: Sequence[int],
-    value: Callable[[list[int]], Fraction],
+    value: Callable[[list[int]], int],
     limit: Optional[int] = None,
-) -> tuple[Fraction, tuple[int, ...], int]:
+) -> tuple[int, tuple[int, ...], int]:
     """Minimize `value` over all m^k placements of k jobs, given by their bits, on m machines.
 
     `value` receives the per-machine masks of one placement (a list the walk

@@ -2,7 +2,8 @@
 
 `verify_spt_within_machine` backs the oracle's shortest-first order within a
 machine by trying every order; `check_claim2_bound` compares optimal
-completion-time sums on full-speed machines in closed form.
+completion-time sums on full-speed machines in closed form;
+`exact_bucket_index` finds a geometric bucket index by exact powers alone.
 """
 
 import math
@@ -71,3 +72,26 @@ def check_claim2_bound(jobs: Sequence[Fraction], m1: int, m: int) -> bool:
     opt_m1 = _spt_sum_full_speed(ascending, m1)
     opt_m = _spt_sum_full_speed(ascending, m)
     return opt_m1 <= math.ceil(Fraction(m, m1)) * opt_m
+
+
+def exact_bucket_index(delta: Fraction, value: Fraction) -> int:
+    """The x with q^x <= value < q^(x+1), q = 1 + delta, for a positive value.
+
+    The float estimate only picks where to start; exact integer comparisons
+    against powers of q decide, with no shortcut.
+    """
+    q = 1 + Fraction(delta)
+    qn, qd = q.numerator, q.denominator
+    num, den = value.numerator, value.denominator
+
+    def at_least(x: int) -> bool:  # value >= q^x
+        if x >= 0:
+            return num * qd**x >= den * qn**x
+        return num * qn**-x >= den * qd**-x
+
+    x = math.floor((math.log(num) - math.log(den)) / (math.log(qn) - math.log(qd)))
+    while not at_least(x):
+        x -= 1
+    while at_least(x + 1):
+        x += 1
+    return x

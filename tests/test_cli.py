@@ -192,33 +192,46 @@ def test_every_given_epsilon_must_parse(capsys, example_path, argv):
     assert json.loads(err)["message"].startswith("--epsilon: cannot parse")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["solve", "{huge}", "--alg", "ls", "--obj", "makespan"],
-        ["solve", "{example}", "--alg", "scheme-totaltime", "--obj", "totaltime",
-         "--epsilon", "1e-10000000"],
-        ["compare", "{example}", "--obj", "makespan", "--epsilon", "1e-10000000"],
-        ["experiment", "--n", "3", "--m", "2", "--m1", "2", "--e0", "1e-1000000", "--trials", "1"],
-        ["experiment", "--n", "3", "--m", "2", "--m1", "2", "--e0", "1/2", "--trials", "1",
-         "--epsilon", "1e-10000000"],
-        ["gadget", "named", "ls_bad", "--e0", "1e-10000000"],
-        ["gadget", "named", "ls_bad", "--x", "1e-10000000"],
-        ["gadget", "named", "spt_unbounded", "--alpha", "1e10000000"],
-        ["gadget", "random", "--n", "3", "--m", "2", "--e0", "1e-10000000"],
-    ],
-    ids=["instance-json", "solve-epsilon", "compare-epsilon", "experiment-e0",
-         "experiment-epsilon", "named-e0", "named-x", "named-alpha", "random-e0"],
-)
-def test_huge_exponents_exit_2_quickly(capsys, tmp_path, example_path, argv):
+# every entry path for a number; {big} stands for a value above 1, {small}
+# for one in (0, 1), and {huge} for an instance file with a job set to {big}
+NUMBER_PATHS = [
+    ["solve", "{huge}", "--alg", "ls", "--obj", "makespan"],
+    ["solve", "{example}", "--alg", "scheme-totaltime", "--obj", "totaltime",
+     "--epsilon", "{small}"],
+    ["compare", "{example}", "--obj", "makespan", "--epsilon", "{small}"],
+    ["experiment", "--n", "3", "--m", "2", "--m1", "2", "--e0", "{small}", "--trials", "1"],
+    ["experiment", "--n", "3", "--m", "2", "--m1", "2", "--e0", "1/2", "--trials", "1",
+     "--epsilon", "{small}"],
+    ["gadget", "named", "ls_bad", "--e0", "{small}"],
+    ["gadget", "named", "ls_bad", "--x", "{small}"],
+    ["gadget", "named", "spt_unbounded", "--alpha", "{big}"],
+    ["gadget", "random", "--n", "3", "--m", "2", "--e0", "{small}"],
+]
+NUMBER_PATH_IDS = ["instance-json", "solve-epsilon", "compare-epsilon", "experiment-e0",
+                   "experiment-epsilon", "named-e0", "named-x", "named-alpha", "random-e0"]
+
+
+def _refused_quickly(capsys, tmp_path, example_path, argv, big, small):
     huge = tmp_path / "huge.json"
-    huge.write_text(instance_to_json(named_example("lptect_322")).replace('"3"', '"1e10000000"'))
+    huge.write_text(instance_to_json(named_example("lptect_322")).replace('"3"', f'"{big}"'))
     started = time.perf_counter()
-    code, out, err = _run(capsys, [arg.format(example=example_path, huge=huge) for arg in argv])
+    filled = [arg.format(example=example_path, huge=huge, big=big, small=small) for arg in argv]
+    code, out, err = _run(capsys, filled)
     assert time.perf_counter() - started < 0.5
     assert code == 2
     assert out == ""
     assert "exponent" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("argv", NUMBER_PATHS, ids=NUMBER_PATH_IDS)
+def test_huge_exponents_exit_2_quickly(capsys, tmp_path, example_path, argv):
+    _refused_quickly(capsys, tmp_path, example_path, argv, "1e10000000", "1e-10000000")
+
+
+@pytest.mark.parametrize("argv", NUMBER_PATHS, ids=NUMBER_PATH_IDS)
+def test_numbers_past_the_digit_limit_exit_2(capsys, tmp_path, example_path, argv):
+    # each expands past Python's 4300-digit limit for integer strings
+    _refused_quickly(capsys, tmp_path, example_path, argv, "2e4300", "1e-4300")
 
 
 @pytest.mark.parametrize("subcommand", [["solve", "--alg", "ls"], ["compare"]])

@@ -82,6 +82,12 @@ def test_named_example_rejects_bad_parameters():
         named_example("lsect_tight", e0=F(1), x=F(1, 100))  # ratio above 1
 
 
+def test_string_parameters_parse_as_rationals():
+    assert named_example("ls_bad", e0="1/2", x="1e-2") == named_example("ls_bad", e0=F(1, 2), x=F(1, 100))
+    spec = RandomSpec(n=4, m=2, m1=2, e0="0.5", seed=3)
+    assert random_instance(spec) == random_instance(RandomSpec(n=4, m=2, m1=2, e0=F(1, 2), seed=3))
+
+
 def test_random_instances_are_deterministic_per_seed():
     spec = RandomSpec(n=6, m=3, m1=2, e0=F(1, 2), seed=42)
     a = random_instance(spec)

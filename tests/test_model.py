@@ -8,17 +8,21 @@ from fractions import Fraction as F
 import pytest
 
 from sharedsched import (
+    GeometricBuckets,
     Instance,
     MachineProfile,
     Objective,
     SharedInterval,
+    compute_d,
     evaluate,
+    guarantee_ratio,
     instance_from_json,
     instance_to_json,
     named_example,
     objective_value,
     random_instance,
     RandomSpec,
+    totaltime_scheme,
     validate_instance,
 )
 
@@ -195,20 +199,59 @@ def test_json_round_trip_equals_a_hand_built_instance():
 
 
 def test_json_numbers_with_a_huge_exponent_are_refused_quickly():
-    within = _mutated(lambda p: p.update(jobs=["25e-1", "1E+3", "2e4300"]))
-    assert instance_from_json(within).jobs == (F(5, 2), F(1000), F(2 * 10**4300))
+    within = _mutated(lambda p: p.update(jobs=["25e-1", "1E+3", "2e4298", "0.5e-4297"]))
+    parsed = instance_from_json(within)
+    assert parsed.jobs == (F(5, 2), F(1000), F(2 * 10**4298), F(1, 2 * 10**4297))
+    assert instance_from_json(instance_to_json(parsed)) == parsed
     for edit in [
         lambda p: p["jobs"].__setitem__(0, "1e10000000"),
         lambda p: p["jobs"].__setitem__(0, "1e-1_000_000_0"),
         lambda p: p["jobs"].__setitem__(0, "1e4301"),
         lambda p: p.update(e0="1E-999999999"),
         lambda p: p["machines"][1]["intervals"][0].update(ratio="1e-10000000"),
+        # past Python's 4300-digit limit once expanded, though the exponent alone is not
+        lambda p: p["jobs"].__setitem__(0, "2e4300"),
+        lambda p: p["jobs"].__setitem__(0, "0.5e-4299"),
+        lambda p: p["jobs"].__setitem__(0, "0." + "0" * 4298 + "1"),
+        lambda p: p.update(e0="1e-4300"),
+        lambda p: p["machines"][1]["intervals"][0].update(end="12345e4296"),
     ]:
         text = _mutated(edit)
         started = time.perf_counter()
         with pytest.raises(ValueError, match="exponent"):
             instance_from_json(text)
         assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: named_example("ls_bad", e0="1e-3000000"),
+        lambda: named_example("ls_bad", x="1e-3000000"),
+        lambda: named_example("lsect_tight", e0="1e-3000000"),
+        lambda: named_example("lsect_tight", x="1e3000000"),
+        lambda: named_example("lpt_n2", e0="1e-3000000"),
+        lambda: named_example("spt_unbounded", alpha="1e3000000"),
+        lambda: random_instance(RandomSpec(n=3, m=2, m1=2, e0="1e-3000000")),
+        lambda: random_instance(RandomSpec(n=3, m=2, m1=2, e0="1e-4300")),
+        lambda: compute_d(2, 2, "1e-3000000", F(1, 2), 3),
+        lambda: compute_d(2, 2, F(1, 2), "1e-3000000", 3),
+        lambda: totaltime_scheme(named_example("lptect_322"), "1e-3000000"),
+        lambda: totaltime_scheme(named_example("lptect_322"), F(1, 2), delta="1e-3000000"),
+        lambda: GeometricBuckets("1e-3000000"),
+        lambda: guarantee_ratio("ls", n=2, m=2, m1=2, e0="1e-3000000"),
+        lambda: guarantee_ratio("scheme-totaltime", n=2, m=2, m1=2, e0=F(1), epsilon="1e-3000000"),
+    ],
+    ids=["ls_bad-e0", "ls_bad-x", "lsect_tight-e0", "lsect_tight-x", "lpt_n2-e0",
+         "spt_unbounded-alpha", "random-e0", "random-e0-digits", "compute_d-e0",
+         "compute_d-epsilon", "totaltime-epsilon", "totaltime-delta", "buckets-delta",
+         "guarantee-e0", "guarantee-epsilon"],
+)
+def test_library_string_numbers_with_huge_exponents_are_refused_quickly(call):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent"):
+        call()
+    assert time.perf_counter() - started < 0.5
 
 
 def test_json_round_trip_on_random_instances():

@@ -29,6 +29,8 @@ from sharedsched import (
 )
 from sharedsched.heuristics import ect_placement
 
+from oracle_checks import exact_bucket_index
+
 
 def similar(s1, s2, delta):
     """True when both states agree bucket-by-bucket on every load and cost."""
@@ -173,6 +175,29 @@ def test_bucket_indexing_is_exact_at_boundaries():
         buckets.index(F(-1))
     with pytest.raises(ValueError):
         GeometricBuckets(F(0))
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [F(3), F(1), F(1, 2), F(1, 192), F(1, 768), F(1, 10**7), F(1, 10**8), F(1, 10**9)],
+    ids=str,
+)
+def test_bucket_index_matches_exact_powers(delta):
+    # at and just below q^x, where a float estimate is closest to an integer,
+    # and on values near 1 and q^±1 written with 100-digit integers
+    rng = random.Random(str(delta))
+    q = 1 + delta
+    values = []
+    for x in [1, 2, 10, 11, 1000, rng.randint(100, 3000), 3 * 10**4]:
+        for y in (x, -x):
+            values += [(f"q^{y}", q**y), (f"q^{y}*(1-10^-60)", q**y * (1 - F(1, 10**60)))]
+    for _ in range(30):
+        den = rng.randrange(10**99, 10**100)
+        near_one = F(den + rng.choice([-1, 1]) * rng.randrange(10 ** rng.randint(0, 95)), den)
+        values += [(near_one, near_one), (f"q*{near_one}", q * near_one), (f"{near_one}/q", near_one / q)]
+    buckets = GeometricBuckets(delta)
+    for label, value in values:
+        assert buckets.index(value) == exact_bucket_index(delta, value), label
 
 
 def test_buckets_refuse_indices_with_oversized_powers():
