@@ -8,10 +8,11 @@ linear interpolation.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .model import MachineProfile
@@ -88,3 +89,91 @@ def work_at(table: CapacityTable, t) -> Fraction:
             return table.cum_work[0]
         return table.cum_work[k - 1] + table.ratios[k - 1] * (t - bps[k - 1])
     return table.cum_work[-1] + table.tail_ratio * (t - bps[-1])
+
+
+# The integer kernel.  Over a common scale S, every job length, breakpoint,
+# cumulative work and finish time of an instance is a whole number of 1/S
+# units, so the heuristics and the subset search decide on integers; the
+# Fraction kernel above stays the reference and builds reported schedules.
+
+
+class ScaledTable(NamedTuple):
+    """A `CapacityTable` times a scale: breakpoints and cumulative work as
+    integers, and each segment's rate as (numerator, denominator), the tail
+    last."""
+
+    breakpoints: tuple[int, ...]
+    cum_work: tuple[int, ...]
+    rate_num: tuple[int, ...]
+    rate_den: tuple[int, ...]
+
+
+def common_scale(jobs: Iterable[Fraction], tables: Sequence[CapacityTable]) -> int:
+    """An integer S such that S times any load of `jobs`, any breakpoint,
+    cumulative work or finish time of `tables` is an integer.
+
+    S = S0 * lcm(rate numerators), where S0 is the lcm of the job
+    denominators and of den(bp) * rate denominator at both ends of every
+    finite segment.  Then each segment's work r * (bp' - bp) is a multiple of
+    1/S0, hence so are the cumulative works, and (w - cum) / r is a multiple
+    of 1/S.  Every factor is small; the lcms are taken pairwise up a tree, so
+    no step combines a large partial result with one small factor.
+    """
+    factors = {p.denominator for p in jobs}
+    rate_nums = set()
+    for table in tables:
+        bps = table.breakpoints
+        for k, r in enumerate(table.ratios):
+            factors.add(bps[k].denominator * r.denominator)
+            factors.add(bps[k + 1].denominator * r.denominator)
+            rate_nums.add(r.numerator)
+        rate_nums.add(table.tail_ratio.numerator)
+    return _lcm_tree(factors) * _lcm_tree(rate_nums)
+
+
+def _lcm_tree(values: Iterable[int]) -> int:
+    values = list(values)
+    while len(values) > 1:
+        values = [math.lcm(*values[k : k + 2]) for k in range(0, len(values), 2)]
+    return values[0] if values else 1
+
+
+def to_key(value: Fraction, scale: int) -> int:
+    """`value * scale`, which must be an integer; anything else raises, never rounds."""
+    factor, rest = divmod(scale, value.denominator)
+    if rest:
+        raise ArithmeticError(f"a value is not a multiple of 1/scale ({scale.bit_length()} bits)")
+    return value.numerator * factor
+
+
+def scale_table(table: CapacityTable, scale: int) -> ScaledTable:
+    """`table` times `scale`, which must come from `common_scale`."""
+    bps = tuple(to_key(bp, scale) for bp in table.breakpoints)
+    rates = table.ratios + (table.tail_ratio,)
+    cum = [0]
+    for k in range(len(bps) - 1):
+        work, rest = divmod((bps[k + 1] - bps[k]) * rates[k].numerator, rates[k].denominator)
+        if rest:
+            raise ArithmeticError(f"the work of segment {k + 1} is off the scale")
+        cum.append(cum[-1] + work)
+    return ScaledTable(
+        bps, tuple(cum), tuple(r.numerator for r in rates), tuple(r.denominator for r in rates)
+    )
+
+
+def finish_key(table: ScaledTable, work: int) -> int:
+    """`finish_time` times the scale, for `work` (nonnegative) times the scale.
+
+    Same segment rule as `finish_time`; a result off the scale raises
+    ArithmeticError instead of rounding.
+    """
+    k = bisect_left(table.cum_work, work) - 1
+    if k < 0:  # zero work, which finishes at time 0
+        if work < 0:
+            raise ValueError("work must be nonnegative")
+        return 0
+    # k is the segment holding `work`, or the tail past the last breakpoint
+    time, rest = divmod((work - table.cum_work[k]) * table.rate_den[k], table.rate_num[k])
+    if rest:
+        raise ArithmeticError(f"the finish time of a work on segment {k + 1} is off the scale")
+    return table.breakpoints[k] + time

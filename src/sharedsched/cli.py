@@ -4,7 +4,8 @@ Subcommands: solve (one algorithm, JSON report), compare (all algorithms
 against the exact optimum, CSV), experiment (seeded random trials with bound
 checks, CSV), gadget (emit instance JSON).  Exit codes: 0 success, 2 bad
 input, 3 work beyond a limit (the oracle's size limits, the makespan
-scheme's branch cap or the total-time scheme's bucket cap).
+scheme's branch cap, the total-time scheme's bucket cap, or a result with
+more digits than Python converts to a string).
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ ALGORITHMS = {
 }
 
 
+class OutputLimitError(Exception):
+    """A result has more digits than Python converts to a string."""
+
+
 def _fail(kind: str, message: str) -> int:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
     return 2 if kind == "input" else 3
@@ -113,13 +118,19 @@ def _epsilon(args) -> Optional[Fraction]:
     return None if args.epsilon is None else _frac_from_str(args.epsilon, "--epsilon")
 
 
-def _fmt(value: Fraction, decimal: bool) -> str:
-    if not decimal:
-        return str(value)
+def _fmt(value: Fraction, what: str, decimal: bool = False) -> str:
+    """`value` as p/q (or as a float with `decimal`); `what` names it in a refusal."""
+    if decimal:
+        try:
+            return repr(float(value))
+        except OverflowError:
+            raise ValueError("--decimal: a value is beyond the range of a float") from None
     try:
-        return repr(float(value))
-    except OverflowError:
-        raise ValueError("--decimal: a value is beyond the range of a float") from None
+        return str(value)
+    except ValueError:  # Python's limit on integer string conversion
+        raise OutputLimitError(
+            f"{what} has more digits than Python converts to a string (4300 by default)"
+        ) from None
 
 
 def cmd_solve(args) -> int:
@@ -130,13 +141,17 @@ def cmd_solve(args) -> int:
     schedule, params = ALGORITHMS[args.alg].run(inst, objective, epsilon, args.d)
     elapsed = time.perf_counter() - started
     digest = hashlib.sha256(instance_to_json(inst).encode("utf-8")).hexdigest()
+    completions = [
+        _fmt(c, f"the completion of job {j}", args.decimal)
+        for j, c in enumerate(schedule.completions, start=1)
+    ]
     report = {
         "instance_digest": digest,
         "algorithm": args.alg,
         "objective": args.obj,
-        "value": _fmt(objective_value(schedule, objective), args.decimal),
+        "value": _fmt(objective_value(schedule, objective), f"the {args.obj} value", args.decimal),
         "wall_time_s": round(elapsed, 6),
-        "completions": [_fmt(c, args.decimal) for c in schedule.completions],
+        "completions": completions,
         "assignment": [[j + 1 for j in seq] for seq in schedule.assignment],
     }
     if params:
@@ -169,8 +184,10 @@ def cmd_compare(args) -> int:
     rows = [
         [
             name,
-            _fmt(value, args.decimal),
-            "unavailable" if oracle_value is None else _fmt(value / oracle_value, args.decimal),
+            _fmt(value, f"the value of {name}", args.decimal),
+            "unavailable"
+            if oracle_value is None
+            else _fmt(value / oracle_value, f"the ratio of {name}", args.decimal),
         ]
         for name, value in runs
     ]
@@ -216,14 +233,15 @@ def cmd_experiment(args) -> int:
             satisfied = ""
             if bound is not None and ratio is not None:
                 satisfied = "true" if ratio <= bound else "false"
+            where = f"trial seed {seed}, {name}"
             rows.append(
                 [
                     seed,
                     name,
-                    str(value),
-                    str(opt) if opt is not None else "",
-                    str(ratio) if ratio is not None else "",
-                    str(bound) if bound is not None else "",
+                    _fmt(value, f"the value of {where}"),
+                    _fmt(opt, f"the oracle value of {where}") if opt is not None else "",
+                    _fmt(ratio, f"the ratio of {where}") if ratio is not None else "",
+                    _fmt(bound, f"the bound of {where}") if bound is not None else "",
                     satisfied,
                 ]
             )
@@ -342,7 +360,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         # the library raises ValueError on every input it rejects
         return _fail("input", str(exc))
-    except OracleLimitError as exc:
+    except (OracleLimitError, OutputLimitError) as exc:
         return _fail("limit", str(exc))
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .capacity import CapacityTable, build_capacity_table, finish_time
+from .capacity import ScaledTable, build_capacity_table, common_scale, finish_key, scale_table, to_key
 from .model import Instance, Schedule, _rational, evaluate
 
 __all__ = [
@@ -47,42 +47,51 @@ class PlacementRule(Enum):
 def job_order(jobs: Sequence[Fraction], rule: OrderRule) -> list[int]:
     """Job indices in list order; equal processing times keep index order."""
     order = list(range(len(jobs)))
+    # the sort is stable, also in reverse, so equal lengths stay in index order
     if rule is OrderRule.LPT:
-        order.sort(key=lambda j: (-jobs[j], j))
+        order.sort(key=jobs.__getitem__, reverse=True)
     elif rule is OrderRule.SPT:
-        order.sort(key=lambda j: (jobs[j], j))
+        order.sort(key=jobs.__getitem__)
     return order
 
 
-def ect_placement(
-    tables: Sequence[CapacityTable], loads: Sequence[Fraction], p: Fraction
-) -> tuple[int, Fraction]:
-    """Machine (and resulting completion) where a job of length p finishes first."""
+def ect_placement(tables: Sequence[ScaledTable], loads: Sequence[int], p: int) -> tuple[int, int]:
+    """Machine (and resulting completion) where a job of length p finishes first.
+
+    Tables, loads, p and the completion are all over one common scale (see
+    `capacity.common_scale`); ties go to the lowest machine index.
+    """
     best_i = 0
-    best_c = finish_time(tables[0], loads[0] + p)
+    best_c = finish_key(tables[0], loads[0] + p)
     for i in range(1, len(tables)):
-        c = finish_time(tables[i], loads[i] + p)
+        c = finish_key(tables[i], loads[i] + p)
         if c < best_c:
             best_i, best_c = i, c
     return best_i, best_c
 
 
 def list_schedule(inst: Instance, order: OrderRule, placement: PlacementRule) -> Schedule:
-    """Greedy schedule for the given order and placement rule."""
+    """Greedy schedule for the given order and placement rule.
+
+    Placements are decided on exact integer keys over a common scale; the
+    schedule returned is `evaluate`'s.
+    """
     m = inst.m
     if m == 0:
         raise ValueError("instance has no machines")
     tables = [build_capacity_table(mp) for mp in inst.machines]
-    loads = [Fraction(0)] * m
-    finishes = [Fraction(0)] * m
+    scale = common_scale(inst.jobs, tables)
+    scaled = [scale_table(table, scale) for table in tables]
+    loads = [0] * m
+    finishes = [0] * m
     assignment: list[list[int]] = [[] for _ in range(m)]
     for j in job_order(inst.jobs, order):
-        p = inst.jobs[j]
+        p = to_key(inst.jobs[j], scale)
         if placement is PlacementRule.EARLIEST_START:
-            i = min(range(m), key=lambda k: finishes[k])
-            c = finish_time(tables[i], loads[i] + p)
+            i = min(range(m), key=finishes.__getitem__)
+            c = finish_key(scaled[i], loads[i] + p)
         else:
-            i, c = ect_placement(tables, loads, p)
+            i, c = ect_placement(scaled, loads, p)
         assignment[i].append(j)
         loads[i] += p
         finishes[i] = c

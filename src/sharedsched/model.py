@@ -151,14 +151,19 @@ def evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
     if seen != list(range(n)):
         raise ValueError("assignment is not a partition of the job indices")
     completions: list[Fraction] = [Fraction(0)] * n
+    total = Fraction(0)
     for mp, seq in zip(inst.machines, assignment):
         table = build_capacity_table(mp)
-        prefix = Fraction(0)
+        prefix = machine_total = Fraction(0)
         for j in seq:
             prefix += inst.jobs[j]
             completions[j] = finish_time(table, prefix)
+            # summed per machine first: one machine's completions share most
+            # of their denominators, different machines' are often coprime,
+            # and one running sum over all would carry their product along
+            machine_total += completions[j]
+        total += machine_total
     makespan = max(completions, default=Fraction(0))
-    total = sum(completions, Fraction(0))
     return Schedule(
         assignment=tuple(tuple(seq) for seq in assignment),
         completions=tuple(completions),

@@ -74,18 +74,18 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
     by_length = job_order(inst.jobs, OrderRule.LPT)
     large = by_length[:d]
     rest = by_length[d:]
-    jobs = inst.jobs
+    rest_sizes = [subsets.key(inst.jobs[j]) for j in rest]
+    scaled = subsets.scaled
 
     def finish_rest(masks: list[int]) -> tuple[list[int], list[int]]:
         # per-machine finish times (as keys) after the greedy tail, and its choices
         entries = [get(i, mask) for i, mask in enumerate(masks)]
-        loads = [entry[0] for entry in entries]
+        loads = [entry[3] for entry in entries]
         finishes = [entry[4] for entry in entries]
         rest_choice = []
-        for j in rest:
-            i, finish = ect_placement(subsets.capacity, loads, jobs[j])
-            loads[i] += jobs[j]
-            finishes[i] = subsets.key(finish)
+        for size in rest_sizes:
+            i, finishes[i] = ect_placement(scaled, loads, size)
+            loads[i] += size
             rest_choice.append(i)
         return finishes, rest_choice
 

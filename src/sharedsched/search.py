@@ -12,11 +12,10 @@ which the searches compare and sum in place of the Fractions.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .capacity import CapacityTable, build_capacity_table, finish_time
+from .capacity import build_capacity_table, common_scale, finish_key, scale_table, to_key
 from .heuristics import OrderRule, job_order
 from .model import Instance, Schedule
 
@@ -27,29 +26,13 @@ class OracleLimitError(Exception):
     """Instance exceeds the enumeration size limits."""
 
 
-def _scale(inst: Instance, capacity: Sequence[CapacityTable]) -> int:
-    # Loads are multiples of 1/lj.  On a segment (bp, cum, r) a load w
-    # finishes at bp + (w - cum)/r, a multiple of 1/lcm(den(bp), l*num(r))
-    # with l = lcm(lj, den(cum)); completion sums add up such multiples.
-    lj = math.lcm(*(p.denominator for p in inst.jobs))
-    scale = lj
-    for table in capacity:
-        for bp, cum, r in zip(
-            table.breakpoints, table.cum_work, table.ratios + (table.tail_ratio,)
-        ):
-            scale = math.lcm(
-                scale, bp.denominator, math.lcm(lj, cum.denominator) * r.numerator
-            )
-    return scale
-
-
 class SubsetTable:
     """Load, finish time and shortest-first completion-time sum of job sets, per machine.
 
     Bit b of a mask stands for the b-th job in shortest-first order (equal
     lengths by index), so a set's highest bit is the job it runs last.  An
     entry is made on first use from the set without that job, at one
-    `finish_time` call, so filling a machine's table costs at most 2^n of them.
+    `finish_key` call, so filling a machine's table costs at most 2^n of them.
     Entries are (load, finish, cost) followed by the same three values times
     `scale`, as integers.
     """
@@ -60,18 +43,15 @@ class SubsetTable:
         for b, j in enumerate(order):
             self.bits[j] = 1 << b
         self.capacity = [build_capacity_table(mp) for mp in inst.machines]
-        self.scale = _scale(inst, self.capacity)
-        self._jobs = inst.jobs
+        self.scale = common_scale(inst.jobs, self.capacity)
+        self.scaled = [scale_table(table, self.scale) for table in self.capacity]
         self._sizes = [(inst.jobs[j], self.key(inst.jobs[j])) for j in order]
         zero = Fraction(0)
         self._entries = [{0: (zero, zero, zero, 0, 0, 0)} for _ in inst.machines]
 
     def key(self, value: Fraction) -> int:
         """`value * scale`, which must be an integer; anything else raises, never rounds."""
-        factor, rest = divmod(self.scale, value.denominator)
-        if rest:
-            raise ArithmeticError(f"{value} is not a multiple of 1/{self.scale}")
-        return value.numerator * factor
+        return to_key(value, self.scale)
 
     def get(self, i: int, mask: int) -> tuple[Fraction, Fraction, Fraction, int, int, int]:
         """(load, finish time, shortest-first completion-time sum) of set `mask` on machine i,
@@ -85,14 +65,15 @@ class SubsetTable:
             missing.append(mask)
             mask ^= 1 << (mask.bit_length() - 1)
             got = entries.get(mask)
+        scaled, scale = self.scaled[i], self.scale
         for mask in reversed(missing):
             load, _, cost, load_key, _, cost_key = got
             size, size_key = self._sizes[mask.bit_length() - 1]
-            load += size
-            finish = finish_time(self.capacity[i], load)
-            finish_key = self.key(finish)
+            load_key += size_key
+            finish_at = finish_key(scaled, load_key)
+            finish = Fraction(finish_at, scale)
             got = entries[mask] = (
-                load, finish, cost + finish, load_key + size_key, finish_key, cost_key + finish_key
+                load + size, finish, cost + finish, load_key, finish_at, cost_key + finish_at
             )
         return got
 
@@ -105,12 +86,17 @@ class SubsetTable:
         completions = [Fraction(0)] * len(self.bits)
         for i, seq in enumerate(assignment):
             entries = self._entries[i]
-            mask, load = 0, Fraction(0)
+            mask = load_key = 0
             for j in seq:
-                mask |= self.bits[j]
-                load += self._jobs[j]
+                bit = self.bits[j]
+                mask |= bit
+                load_key += self._sizes[bit.bit_length() - 1][1]
                 entry = entries.get(mask)
-                completions[j] = finish_time(self.capacity[i], load) if entry is None else entry[1]
+                completions[j] = (
+                    Fraction(finish_key(self.scaled[i], load_key), self.scale)
+                    if entry is None
+                    else entry[1]
+                )
         return Schedule(
             assignment=tuple(tuple(seq) for seq in assignment),
             completions=tuple(completions),

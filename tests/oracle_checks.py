@@ -3,7 +3,9 @@
 `verify_spt_within_machine` backs the oracle's shortest-first order within a
 machine by trying every order; `check_claim2_bound` compares optimal
 completion-time sums on full-speed machines in closed form;
-`exact_bucket_index` finds a geometric bucket index by exact powers alone.
+`exact_bucket_index` finds a geometric bucket index by exact powers alone;
+`reference_list_schedule` is the list scheduler placing every job by
+`Fraction` finish times.
 """
 
 import math
@@ -12,7 +14,16 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Sequence
 
-from sharedsched import Instance, OracleLimitError, build_capacity_table, finish_time
+from sharedsched import (
+    Instance,
+    OracleLimitError,
+    OrderRule,
+    PlacementRule,
+    Schedule,
+    build_capacity_table,
+    evaluate,
+    finish_time,
+)
 
 
 def verify_spt_within_machine(inst: Instance, max_n: int = 8) -> bool:
@@ -95,3 +106,46 @@ def exact_bucket_index(delta: Fraction, value: Fraction) -> int:
     while at_least(x + 1):
         x += 1
     return x
+
+
+def reference_job_order(jobs: Sequence[Fraction], rule: OrderRule) -> list[int]:
+    """Job indices in list order; equal processing times keep index order."""
+    order = list(range(len(jobs)))
+    if rule is OrderRule.LPT:
+        order.sort(key=lambda j: (-jobs[j], j))
+    elif rule is OrderRule.SPT:
+        order.sort(key=lambda j: (jobs[j], j))
+    return order
+
+
+def reference_ect_placement(tables, loads: Sequence[Fraction], p: Fraction) -> tuple[int, Fraction]:
+    """Machine (and resulting completion) where a job of length p finishes first."""
+    best_i = 0
+    best_c = finish_time(tables[0], loads[0] + p)
+    for i in range(1, len(tables)):
+        c = finish_time(tables[i], loads[i] + p)
+        if c < best_c:
+            best_i, best_c = i, c
+    return best_i, best_c
+
+
+def reference_list_schedule(inst: Instance, order: OrderRule, placement: PlacementRule) -> Schedule:
+    """Greedy schedule for the given order and placement rule, decided on Fractions."""
+    m = inst.m
+    if m == 0:
+        raise ValueError("instance has no machines")
+    tables = [build_capacity_table(mp) for mp in inst.machines]
+    loads = [Fraction(0)] * m
+    finishes = [Fraction(0)] * m
+    assignment: list[list[int]] = [[] for _ in range(m)]
+    for j in reference_job_order(inst.jobs, order):
+        p = inst.jobs[j]
+        if placement is PlacementRule.EARLIEST_START:
+            i = min(range(m), key=lambda k: finishes[k])
+            c = finish_time(tables[i], loads[i] + p)
+        else:
+            i, c = reference_ect_placement(tables, loads, p)
+        assignment[i].append(j)
+        loads[i] += p
+        finishes[i] = c
+    return evaluate(inst, assignment)

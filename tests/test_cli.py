@@ -1,6 +1,7 @@
 """Command line behavior: reports, CSV shapes, exit codes, determinism."""
 
 import json
+import random
 import time
 from fractions import Fraction as F
 
@@ -243,6 +244,39 @@ def test_decimal_beyond_float_range_exits_2(capsys, tmp_path, subcommand):
     assert code == 2
     assert out == ""
     assert json.loads(err)["message"] == "--decimal: a value is beyond the range of a float"
+
+
+def _past_the_digit_limit(tmp_path):
+    # two jobs 1/a and 1/b with 2500-digit odd a, b: every number of the input
+    # prints, but the second completion, 1/a + 1/b, has a 5000-digit denominator
+    rng = random.Random(7)
+    a, b = (rng.randrange(10**2499, 10**2500) | 1 for _ in range(2))
+    path = tmp_path / "digits.json"
+    path.write_text(
+        json.dumps({"machines": [{"intervals": []}], "jobs": [f"1/{a}", f"1/{b}"], "m1": 1, "e0": "1"})
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["solve", "--alg", "ls", "--obj", "makespan"], "the completion of job 2"),
+        (["solve", "--alg", "ls", "--obj", "totaltime"], "the completion of job 2"),
+        (["solve", "--alg", "oracle", "--obj", "makespan"], "the completion of job 2"),
+        # shortest first: job 2 is the shorter here, so job 1 completes at 1/a + 1/b
+        (["solve", "--alg", "oracle", "--obj", "totaltime"], "the completion of job 1"),
+        (["compare", "--obj", "makespan"], "the value of ls"),
+        (["compare", "--obj", "totaltime"], "the value of spt"),
+    ],
+)
+def test_results_past_the_digit_limit_exit_3_naming_the_value(capsys, tmp_path, argv, what):
+    code, out, err = _run(capsys, argv[:1] + [_past_the_digit_limit(tmp_path)] + argv[1:])
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "limit"
+    assert error["message"].startswith(f"{what} has more digits")
 
 
 def test_compare_makespan_table(capsys, tmp_path):

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from sharedsched import (
+    Instance,
+    MachineProfile,
     OrderRule,
     PlacementRule,
     RandomSpec,
@@ -24,12 +26,23 @@ from sharedsched import (
     spt_ect,
 )
 
+from oracle_checks import reference_job_order, reference_list_schedule
+
 
 def test_job_order_rules_and_index_tie_breaks():
     jobs = (F(2), F(3), F(2), F(1))
     assert job_order(jobs, OrderRule.INPUT) == [0, 1, 2, 3]
     assert job_order(jobs, OrderRule.LPT) == [1, 0, 2, 3]
     assert job_order(jobs, OrderRule.SPT) == [3, 0, 2, 1]
+    # many equal lengths, in both directions: each tie keeps index order
+    rng = random.Random(4)
+    for n in (1, 2, 7, 60, 300):
+        jobs = tuple(F(rng.randint(1, 3), rng.choice([1, 1, 2])) for _ in range(n))
+        for rule in OrderRule:
+            assert job_order(jobs, rule) == reference_job_order(jobs, rule)
+    jobs = (F(1),) * 4 + (F(2),) * 3 + (F(1),) * 2
+    assert job_order(jobs, OrderRule.LPT) == [4, 5, 6, 0, 1, 2, 3, 7, 8]
+    assert job_order(jobs, OrderRule.SPT) == [0, 1, 2, 3, 7, 8, 4, 5, 6]
 
 
 def test_ls_splits_across_a_nearly_unavailable_machine():
@@ -124,3 +137,38 @@ def test_guarantee_ratio_formulas():
     assert guarantee_ratio("oracle", n=5, m=2, m1=1, e0=half) == F(1)
     with pytest.raises(ValueError):
         guarantee_ratio("nope", n=5, m=2, m1=1, e0=half)
+
+
+def _reference_instances():
+    rng = random.Random(11)
+    for k in range(200):
+        m, n = rng.randint(1, 7), rng.randint(1, 60)
+        if k % 3 == 0:
+            # identical full-speed machines and few distinct lengths: ties everywhere
+            yield Instance(
+                machines=(MachineProfile(intervals=()),) * m,
+                jobs=tuple(F(rng.randint(1, 4), rng.choice([1, 2])) for _ in range(n)),
+                m1=m,
+                e0=F(1),
+            )
+        else:
+            yield random_instance(
+                RandomSpec(
+                    n=n,
+                    m=m,
+                    m1=rng.randint(1, m),
+                    e0=rng.choice([F(1, 4), F(1, 2), F(1)]),
+                    max_breakpoints=rng.randint(0, 40),
+                    seed=k,
+                )
+            )
+
+
+def test_every_rule_matches_the_fraction_reference():
+    # integer placement keys decide exactly as Fraction finish times do
+    for inst in _reference_instances():
+        for order in OrderRule:
+            for placement in PlacementRule:
+                assert list_schedule(inst, order, placement) == reference_list_schedule(
+                    inst, order, placement
+                )

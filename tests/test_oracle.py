@@ -14,7 +14,6 @@ from sharedsched import (
     RandomSpec,
     evaluate,
     exact_optimal,
-    finish_time,
     lpt_ect,
     ls,
     ls_ect,
@@ -23,6 +22,7 @@ from sharedsched import (
     spt,
     spt_ect,
 )
+from sharedsched.capacity import finish_key
 from sharedsched.model import MachineProfile
 
 from oracle_checks import _spt_sum_full_speed, check_claim2_bound, verify_spt_within_machine
@@ -97,15 +97,16 @@ def test_oracle_matches_naive_enumeration_on_random_instances():
 
 
 def test_oracle_makes_at_most_m_times_2_to_the_n_kernel_calls(monkeypatch):
+    # the oracle fills its subset table with the integer kernel
     calls = []
 
     def counted(table, work):
         calls.append(work)
-        return finish_time(table, work)
+        return finish_key(table, work)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "sharedsched" and getattr(module, "finish_time", None) is finish_time:
-            monkeypatch.setattr(module, "finish_time", counted)
+        if name.split(".")[0] == "sharedsched" and getattr(module, "finish_key", None) is finish_key:
+            monkeypatch.setattr(module, "finish_key", counted)
     inst = random_instance(RandomSpec(n=8, m=3, m1=2, e0=F(1, 2), seed=5))
     for objective in Objective:
         calls.clear()

@@ -19,6 +19,7 @@ from sharedsched import (
     compute_d,
     evaluate,
     exact_optimal,
+    finish_time,
     job_order,
     lpt_ect,
     makespan_scheme,
@@ -27,7 +28,6 @@ from sharedsched import (
     spt_ect,
     totaltime_scheme,
 )
-from sharedsched.heuristics import ect_placement
 
 from oracle_checks import exact_bucket_index
 
@@ -81,7 +81,8 @@ def _reference_scheme(inst, d):
             assignment[i].append(j)
             loads[i] += inst.jobs[j]
         for j in by_length[d:]:
-            i, _ = ect_placement(tables, loads, inst.jobs[j])
+            # earliest completion, ties to the lowest machine index
+            i = min(range(inst.m), key=lambda i: finish_time(tables[i], loads[i] + inst.jobs[j]))
             assignment[i].append(j)
             loads[i] += inst.jobs[j]
         sched = evaluate(inst, assignment)

@@ -1,19 +1,29 @@
-"""The subset table behind the oracle and the schemes: exact values and their integer keys."""
+"""The integer capacity kernel and the subset table behind the oracle and the schemes."""
 
+import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from sharedsched import (
     NAMED_EXAMPLES,
+    Instance,
+    MachineProfile,
+    Objective,
     RandomSpec,
+    SharedInterval,
+    build_capacity_table,
+    exact_optimal,
     finish_time,
     named_example,
     partition_gadget_makespan,
     partition_gadget_totaltime,
     random_instance,
+    validate_instance,
 )
+from sharedsched.capacity import common_scale, finish_key, scale_table
 from sharedsched.search import SubsetTable
 
 
@@ -57,3 +67,111 @@ def test_a_value_off_the_scale_raises_instead_of_rounding():
     assert table.key(F(7, table.scale)) == 7
     with pytest.raises(ArithmeticError):
         table.key(F(1, 2 * table.scale))
+
+
+def _primes_from(low: int, count: int) -> list[int]:
+    high = 2 * low
+    sieve = bytearray([1]) * high
+    for p in range(2, math.isqrt(high) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, high, p)))
+    primes = [p for p in range(low, high) if sieve[p]]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+def stress_instance(n: int, m: int = 4, segments: int = 1000) -> Instance:
+    """m machines of `segments` rate segments each.  Every breakpoint is an
+    integer plus a/q and every rate is a/q', each with its own prime near
+    10^5, so the common scale has about 160,000 bits and the cumulative work
+    of the Fraction tables carries denominators of that size."""
+    primes = _primes_from(10**5, 2 * m * segments)
+    rng = random.Random(17)
+    machines = []
+    for i in range(m):
+        start = F(0)
+        intervals = []
+        for k in range(segments):
+            q_end, q_rate = primes[(2 * i * segments) + 2 * k : (2 * i * segments) + 2 * k + 2]
+            end = k + 1 + F(rng.randint(1, q_end - 1), q_end)
+            ratio = F(rng.randint(q_rate // 4 + 1, q_rate), q_rate)
+            intervals.append(SharedInterval(start=start, end=end, ratio=ratio))
+            start = end
+        machines.append(MachineProfile(intervals=tuple(intervals)))
+    jobs = tuple(F(rng.randint(1, 10)) for _ in range(n))
+    return Instance(machines=tuple(machines), jobs=jobs, m1=m, e0=F(1, 4))
+
+
+def _times(value: F, scale: int) -> tuple[int, int]:
+    # value * scale as (integer part, remainder), without Fraction's gcd
+    return divmod(value.numerator * scale, value.denominator)
+
+
+def _check_kernel(inst, cum_step=1, loads=40):
+    """finish_key(W) is finish_time(w) times the scale when that is an
+    integer, and raises otherwise, at and beside every `cum_step`-th
+    cumulative work value and at seeded random loads."""
+    tables = [build_capacity_table(mp) for mp in inst.machines]
+    scale = common_scale(inst.jobs, tables)
+    lj = math.lcm(*(p.denominator for p in inst.jobs))
+    rng = random.Random(len(inst.jobs))
+    raised = 0
+    for table in tables:
+        scaled = scale_table(table, scale)
+        assert len(scaled.cum_work) == len(table.cum_work)
+        for k in range(0, len(table.cum_work), cum_step):
+            assert (scaled.breakpoints[k], 0) == _times(table.breakpoints[k], scale)
+            assert (scaled.cum_work[k], 0) == _times(table.cum_work[k], scale)
+            # one unit of 1/scale beside the value picks the segment on either side
+            for work in (scaled.cum_work[k] - 1, scaled.cum_work[k], scaled.cum_work[k] + 1):
+                if work < 0:
+                    continue
+                exact, rest = _times(finish_time(table, F(work, scale)), scale)
+                if rest == 0:
+                    assert finish_key(scaled, work) == exact
+                else:
+                    raised += 1
+                    with pytest.raises(ArithmeticError):
+                        finish_key(scaled, work)
+        # any load of the instance's jobs is on the scale, also past the last breakpoint
+        top = 2 * int(table.cum_work[-1] + 1) * lj
+        for _ in range(loads):
+            w = F(rng.randint(0, top), lj)
+            assert (finish_key(scaled, w * scale), 0) == _times(finish_time(table, w), scale)
+    return raised
+
+
+@pytest.mark.parametrize("inst", list(_instances()))
+def test_integer_kernel_is_the_fraction_kernel_times_the_scale(inst):
+    _check_kernel(inst)
+
+
+def test_integer_kernel_on_many_segments_with_prime_denominators():
+    # two machines keep the Fraction reference affordable; a scale of 80,000 bits
+    inst = stress_instance(n=6, m=2)
+    assert validate_instance(inst) == []
+    # every segment's rate has a numerator above 1, so one unit beside a
+    # cumulative work value is off the scale
+    assert _check_kernel(inst, cum_step=250, loads=4) > 0
+
+
+def test_an_off_scale_work_raises_instead_of_rounding():
+    # one job of length 1 on a machine lending 2/3 of its speed: the scale is 2
+    machine = MachineProfile(intervals=(SharedInterval(start=F(0), end=None, ratio=F(2, 3)),))
+    table = build_capacity_table(machine)
+    scale = common_scale([F(1)], [table])
+    scaled = scale_table(table, scale)
+    assert scale == 2
+    assert finish_key(scaled, 2) == 3  # 1 unit of work ends at 3/2
+    with pytest.raises(ArithmeticError):
+        finish_key(scaled, 1)
+
+
+def test_the_scale_of_many_prime_denominators_is_built_quickly():
+    # each scale factor is small, so no step takes an lcm with a large
+    # cumulative-work denominator (that took the oracle about 23 s here)
+    inst = stress_instance(n=6)
+    started = time.perf_counter()
+    result = exact_optimal(inst, Objective.MAKESPAN)
+    assert time.perf_counter() - started < 6
+    assert result.states_explored == 4**6
