@@ -4,8 +4,8 @@ Subcommands: solve (one algorithm, JSON report), compare (all algorithms
 against the exact optimum, CSV), experiment (seeded random trials with bound
 checks, CSV), gadget (emit instance JSON).  Exit codes: 0 success, 2 bad
 input, 3 work beyond a limit (the oracle's size limits, the makespan
-scheme's branch cap, the total-time scheme's bucket cap, or a result with
-more digits than Python converts to a string).
+scheme's branch cap, the total-time scheme's bucket cap, or a result or
+generated instance with more digits than Python converts to a string).
 """
 
 from __future__ import annotations
@@ -283,6 +283,15 @@ def cmd_gadget(args) -> int:
             max_breakpoints=args.max_breakpoints, seed=args.seed,
         )
         inst = generators.random_instance(spec)
+    # numbers built from parameters that parse can still pass the digit limit
+    for i, mp in enumerate(inst.machines, start=1):
+        for k, iv in enumerate(mp.intervals, start=1):
+            for field, value in (("start", iv.start), ("end", iv.end), ("ratio", iv.ratio)):
+                if value is not None:
+                    _fmt(value, f"the {field} of machine {i} interval {k}")
+    for j, p in enumerate(inst.jobs, start=1):
+        _fmt(p, f"job {j}")
+    _fmt(inst.e0, "e0")
     print(instance_to_json(inst))
     return 0
 

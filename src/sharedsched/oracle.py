@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .heuristics import OrderRule, job_order
-from .model import Instance, Objective, Schedule
+from .model import Instance, Objective, Schedule, evaluate, objective_value
 from .search import OracleLimitError, SubsetTable, best_placement
 
 __all__ = [
@@ -58,7 +58,8 @@ def exact_optimal(
     jobs in index order, and only strict improvements are kept, so the
     reported minimizer is the lexicographically smallest one.  Each job set's
     value on each machine is computed once, so a call makes at most m*2^n
-    `finish_time` calls for its m^n leaves.
+    `finish_key` calls for its m^n leaves.  The schedule and value reported
+    are `evaluate`'s for the minimizer.
     """
     max_n = _resolved_max_n(max_n)
     max_m = DEFAULT_MAX_M if max_m is None else max_m
@@ -74,14 +75,14 @@ def exact_optimal(
     if objective is Objective.MAKESPAN:
 
         def value(masks: list[int]) -> int:
-            return max([get(i, mask)[4] for i, mask in enumerate(masks)])
+            return max([get(i, mask)[1] for i, mask in enumerate(masks)])
 
     else:
 
         def value(masks: list[int]) -> int:
-            return sum([get(i, mask)[5] for i, mask in enumerate(masks)])
+            return sum([get(i, mask)[2] for i, mask in enumerate(masks)])
 
-    best_key, best_vec, leaves = best_placement(m, subsets.bits, value)
+    _, best_vec, leaves = best_placement(m, subsets.bits, value)
     assignment: list[list[int]] = [[] for _ in range(m)]
     if objective is Objective.MAKESPAN:
         for j, i in enumerate(best_vec):
@@ -89,8 +90,7 @@ def exact_optimal(
     else:
         for j in job_order(inst.jobs, OrderRule.SPT):
             assignment[best_vec[j]].append(j)
+    best = evaluate(inst, assignment)
     return OracleResult(
-        best=subsets.schedule(assignment),
-        objective_value=Fraction(best_key, subsets.scale),
-        states_explored=leaves,
+        best=best, objective_value=objective_value(best, objective), states_explored=leaves
     )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .heuristics import OrderRule, ect_placement, job_order
-from .model import Instance, Schedule, _rational
+from .model import Instance, Schedule, _rational, evaluate
 from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N
 from .search import OracleLimitError, SubsetTable, best_placement
 
@@ -62,7 +62,8 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
     first onto whichever machine completes them earliest.  Ties keep the
     lexicographically smallest placement vector, so the result is
     deterministic.  Refuses with OracleLimitError when m^d exceeds the
-    oracle's own ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.
+    oracle's own ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.  Branches are
+    compared on integer keys; the schedule returned is `evaluate`'s.
     """
     n, m = inst.n, inst.m
     if not (0 <= d <= n):
@@ -80,8 +81,8 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
     def finish_rest(masks: list[int]) -> tuple[list[int], list[int]]:
         # per-machine finish times (as keys) after the greedy tail, and its choices
         entries = [get(i, mask) for i, mask in enumerate(masks)]
-        loads = [entry[3] for entry in entries]
-        finishes = [entry[4] for entry in entries]
+        loads = [entry[0] for entry in entries]
+        finishes = [entry[1] for entry in entries]
         rest_choice = []
         for size in rest_sizes:
             i, finishes[i] = ect_placement(scaled, loads, size)
@@ -102,7 +103,7 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
         assignment[i].append(j)
     for j, i in zip(rest, finish_rest(masks)[1]):
         assignment[i].append(j)
-    return subsets.schedule(assignment)
+    return evaluate(inst, assignment)
 
 
 # The exact powers of q behind a bucket index x have about |x| times the
@@ -142,7 +143,6 @@ class GeometricBuckets:
         self._bits = self._qn.bit_length()
         self._pow_n: dict[int, int] = {0: 1}
         self._pow_d: dict[int, int] = {0: 1}
-        self._index_cache: dict[Fraction, int] = {}
 
     def _power(self, cache: dict[int, int], base: int, y: int) -> int:
         got = cache.get(y)
@@ -169,9 +169,6 @@ class GeometricBuckets:
             return None
         if value < 0:
             raise ValueError("bucketed values must be nonnegative")
-        got = self._index_cache.get(value)
-        if got is not None:
-            return got
         num, den = value.numerator, value.denominator
         log_num, log_den = math.log(num), math.log(den)
         log_value = log_num - log_den
@@ -190,13 +187,11 @@ class GeometricBuckets:
             / self._log_q
         )
         if margin < estimate - x < 1 - margin:
-            self._index_cache[value] = x
             return x
         while not self._at_least(num, den, x):
             x -= 1
         while self._at_least(num, den, x + 1):
             x += 1
-        self._index_cache[value] = x
         return x
 
 
@@ -215,13 +210,6 @@ class PartialState:
     serial: int = 0
 
 
-def _signature(state: PartialState, buckets: GeometricBuckets) -> tuple:
-    return tuple(
-        (buckets.index(load), buckets.index(cost))
-        for load, cost in zip(state.loads, state.costs)
-    )
-
-
 def totaltime_scheme(
     inst: Instance,
     epsilon: Fraction,
@@ -234,8 +222,10 @@ def totaltime_scheme(
     share (m1 >= m - 1).  Jobs are processed shortest-first; after each job,
     states with identical bucket signatures are merged, keeping the one with
     the smaller load on the last machine (ties keep the older state).  Pass
-    delta=0 to disable merging, which makes the sweep exact.  `on_step`, if
-    given, is called with (job_index, kept_states) after each job.
+    delta=0 to disable merging, which makes the sweep exact.  States are kept
+    as per-machine job sets and compared on integer keys; the schedule
+    returned is `evaluate`'s.  `on_step`, if given, is called with
+    (job_index, kept_states) after each job, the states as `PartialState`s.
     """
     n, m = inst.n, inst.m
     if m == 0:
@@ -254,67 +244,77 @@ def totaltime_scheme(
 
     subsets = SubsetTable(inst)
     get = subsets.get
+    scale = subsets.scale
     last = m - 1
-    zero = (Fraction(0),) * m
-    states = [PartialState(loads=zero, costs=zero, masks=(0,) * m)]
+    # a state is its per-machine job sets; states stay in creation order
+    states: list[tuple[int, ...]] = [(0,) * m]
     buckets = GeometricBuckets(delta) if delta > 0 else None
     if buckets is not None:
-        signatures = [_signature(states[0], buckets)]
+        index_of: dict[int, Optional[int]] = {}  # bucket index by key
+
+        def bucket(key: int) -> Optional[int]:
+            if key not in index_of:
+                index_of[key] = buckets.index(Fraction(key, scale))
+            return index_of[key]
+
         pairs: list[dict[int, tuple]] = [{} for _ in range(m)]
 
         def pair(i: int, mask: int) -> tuple:
             # bucket indices of a set's (load, cost) on machine i
             got = pairs[i].get(mask)
             if got is None:
-                load, _, cost = get(i, mask)[:3]
-                got = pairs[i][mask] = (buckets.index(load), buckets.index(cost))
+                load, _, cost = get(i, mask)
+                got = pairs[i][mask] = (bucket(load), bucket(cost))
             return got
+
+        signatures = [tuple(pair(i, 0) for i in range(m))]
+
+    made: list[dict[int, tuple]] = [{} for _ in range(m)]
+
+    def as_fractions(i: int, mask: int) -> tuple:
+        # a set's (load, cost) on machine i as Fractions, made once for on_step
+        got = made[i].get(mask)
+        if got is None:
+            load, _, cost = get(i, mask)
+            got = made[i][mask] = (Fraction(load, scale), Fraction(cost, scale))
+        return got
 
     serial = 1
     for j in job_order(inst.jobs, OrderRule.SPT):
         bit = subsets.bits[j]
-        # every state extended onto every machine, in creation order:
-        # (state position, machine, that machine's new job set)
-        extended = [(idx, i, s.masks[i] | bit) for idx, s in enumerate(states) for i in range(m)]
+        # every state extended onto every machine, in creation order
+        extended = [s[:i] + (s[i] | bit,) + s[i + 1 :] for s in states for i in range(m)]
         if buckets is None:
             chosen: Sequence[int] = range(len(extended))
         else:
             kept: dict[tuple, tuple[int, int]] = {}
             extended_sigs = []
-            for pos, (idx, i, mask) in enumerate(extended):
+            for pos, masks in enumerate(extended):
+                idx, i = divmod(pos, m)
                 sig = signatures[idx]
-                sig = sig[:i] + (pair(i, mask),) + sig[i + 1 :]
+                sig = sig[:i] + (pair(i, masks[i]),) + sig[i + 1 :]
                 extended_sigs.append(sig)
-                last_load = get(last, mask if i == last else states[idx].masks[last])[3]
+                last_load = get(last, masks[last])[0]
                 prev = kept.get(sig)
                 # survivor keeps the smaller load on the last machine
                 if prev is None or last_load < prev[1]:
                     kept[sig] = (pos, last_load)
             chosen = sorted(pos for pos, _ in kept.values())
             signatures = [extended_sigs[pos] for pos in chosen]
-        survivors = []
-        for pos in chosen:
-            idx, i, mask = extended[pos]
-            s = states[idx]
-            load, _, cost = get(i, mask)[:3]
-            survivors.append(
-                PartialState(
-                    loads=s.loads[:i] + (load,) + s.loads[i + 1 :],
-                    costs=s.costs[:i] + (cost,) + s.costs[i + 1 :],
-                    masks=s.masks[:i] + (mask,) + s.masks[i + 1 :],
-                    serial=serial + pos,
-                )
-            )
-        serial += len(extended)
-        states = survivors
+        states = [extended[pos] for pos in chosen]
         if on_step is not None:
-            on_step(j, states)
+            reported = []
+            for pos, masks in zip(chosen, states):
+                loads, costs = zip(*[as_fractions(i, mask) for i, mask in enumerate(masks)])
+                reported.append(
+                    PartialState(loads=loads, costs=costs, masks=masks, serial=serial + pos)
+                )
+            on_step(j, reported)
+        serial += len(extended)
 
-    best = min(
-        states,
-        key=lambda s: (sum([get(i, mask)[5] for i, mask in enumerate(s.masks)]), s.serial),
-    )
+    # the first state of least cost is the oldest one
+    best = min(states, key=lambda masks: sum([get(i, mask)[2] for i, mask in enumerate(masks)]))
     assignment: list[list[int]] = [[] for _ in range(m)]
     for j in job_order(inst.jobs, OrderRule.SPT):
-        assignment[next(i for i in range(m) if best.masks[i] & subsets.bits[j])].append(j)
-    return subsets.schedule(assignment)
+        assignment[next(i for i in range(m) if best[i] & subsets.bits[j])].append(j)
+    return evaluate(inst, assignment)

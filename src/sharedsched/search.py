@@ -1,13 +1,14 @@
 """Exact placement search shared by the oracle and the approximation schemes.
 
 The jobs on one machine form a set, written as a bitmask.  `SubsetTable`
-holds each set's exact values per machine, computed once however many
-placements contain the set; `best_placement` walks every placement of a job
-list over the machines and reads the table at each leaf.
+holds each set's values per machine, computed once however many placements
+contain the set; `best_placement` walks every placement of a job list over
+the machines and reads the table at each leaf.
 
-Every value the table can hold is a whole multiple of one instance-wide
-1/scale, so each entry also carries its values times `scale` as integers,
-which the searches compare and sum in place of the Fractions.
+Every value the table holds is a whole multiple of one instance-wide
+1/scale (see `capacity.common_scale`), so it holds each value times the
+scale, as an integer key, and the searches compare and sum keys only.  The
+schedules they report are `model.evaluate`'s.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .capacity import build_capacity_table, common_scale, finish_key, scale_table, to_key
 from .heuristics import OrderRule, job_order
-from .model import Instance, Schedule
+from .model import Instance
 
 __all__ = ["OracleLimitError", "SubsetTable", "best_placement"]
 
@@ -33,8 +34,7 @@ class SubsetTable:
     lengths by index), so a set's highest bit is the job it runs last.  An
     entry is made on first use from the set without that job, at one
     `finish_key` call, so filling a machine's table costs at most 2^n of them.
-    Entries are (load, finish, cost) followed by the same three values times
-    `scale`, as integers.
+    Entries are (load, finish, cost), each times `scale`, as integers.
     """
 
     def __init__(self, inst: Instance):
@@ -42,20 +42,19 @@ class SubsetTable:
         self.bits = [0] * inst.n  # by job index
         for b, j in enumerate(order):
             self.bits[j] = 1 << b
-        self.capacity = [build_capacity_table(mp) for mp in inst.machines]
-        self.scale = common_scale(inst.jobs, self.capacity)
-        self.scaled = [scale_table(table, self.scale) for table in self.capacity]
-        self._sizes = [(inst.jobs[j], self.key(inst.jobs[j])) for j in order]
-        zero = Fraction(0)
-        self._entries = [{0: (zero, zero, zero, 0, 0, 0)} for _ in inst.machines]
+        tables = [build_capacity_table(mp) for mp in inst.machines]
+        self.scale = common_scale(inst.jobs, tables)
+        self.scaled = [scale_table(table, self.scale) for table in tables]
+        self._sizes = [self.key(inst.jobs[j]) for j in order]
+        self._entries = [{0: (0, 0, 0)} for _ in inst.machines]
 
     def key(self, value: Fraction) -> int:
         """`value * scale`, which must be an integer; anything else raises, never rounds."""
         return to_key(value, self.scale)
 
-    def get(self, i: int, mask: int) -> tuple[Fraction, Fraction, Fraction, int, int, int]:
-        """(load, finish time, shortest-first completion-time sum) of set `mask` on machine i,
-        then the same three times `scale`."""
+    def get(self, i: int, mask: int) -> tuple[int, int, int]:
+        """(load, finish time, shortest-first completion-time sum) of set `mask` on
+        machine i, each times `scale`."""
         entries = self._entries[i]
         got = entries.get(mask)
         if got is not None:
@@ -65,44 +64,13 @@ class SubsetTable:
             missing.append(mask)
             mask ^= 1 << (mask.bit_length() - 1)
             got = entries.get(mask)
-        scaled, scale = self.scaled[i], self.scale
+        scaled = self.scaled[i]
         for mask in reversed(missing):
-            load, _, cost, load_key, _, cost_key = got
-            size, size_key = self._sizes[mask.bit_length() - 1]
-            load_key += size_key
-            finish_at = finish_key(scaled, load_key)
-            finish = Fraction(finish_at, scale)
-            got = entries[mask] = (
-                load + size, finish, cost + finish, load_key, finish_at, cost_key + finish_at
-            )
+            load, _, cost = got
+            load += self._sizes[mask.bit_length() - 1]
+            finish = finish_key(scaled, load)
+            got = entries[mask] = (load, finish, cost + finish)
         return got
-
-    def schedule(self, assignment: Sequence[Sequence[int]]) -> Schedule:
-        """The schedule running each machine's jobs in the given order.
-
-        Completion times the table already holds are read from it; the others
-        are computed without being stored.
-        """
-        completions = [Fraction(0)] * len(self.bits)
-        for i, seq in enumerate(assignment):
-            entries = self._entries[i]
-            mask = load_key = 0
-            for j in seq:
-                bit = self.bits[j]
-                mask |= bit
-                load_key += self._sizes[bit.bit_length() - 1][1]
-                entry = entries.get(mask)
-                completions[j] = (
-                    Fraction(finish_key(self.scaled[i], load_key), self.scale)
-                    if entry is None
-                    else entry[1]
-                )
-        return Schedule(
-            assignment=tuple(tuple(seq) for seq in assignment),
-            completions=tuple(completions),
-            makespan=max(completions, default=Fraction(0)),
-            total_completion=sum(completions, Fraction(0)),
-        )
 
 
 def best_placement(

@@ -112,11 +112,28 @@ def _bound_pool():
     return specs
 
 
+def _tail_pool():
+    # m=2, e0=1, epsilon=1/2: d=4 with m1=2 and d=8 with m1=1, below n
+    return [
+        RandomSpec(n=n, m=2, m1=m1, e0=F(1), seed=200000 + 10000 * m1 + 100 * n + trial)
+        for m1 in (1, 2)
+        for n in (9, 10)
+        for trial in range(5)
+    ]
+
+
 def test_criterion_2_guarantee_bounds_hold_on_random_instances():
     start = time.perf_counter()
     pool = _bound_pool()
     assert len(pool) >= 200
-    checked = {"ls": 0, "ls-ect": 0, "spt-ect": 0, "scheme-makespan": 0, "scheme-totaltime": 0}
+    checked = {
+        "ls": 0,
+        "ls-ect": 0,
+        "spt-ect": 0,
+        "scheme-makespan": 0,
+        "scheme-totaltime": 0,
+        "scheme-makespan-tail": 0,
+    }
     epsilons = (F(1, 4), F(1, 2))
     for spec in pool:
         inst = random_instance(spec)
@@ -147,12 +164,30 @@ def test_criterion_2_guarantee_bounds_hold_on_random_instances():
                 assert value <= (1 + eps) * opt_tt, f"totaltime scheme broke eps={eps}: {where}"
                 checked["scheme-totaltime"] += 1
 
+    # the pool above mostly has d == n, where the makespan scheme is itself
+    # exhaustive; here d < n, so its greedy tail places the remaining jobs
+    eps = F(1, 2)
+    tail_pool = _tail_pool()
+    depths = set()
+    for spec in tail_pool:
+        inst = random_instance(spec)
+        d = compute_d(inst.m, inst.m1, inst.e0, eps, inst.n)
+        where = f"seed={spec.seed} n={inst.n} m1={inst.m1} d={d}"
+        assert d < inst.n, f"no greedy tail: {where}"
+        opt_mk = exact_optimal(inst, Objective.MAKESPAN).objective_value
+        value = makespan_scheme(inst, d).makespan
+        assert value <= (1 + eps) * opt_mk, f"makespan scheme broke with a tail: {where}"
+        checked["scheme-makespan-tail"] += 1
+        depths.add(d)
+
     elapsed = time.perf_counter() - start
     assert checked["ls"] >= 100
     assert checked["ls-ect"] == len(pool)
     assert checked["spt-ect"] == len(pool)
     assert checked["scheme-makespan"] == 2 * len(pool)
     assert checked["scheme-totaltime"] >= 2 * 200
+    assert checked["scheme-makespan-tail"] == len(tail_pool) == 20
+    assert depths == {4, 8}
     assert elapsed < 300.0
     print(
         f"criterion 2 PASS: zero bound violations over {len(pool)} instances"

@@ -279,6 +279,26 @@ def test_results_past_the_digit_limit_exit_3_naming_the_value(capsys, tmp_path, 
     assert error["message"].startswith(f"{what} has more digits")
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        # e0/(3x) = 1/(30N) on the crowded machines
+        (["gadget", "named", "lsect_tight", "--e0"], "the ratio of machine 2 interval 2"),
+        # every ratio is e0 plus a multiple of (1 - e0)
+        (["gadget", "random", "--n", "3", "--m", "2", "--e0"], "the ratio of machine 1 interval 1"),
+    ],
+)
+def test_generated_numbers_past_the_digit_limit_exit_3_naming_the_value(capsys, argv, what):
+    # e0 = 1/N with a 4299-digit N parses and prints, but the instance built from it does not
+    n = random.Random(11).randrange(4 * 10**4298, 10**4299)
+    code, out, err = _run(capsys, argv + [f"1/{n}"])
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "limit"
+    assert error["message"].startswith(f"{what} has more digits")
+
+
 def test_compare_makespan_table(capsys, tmp_path):
     path = tmp_path / "ls_bad.json"
     path.write_text(instance_to_json(named_example("ls_bad", e0=F(1, 2), x=F(1, 100))))

@@ -314,6 +314,31 @@ def test_totaltime_scheme_survivor_rule_per_step():
         prev = kept
 
 
+@pytest.mark.parametrize(
+    "jobs, m, kept_per_job",
+    [
+        ([1] * 6, 2, [2, 3, 4, 5, 6, 7]),
+        ([1, 1, 2, 2, 3, 3, 1], 3, [3, 6, 10, 30, 60, 180, 360]),
+    ],
+)
+def test_merging_fires_at_the_default_delta(jobs, m, kept_per_job):
+    # repeated integer lengths on full-speed machines: many states share
+    # their loads and costs, so they merge even at delta = epsilon*e0/(6n)
+    inst = Instance(
+        machines=(MachineProfile(intervals=()),) * m, jobs=tuple(map(F, jobs)), m1=m, e0=F(1)
+    )
+    eps = F(1, 2)
+    kept, unmerged = [], []
+    value = totaltime_scheme(inst, eps, on_step=lambda j, s: kept.append(len(s)))
+    exact = totaltime_scheme(inst, eps, delta=F(0), on_step=lambda j, s: unmerged.append(len(s)))
+    assert kept == kept_per_job
+    assert unmerged == [m ** (k + 1) for k in range(len(jobs))]
+    assert sum(kept) < sum(unmerged)
+    opt = exact_optimal(inst, Objective.TOTAL_COMPLETION).objective_value
+    assert exact.total_completion == opt
+    assert value.total_completion <= (1 + eps) * opt
+
+
 def test_partial_state_chain_reproduces_the_returned_schedule():
     inst = named_example("spt_vs_sptect_plus3")
     finals = []

@@ -1,5 +1,6 @@
 """The integer capacity kernel and the subset table behind the oracle and the schemes."""
 
+import itertools
 import math
 import random
 import time
@@ -50,14 +51,17 @@ def _instances():
 @pytest.mark.parametrize("inst", list(_instances()))
 def test_every_entry_key_is_its_value_times_the_scale(inst):
     table = SubsetTable(inst)
-    for i in range(inst.m):
+    for i, machine in enumerate(inst.machines):
+        capacity = build_capacity_table(machine)
         for mask in range(1 << inst.n):
-            load, finish, cost, load_key, finish_key, cost_key = table.get(i, mask)
-            assert load == sum((inst.jobs[j] for j in range(inst.n) if mask & table.bits[j]), F(0))
-            assert finish == finish_time(table.capacity[i], load)
-            assert (load_key, finish_key, cost_key) == (
+            # the set's jobs shortest first, and the work done as each completes
+            lengths = sorted(inst.jobs[j] for j in range(inst.n) if mask & table.bits[j])
+            prefixes = list(itertools.accumulate(lengths, initial=F(0)))
+            load = prefixes[-1]
+            cost = sum((finish_time(capacity, w) for w in prefixes[1:]), F(0))
+            assert table.get(i, mask) == (
                 load * table.scale,
-                finish * table.scale,
+                finish_time(capacity, load) * table.scale,
                 cost * table.scale,
             )
 
