@@ -4,6 +4,12 @@ A machine's availability is a piecewise-constant rate over left-open,
 right-closed intervals.  The table below turns that into cumulative work at
 each breakpoint, so completion-time queries become a binary search plus one
 linear interpolation.
+
+The same queries also run on integers, over one instance-wide scale.
+`scale_instance` is the one place that builds an instance's integer view
+(the scale, the job lengths as keys, the scaled tables); the list heuristics
+and `search.SubsetTable` decide on it, while `finish_time` stays the exact
+reference with which `model.evaluate` builds every reported schedule.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
-    from .model import MachineProfile
+    from .model import Instance, MachineProfile
 
 __all__ = ["CapacityTable", "build_capacity_table", "finish_time", "work_at"]
 
@@ -177,3 +183,17 @@ def finish_key(table: ScaledTable, work: int) -> int:
     if rest:
         raise ArithmeticError(f"the finish time of a work on segment {k + 1} is off the scale")
     return table.breakpoints[k] + time
+
+
+def scale_instance(inst: "Instance") -> tuple[int, list[int], list[ScaledTable]]:
+    """An instance's common scale, its job lengths times the scale (by job
+    index) and its machines' scaled tables.
+
+    The one integer set-up behind the list heuristics and the subset search,
+    and the one place that refuses an instance with no machines.
+    """
+    if not inst.machines:
+        raise ValueError("instance has no machines")
+    tables = [build_capacity_table(mp) for mp in inst.machines]
+    scale = common_scale(inst.jobs, tables)
+    return scale, [to_key(p, scale) for p in inst.jobs], [scale_table(t, scale) for t in tables]

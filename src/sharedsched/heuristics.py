@@ -14,8 +14,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .capacity import ScaledTable, build_capacity_table, common_scale, finish_key, scale_table, to_key
-from .model import Instance, Schedule, _rational, evaluate
+from .capacity import ScaledTable, finish_key, scale_instance
+from .model import Instance, Schedule, _rational, _schedule_of
 
 __all__ = [
     "OrderRule",
@@ -76,26 +76,23 @@ def list_schedule(inst: Instance, order: OrderRule, placement: PlacementRule) ->
     Placements are decided on exact integer keys over a common scale; the
     schedule returned is `evaluate`'s.
     """
+    _, sizes, scaled = scale_instance(inst)
     m = inst.m
-    if m == 0:
-        raise ValueError("instance has no machines")
-    tables = [build_capacity_table(mp) for mp in inst.machines]
-    scale = common_scale(inst.jobs, tables)
-    scaled = [scale_table(table, scale) for table in tables]
     loads = [0] * m
     finishes = [0] * m
-    assignment: list[list[int]] = [[] for _ in range(m)]
-    for j in job_order(inst.jobs, order):
-        p = to_key(inst.jobs[j], scale)
+    jobs = job_order(inst.jobs, order)
+    placed = []
+    for j in jobs:
+        p = sizes[j]
         if placement is PlacementRule.EARLIEST_START:
             i = min(range(m), key=finishes.__getitem__)
             c = finish_key(scaled[i], loads[i] + p)
         else:
             i, c = ect_placement(scaled, loads, p)
-        assignment[i].append(j)
+        placed.append(i)
         loads[i] += p
         finishes[i] = c
-    return evaluate(inst, assignment)
+    return _schedule_of(inst, jobs, placed)
 
 
 def ls(inst: Instance) -> Schedule:

@@ -172,6 +172,14 @@ def evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
     )
 
 
+def _schedule_of(inst: Instance, jobs: Iterable[int], machines: Iterable[int]) -> Schedule:
+    """`evaluate`'s schedule running job jobs[k] on machine machines[k], in list order."""
+    assignment: list[list[int]] = [[] for _ in inst.machines]
+    for j, i in zip(jobs, machines):
+        assignment[i].append(j)
+    return evaluate(inst, assignment)
+
+
 def objective_value(schedule: Schedule, objective: Objective) -> Fraction:
     if objective is Objective.MAKESPAN:
         return schedule.makespan

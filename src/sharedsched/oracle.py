@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .heuristics import OrderRule, job_order
-from .model import Instance, Objective, Schedule, evaluate, objective_value
+from .model import Instance, Objective, Schedule, _schedule_of, objective_value
 from .search import OracleLimitError, SubsetTable, best_placement
 
 __all__ = [
@@ -47,10 +46,7 @@ def _resolved_max_n(max_n: Optional[int]) -> int:
 
 
 def exact_optimal(
-    inst: Instance,
-    objective: Objective,
-    max_n: Optional[int] = None,
-    max_m: Optional[int] = None,
+    inst: Instance, objective: Objective, max_n: Optional[int] = None
 ) -> OracleResult:
     """Optimal value over all m^n assignments, with a deterministic minimizer.
 
@@ -62,14 +58,11 @@ def exact_optimal(
     are `evaluate`'s for the minimizer.
     """
     max_n = _resolved_max_n(max_n)
-    max_m = DEFAULT_MAX_M if max_m is None else max_m
     n, m = inst.n, inst.m
-    if n > max_n or m > max_m:
+    if n > max_n or m > DEFAULT_MAX_M:
         raise OracleLimitError(
-            f"instance size n={n}, m={m} exceeds oracle limits n<={max_n}, m<={max_m}"
+            f"instance size n={n}, m={m} exceeds oracle limits n<={max_n}, m<={DEFAULT_MAX_M}"
         )
-    if m == 0:
-        raise ValueError("instance has no machines")
     subsets = SubsetTable(inst)
     get = subsets.get
     if objective is Objective.MAKESPAN:
@@ -82,15 +75,10 @@ def exact_optimal(
         def value(masks: list[int]) -> int:
             return sum([get(i, mask)[2] for i, mask in enumerate(masks)])
 
-    _, best_vec, leaves = best_placement(m, subsets.bits, value)
-    assignment: list[list[int]] = [[] for _ in range(m)]
-    if objective is Objective.MAKESPAN:
-        for j, i in enumerate(best_vec):
-            assignment[i].append(j)
-    else:
-        for j in job_order(inst.jobs, OrderRule.SPT):
-            assignment[best_vec[j]].append(j)
-    best = evaluate(inst, assignment)
+    best_vec, leaves = best_placement(m, subsets.bits, value)
+    # each machine runs its jobs in index order, or shortest first for the sum
+    jobs = range(n) if objective is Objective.MAKESPAN else subsets.order
+    best = _schedule_of(inst, jobs, [best_vec[j] for j in jobs])
     return OracleResult(
         best=best, objective_value=objective_value(best, objective), states_explored=leaves
     )

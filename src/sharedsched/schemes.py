@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .heuristics import OrderRule, ect_placement, job_order
-from .model import Instance, Schedule, _rational, evaluate
+from .model import Instance, Schedule, _rational, _schedule_of
 from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N
 from .search import OracleLimitError, SubsetTable, best_placement
 
@@ -68,14 +68,11 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
     n, m = inst.n, inst.m
     if not (0 <= d <= n):
         raise ValueError(f"d={d} is outside [0, {n}]")
-    if m == 0:
-        raise ValueError("instance has no machines")
     subsets = SubsetTable(inst)
     get = subsets.get
     by_length = job_order(inst.jobs, OrderRule.LPT)
     large = by_length[:d]
-    rest = by_length[d:]
-    rest_sizes = [subsets.key(inst.jobs[j]) for j in rest]
+    rest_sizes = [subsets.sizes[j] for j in by_length[d:]]
     scaled = subsets.scaled
 
     def finish_rest(masks: list[int]) -> tuple[list[int], list[int]]:
@@ -90,20 +87,16 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
             rest_choice.append(i)
         return finishes, rest_choice
 
-    _, choice, _ = best_placement(
+    choice, _ = best_placement(
         m,
         [subsets.bits[j] for j in large],
         lambda masks: max(finish_rest(masks)[0]),
         DEFAULT_MAX_M**DEFAULT_MAX_N,
     )
     masks = [0] * m
-    assignment: list[list[int]] = [[] for _ in range(m)]
     for j, i in zip(large, choice):
         masks[i] |= subsets.bits[j]
-        assignment[i].append(j)
-    for j, i in zip(rest, finish_rest(masks)[1]):
-        assignment[i].append(j)
-    return evaluate(inst, assignment)
+    return _schedule_of(inst, by_length, [*choice, *finish_rest(masks)[1]])
 
 
 # The exact powers of q behind a bucket index x have about |x| times the
@@ -125,8 +118,8 @@ class GeometricBuckets:
 
     Bucket indices are found from a float log estimate.  When the estimate
     lies farther from an integer than its certified error margin, its floor
-    is the index; otherwise exact integer comparisons against cached powers
-    of q pin it down.  Either way two values land in the same bucket exactly
+    is the index; otherwise exact integer comparisons against powers of q
+    pin it down.  Either way two values land in the same bucket exactly
     when the rationals say so.  Zero gets its own bucket (None).  An index
     whose powers of q would exceed MAX_BUCKET_BITS raises OracleLimitError.
     """
@@ -141,27 +134,12 @@ class GeometricBuckets:
         self._log_q = math.log(self._qn) - math.log(self._qd)
         self._log_q_size = math.log(self._qn) + math.log(self._qd) + 2
         self._bits = self._qn.bit_length()
-        self._pow_n: dict[int, int] = {0: 1}
-        self._pow_d: dict[int, int] = {0: 1}
-
-    def _power(self, cache: dict[int, int], base: int, y: int) -> int:
-        got = cache.get(y)
-        if got is None:
-            prev = cache.get(y - 1)
-            got = prev * base if prev is not None else base**y
-            cache[y] = got
-        return got
 
     def _at_least(self, num: int, den: int, x: int) -> bool:
         # num/den >= q^x, by cross-multiplication with integer powers
         if x >= 0:
-            return num * self._power(self._pow_d, self._qd, x) >= den * self._power(
-                self._pow_n, self._qn, x
-            )
-        y = -x
-        return num * self._power(self._pow_n, self._qn, y) >= den * self._power(
-            self._pow_d, self._qd, y
-        )
+            return num * self._qd**x >= den * self._qn**x
+        return num * self._qn**-x >= den * self._qd**-x
 
     def index(self, value: Fraction) -> Optional[int]:
         """Bucket index of a nonnegative value; None is the zero bucket."""
@@ -228,15 +206,14 @@ def totaltime_scheme(
     (job_index, kept_states) after each job, the states as `PartialState`s.
     """
     n, m = inst.n, inst.m
-    if m == 0:
-        raise ValueError("instance has no machines")
     if inst.m1 < m - 1:
         raise ValueError(
             f"m1={inst.m1} but the guarantee needs bounded shares on the first {m - 1} machines"
         )
     epsilon = _check_epsilon(epsilon)
     if delta is None:
-        delta = epsilon * inst.e0 / (6 * n)
+        # with no jobs there is nothing to merge
+        delta = epsilon * inst.e0 / (6 * n) if n else Fraction(0)
     else:
         delta = _rational(delta, "delta")
         if delta < 0:
@@ -280,7 +257,7 @@ def totaltime_scheme(
         return got
 
     serial = 1
-    for j in job_order(inst.jobs, OrderRule.SPT):
+    for j in subsets.order:
         bit = subsets.bits[j]
         # every state extended onto every machine, in creation order
         extended = [s[:i] + (s[i] | bit,) + s[i + 1 :] for s in states for i in range(m)]
@@ -314,7 +291,6 @@ def totaltime_scheme(
 
     # the first state of least cost is the oldest one
     best = min(states, key=lambda masks: sum([get(i, mask)[2] for i, mask in enumerate(masks)]))
-    assignment: list[list[int]] = [[] for _ in range(m)]
-    for j in job_order(inst.jobs, OrderRule.SPT):
-        assignment[next(i for i in range(m) if best[i] & subsets.bits[j])].append(j)
-    return evaluate(inst, assignment)
+    # job order[b] runs on the machine whose set holds bit b
+    machines = [next(i for i in range(m) if best[i] >> b & 1) for b in range(n)]
+    return _schedule_of(inst, subsets.order, machines)

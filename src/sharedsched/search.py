@@ -6,17 +6,19 @@ contain the set; `best_placement` walks every placement of a job list over
 the machines and reads the table at each leaf.
 
 Every value the table holds is a whole multiple of one instance-wide
-1/scale (see `capacity.common_scale`), so it holds each value times the
-scale, as an integer key, and the searches compare and sum keys only.  The
-schedules they report are `model.evaluate`'s.
+1/scale, so it holds each value times the scale, as an integer key, on the
+integer view that `capacity.scale_instance` builds; the searches compare
+and sum keys only.
+`SubsetTable.order` is the table's bit order, shortest first; the oracle's
+total-time minimizer and the total-time scheme run each machine's jobs in
+that order.  The schedules they report are `model.evaluate`'s.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .capacity import build_capacity_table, common_scale, finish_key, scale_table, to_key
+from .capacity import finish_key, scale_instance
 from .heuristics import OrderRule, job_order
 from .model import Instance
 
@@ -35,22 +37,17 @@ class SubsetTable:
     entry is made on first use from the set without that job, at one
     `finish_key` call, so filling a machine's table costs at most 2^n of them.
     Entries are (load, finish, cost), each times `scale`, as integers.
+    `order` lists the job indices in bit order, `bits` each job's bit and
+    `sizes` each job's length times `scale`, both by job index.
     """
 
     def __init__(self, inst: Instance):
-        order = job_order(inst.jobs, OrderRule.SPT)
-        self.bits = [0] * inst.n  # by job index
-        for b, j in enumerate(order):
+        self.scale, self.sizes, self.scaled = scale_instance(inst)
+        self.order = job_order(inst.jobs, OrderRule.SPT)
+        self.bits = [0] * inst.n
+        for b, j in enumerate(self.order):
             self.bits[j] = 1 << b
-        tables = [build_capacity_table(mp) for mp in inst.machines]
-        self.scale = common_scale(inst.jobs, tables)
-        self.scaled = [scale_table(table, self.scale) for table in tables]
-        self._sizes = [self.key(inst.jobs[j]) for j in order]
         self._entries = [{0: (0, 0, 0)} for _ in inst.machines]
-
-    def key(self, value: Fraction) -> int:
-        """`value * scale`, which must be an integer; anything else raises, never rounds."""
-        return to_key(value, self.scale)
 
     def get(self, i: int, mask: int) -> tuple[int, int, int]:
         """(load, finish time, shortest-first completion-time sum) of set `mask` on
@@ -67,7 +64,7 @@ class SubsetTable:
         scaled = self.scaled[i]
         for mask in reversed(missing):
             load, _, cost = got
-            load += self._sizes[mask.bit_length() - 1]
+            load += self.sizes[self.order[mask.bit_length() - 1]]
             finish = finish_key(scaled, load)
             got = entries[mask] = (load, finish, cost + finish)
         return got
@@ -78,14 +75,14 @@ def best_placement(
     bits: Sequence[int],
     value: Callable[[list[int]], int],
     limit: Optional[int] = None,
-) -> tuple[int, tuple[int, ...], int]:
+) -> tuple[tuple[int, ...], int]:
     """Minimize `value` over all m^k placements of k jobs, given by their bits, on m machines.
 
     `value` receives the per-machine masks of one placement (a list the walk
     goes on to change).  Placements run in lexicographic order of the machine
     vector, first job most significant and machine index ascending, and only
     strict improvements are kept, so the first minimizer in that order wins.
-    Returns the best value, its machine vector and the number of placements.
+    Returns the minimizer's machine vector and the number of placements.
     Refuses with OracleLimitError, before any work, when m^k exceeds `limit`.
     """
     k = len(bits)
@@ -106,7 +103,7 @@ def best_placement(
             masks[0] |= bits[t]
             t -= 1
         if t < 0:
-            return best, best_choice, leaves
+            return best_choice, leaves
         i = choice[t]
         choice[t] = i + 1
         masks[i] ^= bits[t]

@@ -11,8 +11,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from sharedsched import RandomSpec, instance_to_json, named_example, random_instance
-from sharedsched.cli import main
+from sharedsched import (
+    Instance,
+    MachineProfile,
+    Objective,
+    RandomSpec,
+    Schedule,
+    instance_to_json,
+    named_example,
+    random_instance,
+)
+from sharedsched.cli import ALGORITHMS, main
 
 MAKESPAN_RULES = ["ls", "lpt", "ls-ect", "lpt-ect"]
 TOTALTIME_RULES = ["spt", "spt-ect"]
@@ -85,3 +94,17 @@ def test_solve_reports_exact_params(capsys, tmp_path, alg, obj, extra, params):
     report = json.loads(_run(capsys, ["solve", str(path), "--alg", alg, "--obj", obj] + extra))
     assert report["algorithm"] == alg
     assert (list(report["params"].items()) if "params" in report else None) == params
+
+
+@pytest.mark.parametrize("name", list(ALGORITHMS))
+def test_no_jobs_give_the_empty_schedule_and_no_machines_are_refused(name):
+    alg = ALGORITHMS[name]
+    machine = MachineProfile(intervals=())
+    no_jobs = Instance(machines=(machine, machine), jobs=(), m1=2, e0=F(1, 2))
+    no_machines = Instance(machines=(), jobs=(F(1), F(2)), m1=1, e0=F(1, 2))
+    empty = Schedule(assignment=((), ()), completions=(), makespan=F(0), total_completion=F(0))
+    for objective in [alg.objective] if alg.objective else list(Objective):
+        # epsilon 1/2 and d = 0: the makespan scheme takes d as given
+        assert alg.run(no_jobs, objective, F(1, 2), 0)[0] == empty
+        with pytest.raises(ValueError, match="^instance has no machines$"):
+            alg.run(no_machines, objective, F(1, 2), 0)

@@ -24,7 +24,7 @@ from sharedsched import (
     random_instance,
     validate_instance,
 )
-from sharedsched.capacity import common_scale, finish_key, scale_table
+from sharedsched.capacity import common_scale, finish_key, scale_table, to_key
 from sharedsched.search import SubsetTable
 
 
@@ -68,9 +68,9 @@ def test_every_entry_key_is_its_value_times_the_scale(inst):
 
 def test_a_value_off_the_scale_raises_instead_of_rounding():
     table = SubsetTable(named_example("lsect_tight"))
-    assert table.key(F(7, table.scale)) == 7
+    assert to_key(F(7, table.scale), table.scale) == 7
     with pytest.raises(ArithmeticError):
-        table.key(F(1, 2 * table.scale))
+        to_key(F(1, 2 * table.scale), table.scale)
 
 
 def _primes_from(low: int, count: int) -> list[int]:
