@@ -44,8 +44,12 @@ class PlacementRule(Enum):
     EARLIEST_COMPLETION = "earliest-completion"
 
 
-def job_order(jobs: Sequence[Fraction], rule: OrderRule) -> list[int]:
-    """Job indices in list order; equal processing times keep index order."""
+def job_order(jobs: Sequence[Fraction | int], rule: OrderRule) -> list[int]:
+    """Job indices in list order; equal processing times keep index order.
+
+    The lengths may be `Fraction`s or their integer keys over one scale
+    (`capacity.scale_instance`), which sort the same and faster.
+    """
     order = list(range(len(jobs)))
     # the sort is stable, also in reverse, so equal lengths stay in index order
     if rule is OrderRule.LPT:
@@ -80,7 +84,7 @@ def list_schedule(inst: Instance, order: OrderRule, placement: PlacementRule) ->
     m = inst.m
     loads = [0] * m
     finishes = [0] * m
-    jobs = job_order(inst.jobs, order)
+    jobs = job_order(sizes, order)
     placed = []
     for j in jobs:
         p = sizes[j]

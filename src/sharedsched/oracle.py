@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .model import Instance, Objective, Schedule, _schedule_of, objective_value
-from .search import OracleLimitError, SubsetTable, best_placement
+from .search import SubsetTable, best_makespan, best_placement
 
 __all__ = [
     "OracleLimitError",
@@ -24,6 +24,10 @@ __all__ = [
 
 DEFAULT_MAX_N = 10
 DEFAULT_MAX_M = 4
+
+
+class OracleLimitError(Exception):
+    """Instance exceeds the enumeration size limits."""
 
 
 @dataclass(frozen=True)
@@ -64,21 +68,18 @@ def exact_optimal(
             f"instance size n={n}, m={m} exceeds oracle limits n<={max_n}, m<={DEFAULT_MAX_M}"
         )
     subsets = SubsetTable(inst)
-    get = subsets.get
     if objective is Objective.MAKESPAN:
-
-        def value(masks: list[int]) -> int:
-            return max([get(i, mask)[1] for i, mask in enumerate(masks)])
-
+        # each machine runs its jobs in index order
+        best, leaves = best_makespan(inst, subsets, range(n))
     else:
+        get = subsets.get
 
         def value(masks: list[int]) -> int:
             return sum([get(i, mask)[2] for i, mask in enumerate(masks)])
 
-    best_vec, leaves = best_placement(m, subsets.bits, value)
-    # each machine runs its jobs in index order, or shortest first for the sum
-    jobs = range(n) if objective is Objective.MAKESPAN else subsets.order
-    best = _schedule_of(inst, jobs, [best_vec[j] for j in jobs])
+        best_vec, leaves = best_placement(m, subsets.bits, value)
+        # each machine runs its jobs shortest first
+        best = _schedule_of(inst, subsets.order, [best_vec[j] for j in subsets.order])
     return OracleResult(
         best=best, objective_value=objective_value(best, objective), states_explored=leaves
     )

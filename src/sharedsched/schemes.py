@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .heuristics import OrderRule, ect_placement, job_order
+from .heuristics import OrderRule, job_order
 from .model import Instance, Schedule, _rational, _schedule_of
-from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N
-from .search import OracleLimitError, SubsetTable, best_placement
+from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N, OracleLimitError
+from .search import SubsetTable, best_makespan
 
 __all__ = [
     "compute_d",
@@ -61,42 +61,19 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
     Tries all m^d placements of the d longest jobs; the rest follow longest
     first onto whichever machine completes them earliest.  Ties keep the
     lexicographically smallest placement vector, so the result is
-    deterministic.  Refuses with OracleLimitError when m^d exceeds the
-    oracle's own ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.  Branches are
-    compared on integer keys; the schedule returned is `evaluate`'s.
+    deterministic.  Refuses with OracleLimitError, before any work, when m^d
+    exceeds the oracle's own ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.
+    The search is `search.best_makespan`, the oracle's own.
     """
     n, m = inst.n, inst.m
     if not (0 <= d <= n):
         raise ValueError(f"d={d} is outside [0, {n}]")
+    limit = DEFAULT_MAX_M**DEFAULT_MAX_N
+    if m**d > limit:
+        raise OracleLimitError(f"{m}^{d} placements exceed the limit of {limit}")
     subsets = SubsetTable(inst)
-    get = subsets.get
-    by_length = job_order(inst.jobs, OrderRule.LPT)
-    large = by_length[:d]
-    rest_sizes = [subsets.sizes[j] for j in by_length[d:]]
-    scaled = subsets.scaled
-
-    def finish_rest(masks: list[int]) -> tuple[list[int], list[int]]:
-        # per-machine finish times (as keys) after the greedy tail, and its choices
-        entries = [get(i, mask) for i, mask in enumerate(masks)]
-        loads = [entry[0] for entry in entries]
-        finishes = [entry[1] for entry in entries]
-        rest_choice = []
-        for size in rest_sizes:
-            i, finishes[i] = ect_placement(scaled, loads, size)
-            loads[i] += size
-            rest_choice.append(i)
-        return finishes, rest_choice
-
-    choice, _ = best_placement(
-        m,
-        [subsets.bits[j] for j in large],
-        lambda masks: max(finish_rest(masks)[0]),
-        DEFAULT_MAX_M**DEFAULT_MAX_N,
-    )
-    masks = [0] * m
-    for j, i in zip(large, choice):
-        masks[i] |= subsets.bits[j]
-    return _schedule_of(inst, by_length, [*choice, *finish_rest(masks)[1]])
+    by_length = job_order(subsets.sizes, OrderRule.LPT)
+    return best_makespan(inst, subsets, by_length[:d], by_length[d:])[0]
 
 
 # The exact powers of q behind a bucket index x have about |x| times the
@@ -178,8 +155,9 @@ class PartialState:
     """Per-machine (load, completion-time sum) after a prefix of jobs.
 
     `masks[i]` is the set of jobs on machine i, as a `SubsetTable` bitmask,
-    so the state alone recovers its assignment.  `serial` is the creation
-    order, used for deterministic tie-breaking.
+    so the state alone recovers its assignment.  `serial` is the state's
+    creation order, reported only; the sweep's final choice is the first
+    state of least cost.
     """
 
     loads: tuple[Fraction, ...]

@@ -3,7 +3,10 @@
 The jobs on one machine form a set, written as a bitmask.  `SubsetTable`
 holds each set's values per machine, computed once however many placements
 contain the set; `best_placement` walks every placement of a job list over
-the machines and reads the table at each leaf.
+the machines and reads the table at each leaf.  `best_makespan` is the one
+makespan search: the oracle runs it on every job with no tail, and
+`makespan_scheme` on the longest jobs with a greedy tail.  Each caller
+checks its own size limits before it searches.
 
 Every value the table holds is a whole multiple of one instance-wide
 1/scale, so it holds each value times the scale, as an integer key, on the
@@ -16,17 +19,13 @@ that order.  The schedules they report are `model.evaluate`'s.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .capacity import finish_key, scale_instance
-from .heuristics import OrderRule, job_order
-from .model import Instance
+from .heuristics import OrderRule, ect_placement, job_order
+from .model import Instance, Schedule, _schedule_of
 
-__all__ = ["OracleLimitError", "SubsetTable", "best_placement"]
-
-
-class OracleLimitError(Exception):
-    """Instance exceeds the enumeration size limits."""
+__all__ = ["SubsetTable", "best_placement", "best_makespan"]
 
 
 class SubsetTable:
@@ -43,7 +42,7 @@ class SubsetTable:
 
     def __init__(self, inst: Instance):
         self.scale, self.sizes, self.scaled = scale_instance(inst)
-        self.order = job_order(inst.jobs, OrderRule.SPT)
+        self.order = job_order(self.sizes, OrderRule.SPT)
         self.bits = [0] * inst.n
         for b, j in enumerate(self.order):
             self.bits[j] = 1 << b
@@ -71,10 +70,7 @@ class SubsetTable:
 
 
 def best_placement(
-    m: int,
-    bits: Sequence[int],
-    value: Callable[[list[int]], int],
-    limit: Optional[int] = None,
+    m: int, bits: Sequence[int], value: Callable[[list[int]], int]
 ) -> tuple[tuple[int, ...], int]:
     """Minimize `value` over all m^k placements of k jobs, given by their bits, on m machines.
 
@@ -83,11 +79,8 @@ def best_placement(
     vector, first job most significant and machine index ascending, and only
     strict improvements are kept, so the first minimizer in that order wins.
     Returns the minimizer's machine vector and the number of placements.
-    Refuses with OracleLimitError, before any work, when m^k exceeds `limit`.
     """
     k = len(bits)
-    if limit is not None and m**k > limit:
-        raise OracleLimitError(f"{m}^{k} placements exceed the limit of {limit}")
     choice = [0] * k
     masks = [0] * m
     masks[0] = sum(bits)
@@ -112,3 +105,47 @@ def best_placement(
         got = value(masks)
         if got < best:
             best, best_choice = got, tuple(choice)
+
+
+def best_makespan(
+    inst: Instance, subsets: SubsetTable, jobs: Sequence[int], rest: Sequence[int] = ()
+) -> tuple[Schedule, int]:
+    """The placement of `jobs` whose makespan is least once `rest` follows greedily.
+
+    Every placement of `jobs` is tried, in `best_placement`'s order; the jobs
+    of `rest` then go, in list order, to the machine where each finishes
+    first (`ect_placement`).  The first placement of least makespan key wins.
+    Returns `evaluate`'s schedule, each machine running its jobs in the order
+    `jobs` then `rest` lists them, and the number of placements tried.
+    """
+    get, scaled = subsets.get, subsets.scaled
+    sizes = [subsets.sizes[j] for j in rest]
+
+    def finish_rest(masks: list[int], placed: list[int]) -> list[int]:
+        # per-machine finish keys after the tail; its machines go onto `placed`
+        entries = [get(i, mask) for i, mask in enumerate(masks)]
+        loads = [entry[0] for entry in entries]
+        finishes = [entry[1] for entry in entries]
+        for size in sizes:
+            i, finishes[i] = ect_placement(scaled, loads, size)
+            loads[i] += size
+            placed.append(i)
+        return finishes
+
+    if sizes:
+
+        def value(masks: list[int]) -> int:
+            return max(finish_rest(masks, []))
+
+    else:
+
+        def value(masks: list[int]) -> int:
+            return max([get(i, mask)[1] for i, mask in enumerate(masks)])
+
+    choice, placements = best_placement(inst.m, [subsets.bits[j] for j in jobs], value)
+    masks = [0] * inst.m
+    for j, i in zip(jobs, choice):
+        masks[i] |= subsets.bits[j]
+    placed = list(choice)
+    finish_rest(masks, placed)
+    return _schedule_of(inst, [*jobs, *rest], placed), placements

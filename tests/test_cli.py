@@ -160,8 +160,11 @@ def test_scheme_totaltime_bucket_cap_exits_3(capsys, example_path):
             None,
         ),
         (["solve", "{example}", "--alg", "oracle", "--obj", "makespan"], "abc"),
+        (["solve", "{example}", "--alg", "scheme-totaltime", "--obj", "totaltime"], None),
+        (["experiment", "--n", "4", "--m", "2", "--m1", "2", "--e0", "1/2", "--trials", "-1"], None),
     ],
-    ids=["compare-epsilon-0", "experiment-m1-0", "experiment-epsilon-2", "oracle-max-n-not-int"],
+    ids=["compare-epsilon-0", "experiment-m1-0", "experiment-epsilon-2", "oracle-max-n-not-int",
+         "scheme-totaltime-no-epsilon", "experiment-trials-negative"],
 )
 def test_library_value_errors_exit_2(capsys, monkeypatch, example_path, argv, env):
     if env is not None:

@@ -47,6 +47,8 @@ def test_gadgets_reject_bad_input():
         partition_gadget_makespan([0, 2], f=2)
     with pytest.raises(ValueError):
         partition_gadget_totaltime([1, -1], f=2)
+    with pytest.raises(ValueError):
+        partition_gadget_totaltime([1, 1, 2], f=1)
     for build in (partition_gadget_makespan, partition_gadget_totaltime):
         with pytest.raises(ValueError):
             build([], f=2)  # no jobs: nothing to split
@@ -80,6 +82,8 @@ def test_named_example_rejects_bad_parameters():
         named_example("ls_bad", e0=F(1, 4), x=F(1, 2))  # x above e0
     with pytest.raises(ValueError):
         named_example("lsect_tight", e0=F(1), x=F(1, 100))  # ratio above 1
+    with pytest.raises(ValueError):
+        named_example("lpt_n2", e0=F(2))
 
 
 def test_string_parameters_parse_as_rationals():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -57,6 +58,8 @@ def test_compute_d_rejects_bad_parameters():
         compute_d(2, 2, F(3, 2), F(1, 2), 10)
     with pytest.raises(ValueError):
         compute_d(2, 3, F(1, 2), F(1, 2), 10)
+    with pytest.raises(ValueError):
+        compute_d(2, 2, F(1, 2), F(1, 2), -1)
 
 
 def test_makespan_scheme_full_enumeration_is_optimal():
@@ -115,8 +118,11 @@ def test_makespan_scheme_matches_reference_enumeration():
 
 def test_makespan_scheme_refuses_beyond_the_oracle_ceiling():
     deep = random_instance(RandomSpec(n=20, m=3, m1=1, e0=F(1, 4), seed=1))
+    started = time.perf_counter()
     with pytest.raises(OracleLimitError):
         makespan_scheme(deep, 20)
+    # refused before any search work
+    assert time.perf_counter() - started < 0.5
     # one machine has a single branch at any depth
     single = random_instance(RandomSpec(n=40, m=1, m1=1, e0=F(1, 2), seed=1))
     assert makespan_scheme(single, 40) == lpt_ect(single)
@@ -260,6 +266,8 @@ def test_totaltime_scheme_requires_bounded_prefix():
         totaltime_scheme(inst, F(1, 2))
     with pytest.raises(ValueError):
         totaltime_scheme(named_example("spt_vs_sptect"), F(2))
+    with pytest.raises(ValueError):
+        totaltime_scheme(named_example("spt_vs_sptect"), F(1, 2), delta=F(-1, 100))
 
 
 def test_totaltime_scheme_never_keeps_two_similar_states():

@@ -13,19 +13,24 @@ from sharedsched import (
     Instance,
     MachineProfile,
     Objective,
+    OrderRule,
+    PlacementRule,
     RandomSpec,
     SharedInterval,
     build_capacity_table,
     exact_optimal,
     finish_time,
+    list_schedule,
     named_example,
     partition_gadget_makespan,
     partition_gadget_totaltime,
     random_instance,
     validate_instance,
 )
-from sharedsched.capacity import common_scale, finish_key, scale_table, to_key
+from sharedsched.capacity import common_scale, finish_key, scale_instance, scale_table, to_key
 from sharedsched.search import SubsetTable
+
+from oracle_checks import reference_list_schedule
 
 
 def _instances():
@@ -169,6 +174,10 @@ def test_an_off_scale_work_raises_instead_of_rounding():
     assert finish_key(scaled, 2) == 3  # 1 unit of work ends at 3/2
     with pytest.raises(ArithmeticError):
         finish_key(scaled, 1)
+    # a scale other than common_scale's can leave a segment's work off it
+    segment = MachineProfile(intervals=(SharedInterval(start=F(0), end=F(1), ratio=F(2, 3)),))
+    with pytest.raises(ArithmeticError):
+        scale_table(build_capacity_table(segment), 1)
 
 
 def test_the_scale_of_many_prime_denominators_is_built_quickly():
@@ -179,3 +188,19 @@ def test_the_scale_of_many_prime_denominators_is_built_quickly():
     result = exact_optimal(inst, Objective.MAKESPAN)
     assert time.perf_counter() - started < 6
     assert result.states_explored == 4**6
+
+
+def test_the_scale_ignores_segments_past_the_total_job_work():
+    # six jobs of total work 18 end within the first 31 of each machine's
+    # 1000 segments, so the later segments add nothing to the scale
+    inst = stress_instance(n=6)
+    scale, _, scaled = scale_instance(inst)
+    assert sum(inst.jobs) == 18
+    assert all(len(table.breakpoints) <= 31 for table in scaled)
+    full = common_scale(inst.jobs, [build_capacity_table(mp) for mp in inst.machines])
+    assert 20 * scale.bit_length() < full.bit_length()
+    for order in OrderRule:
+        for placement in PlacementRule:
+            assert list_schedule(inst, order, placement) == reference_list_schedule(
+                inst, order, placement
+            )
