@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from .model import Instance, MachineProfile
@@ -50,12 +50,19 @@ def build_capacity_table(profile: "MachineProfile") -> CapacityTable:
     rate; a profile whose last interval is unbounded contributes its ratio as
     the tail rate instead.
     """
+    return _table_up_to(profile, None)
+
+
+def _table_up_to(profile: "MachineProfile", total: Optional[Fraction]) -> CapacityTable:
+    """`build_capacity_table`, stopped at the first breakpoint whose
+    cumulative work reaches `total` (if given), the next segment's rate kept
+    as the tail: the same finish times for every work up to `total`."""
     breakpoints = [Fraction(0)]
     cum_work = [Fraction(0)]
     ratios: list[Fraction] = []
     tail_ratio = Fraction(1)
     for iv in profile.intervals:
-        if iv.end is None:
+        if iv.end is None or (total is not None and cum_work[-1] >= total):
             tail_ratio = iv.ratio
             break
         breakpoints.append(iv.end)
@@ -185,32 +192,20 @@ def finish_key(table: ScaledTable, work: int) -> int:
     return table.breakpoints[k] + time
 
 
-def _cut(table: CapacityTable, work: Fraction) -> CapacityTable:
-    """`table` up to its first breakpoint whose cumulative work reaches `work`,
-    the segment after it kept as the tail rate: the same finish times for
-    every work up to `work`."""
-    k = bisect_left(table.cum_work, work)
-    if k >= len(table.ratios):
-        return table
-    return CapacityTable(
-        table.breakpoints[: k + 1], table.cum_work[: k + 1], table.ratios[:k], table.ratios[k]
-    )
-
-
 def scale_instance(inst: "Instance") -> tuple[int, list[int], list[ScaledTable]]:
     """An instance's common scale, its job lengths times the scale (by job
     index) and its machines' scaled tables.
 
     The one integer set-up behind the list heuristics and the subset search,
     and the one place that refuses an instance with no machines.  No load
-    passes the total job work, so each table is cut there first
-    (see `_cut`) and segments no load reaches add nothing to the scale.
+    passes the total job work, so each table is built only up to it and
+    segments no load reaches add nothing to the scale.
     """
     if not inst.machines:
         raise ValueError("instance has no machines")
     # the total job work, summed over the lcm of the job denominators
     den = math.lcm(*{p.denominator for p in inst.jobs})
     total = Fraction(sum([p.numerator * (den // p.denominator) for p in inst.jobs]), den)
-    tables = [_cut(build_capacity_table(mp), total) for mp in inst.machines]
+    tables = [_table_up_to(mp, total) for mp in inst.machines]
     scale = common_scale(inst.jobs, tables)
     return scale, [to_key(p, scale) for p in inst.jobs], [scale_table(t, scale) for t in tables]

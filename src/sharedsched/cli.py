@@ -4,8 +4,9 @@ Subcommands: solve (one algorithm, JSON report), compare (all algorithms
 against the exact optimum, CSV), experiment (seeded random trials with bound
 checks, CSV), gadget (emit instance JSON).  Exit codes: 0 success, 2 bad
 input, 3 work beyond a limit (the oracle's size limits, the makespan
-scheme's branch cap, the total-time scheme's bucket cap, or a result or
-generated instance with more digits than Python converts to a string).
+scheme's branch cap, the total-time scheme's state ceiling or bucket cap,
+or a result or generated instance with more digits than Python converts to
+a string).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import generators, heuristics, schemes
@@ -38,27 +38,27 @@ class Algorithm(NamedTuple):
     # (inst, objective, epsilon, d) -> (schedule, the parameters solve reports)
     run: Callable[[Instance, Objective, Optional[Fraction], Optional[int]], tuple[Schedule, dict]]
     # (m, m1, epsilon) -> whether compare and experiment run it
-    listed: Callable[[int, int, Optional[Fraction]], bool]
+    listed: Callable[[int, int, Optional[Fraction]], bool] = lambda m, m1, epsilon: True
 
 
 def _heuristic(rule: Callable[[Instance], Schedule]) -> Callable:
     return lambda inst, objective, epsilon, d: (rule(inst), {})
 
 
-def _scheme_makespan(missing: str, inst: Instance, objective, epsilon, d) -> tuple:
+def _scheme_makespan(inst: Instance, objective, epsilon, d) -> tuple:
     params: dict = {}
     if d is None:
         if epsilon is None:
-            raise ValueError(missing)
+            raise ValueError("scheme-makespan needs --epsilon or --d")
         d = schemes.compute_d(inst.m, inst.m1, inst.e0, epsilon, inst.n)
         params["epsilon"] = str(epsilon)
     params["d"] = d
     return schemes.makespan_scheme(inst, d), params
 
 
-def _scheme_totaltime(missing: str, inst: Instance, objective, epsilon, d) -> tuple:
+def _scheme_totaltime(inst: Instance, objective, epsilon, d) -> tuple:
     if epsilon is None:
-        raise ValueError(missing)
+        raise ValueError("scheme-totaltime needs --epsilon")
     return schemes.totaltime_scheme(inst, epsilon), {"epsilon": str(epsilon)}
 
 
@@ -67,28 +67,22 @@ def _oracle(inst: Instance, objective, epsilon, d) -> tuple:
     return result.best, {"states_explored": result.states_explored}
 
 
-def _always(m: int, m1: int, epsilon: Optional[Fraction]) -> bool:
-    return True
-
-
 ALGORITHMS = {
-    "ls": Algorithm(Objective.MAKESPAN, _heuristic(heuristics.ls), _always),
-    "lpt": Algorithm(Objective.MAKESPAN, _heuristic(heuristics.lpt), _always),
-    "ls-ect": Algorithm(Objective.MAKESPAN, _heuristic(heuristics.ls_ect), _always),
-    "lpt-ect": Algorithm(Objective.MAKESPAN, _heuristic(heuristics.lpt_ect), _always),
-    "spt": Algorithm(Objective.TOTAL_COMPLETION, _heuristic(heuristics.spt), _always),
-    "spt-ect": Algorithm(Objective.TOTAL_COMPLETION, _heuristic(heuristics.spt_ect), _always),
+    "ls": Algorithm(Objective.MAKESPAN, _heuristic(heuristics.ls)),
+    "lpt": Algorithm(Objective.MAKESPAN, _heuristic(heuristics.lpt)),
+    "ls-ect": Algorithm(Objective.MAKESPAN, _heuristic(heuristics.ls_ect)),
+    "lpt-ect": Algorithm(Objective.MAKESPAN, _heuristic(heuristics.lpt_ect)),
+    "spt": Algorithm(Objective.TOTAL_COMPLETION, _heuristic(heuristics.spt)),
+    "spt-ect": Algorithm(Objective.TOTAL_COMPLETION, _heuristic(heuristics.spt_ect)),
     "scheme-makespan": Algorithm(
-        Objective.MAKESPAN,
-        partial(_scheme_makespan, "scheme-makespan needs --epsilon or --d"),
-        lambda m, m1, epsilon: epsilon is not None,
+        Objective.MAKESPAN, _scheme_makespan, lambda m, m1, epsilon: epsilon is not None
     ),
     "scheme-totaltime": Algorithm(
         Objective.TOTAL_COMPLETION,
-        partial(_scheme_totaltime, "scheme-totaltime needs --epsilon"),
+        _scheme_totaltime,
         lambda m, m1, epsilon: epsilon is not None and m1 >= m - 1,
     ),
-    "oracle": Algorithm(None, _oracle, _always),
+    "oracle": Algorithm(None, _oracle),
 }
 
 
@@ -197,6 +191,15 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _random_spec(args, e0: Fraction, seed: int) -> generators.RandomSpec:
+    # experiment and gadget random share these flags; only gadget's --m1 is optional
+    return generators.RandomSpec(
+        n=args.n, m=args.m, m1=args.m if args.m1 is None else args.m1, e0=e0,
+        p_max=args.p_max, min_breakpoints=args.min_breakpoints,
+        max_breakpoints=args.max_breakpoints, seed=seed,
+    )
+
+
 def cmd_experiment(args) -> int:
     e0 = _frac_from_str(args.e0, "--e0")
     epsilon = _epsilon(args)
@@ -212,13 +215,7 @@ def cmd_experiment(args) -> int:
     rows = []
     for trial in range(args.trials):
         seed = args.seed + trial
-        inst = generators.random_instance(
-            generators.RandomSpec(
-                n=args.n, m=args.m, m1=args.m1, e0=e0, p_max=args.p_max,
-                min_breakpoints=args.min_breakpoints, max_breakpoints=args.max_breakpoints,
-                seed=seed,
-            )
-        )
+        inst = generators.random_instance(_random_spec(args, e0, seed))
         opt: Optional[Fraction] = None
         if args.with_oracle:
             # the first trial's oracle call refuses an oversized run before any other work
@@ -276,13 +273,8 @@ def cmd_gadget(args) -> int:
             kwargs["alpha"] = _frac_from_str(args.alpha, "--alpha")
         inst = generators.named_example(args.name, **kwargs)
     else:
-        spec = generators.RandomSpec(
-            n=args.n, m=args.m, m1=args.m1 if args.m1 is not None else args.m,
-            e0=_frac_from_str(args.e0, "--e0") if args.e0 is not None else Fraction(1, 2),
-            p_max=args.p_max, min_breakpoints=args.min_breakpoints,
-            max_breakpoints=args.max_breakpoints, seed=args.seed,
-        )
-        inst = generators.random_instance(spec)
+        e0 = _frac_from_str(args.e0, "--e0") if args.e0 is not None else Fraction(1, 2)
+        inst = generators.random_instance(_random_spec(args, e0, args.seed))
     # numbers built from parameters that parse can still pass the digit limit
     for i, mp in enumerate(inst.machines, start=1):
         for k, iv in enumerate(mp.intervals, start=1):

@@ -55,6 +55,11 @@ def compute_d(m: int, m1: int, e0: Fraction, epsilon: Fraction, n: int) -> int:
     return min(n, d)
 
 
+# The oracle's own ceiling of leaves, read by both schemes: the makespan
+# scheme's m^d branches, and the states the total-time sweep extends per job.
+_LIMIT = DEFAULT_MAX_M**DEFAULT_MAX_N
+
+
 def makespan_scheme(inst: Instance, d: int) -> Schedule:
     """Best-of-enumeration makespan schedule.
 
@@ -68,9 +73,8 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
     n, m = inst.n, inst.m
     if not (0 <= d <= n):
         raise ValueError(f"d={d} is outside [0, {n}]")
-    limit = DEFAULT_MAX_M**DEFAULT_MAX_N
-    if m**d > limit:
-        raise OracleLimitError(f"{m}^{d} placements exceed the limit of {limit}")
+    if m**d > _LIMIT:
+        raise OracleLimitError(f"{m}^{d} placements exceed the limit of {_LIMIT}")
     subsets = SubsetTable(inst)
     by_length = job_order(subsets.sizes, OrderRule.LPT)
     return best_makespan(inst, subsets, by_length[:d], by_length[d:])[0]
@@ -182,6 +186,8 @@ def totaltime_scheme(
     as per-machine job sets and compared on integer keys; the schedule
     returned is `evaluate`'s.  `on_step`, if given, is called with
     (job_index, kept_states) after each job, the states as `PartialState`s.
+    Refuses with OracleLimitError before a job whose states times m would
+    exceed the oracle's ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.
     """
     n, m = inst.n, inst.m
     if inst.m1 < m - 1:
@@ -236,6 +242,10 @@ def totaltime_scheme(
 
     serial = 1
     for j in subsets.order:
+        if len(states) * m > _LIMIT:
+            raise OracleLimitError(
+                f"extending {len(states)} states onto {m} machines exceeds the limit of {_LIMIT}"
+            )
         bit = subsets.bits[j]
         # every state extended onto every machine, in creation order
         extended = [s[:i] + (s[i] | bit,) + s[i + 1 :] for s in states for i in range(m)]

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from sharedsched import evaluate, instance_from_json, instance_to_json, named_example
+from sharedsched import evaluate, instance_from_json, instance_to_json, named_example, schemes
 from sharedsched.cli import main
 from sharedsched.generators import RandomSpec, random_instance
 
@@ -143,6 +143,19 @@ def test_scheme_totaltime_bucket_cap_exits_3(capsys, example_path):
         capsys,
         ["solve", example_path, "--alg", "scheme-totaltime", "--obj", "totaltime",
          "--epsilon", "1e-400"],
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "limit"
+
+
+def test_scheme_totaltime_state_ceiling_exits_3(capsys, example_path, monkeypatch):
+    # the first job already extends one state onto two machines
+    monkeypatch.setattr(schemes, "_LIMIT", 1)
+    code, out, err = _run(
+        capsys,
+        ["solve", example_path, "--alg", "scheme-totaltime", "--obj", "totaltime",
+         "--epsilon", "1/2"],
     )
     assert code == 3
     assert out == ""

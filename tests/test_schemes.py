@@ -26,6 +26,7 @@ from sharedsched import (
     makespan_scheme,
     named_example,
     random_instance,
+    schemes,
     spt_ect,
     totaltime_scheme,
 )
@@ -126,6 +127,19 @@ def test_makespan_scheme_refuses_beyond_the_oracle_ceiling():
     # one machine has a single branch at any depth
     single = random_instance(RandomSpec(n=40, m=1, m1=1, e0=F(1, 2), seed=1))
     assert makespan_scheme(single, 40) == lpt_ect(single)
+
+
+def test_totaltime_scheme_refuses_a_step_beyond_the_ceiling(monkeypatch):
+    # delta=0 merges nothing, so before its k-th job the sweep extends 2^k
+    # states onto 2 machines: 2, 4 and 8 for three jobs
+    inst = random_instance(RandomSpec(n=3, m=2, m1=2, e0=F(1, 2), seed=1))
+    monkeypatch.setattr(schemes, "_LIMIT", 8)
+    steps = []
+    totaltime_scheme(inst, F(1, 2), delta=F(0), on_step=lambda j, states: steps.append(len(states)))
+    assert steps == [2, 4, 8]
+    monkeypatch.setattr(schemes, "_LIMIT", 7)
+    with pytest.raises(OracleLimitError):
+        totaltime_scheme(inst, F(1, 2), delta=F(0))
 
 
 def test_makespan_scheme_zero_depth_is_the_greedy_longest_first_run():

@@ -174,6 +174,8 @@ def test_an_off_scale_work_raises_instead_of_rounding():
     assert finish_key(scaled, 2) == 3  # 1 unit of work ends at 3/2
     with pytest.raises(ArithmeticError):
         finish_key(scaled, 1)
+    with pytest.raises(ValueError):
+        finish_key(scaled, -1)
     # a scale other than common_scale's can leave a segment's work off it
     segment = MachineProfile(intervals=(SharedInterval(start=F(0), end=F(1), ratio=F(2, 3)),))
     with pytest.raises(ArithmeticError):
@@ -204,3 +206,24 @@ def test_the_scale_ignores_segments_past_the_total_job_work():
             assert list_schedule(inst, order, placement) == reference_list_schedule(
                 inst, order, placement
             )
+
+
+@pytest.mark.parametrize(
+    "jobs, breakpoints, tail",
+    [
+        ((), (0,), F(1, 2)),
+        ((F(1, 2),), (0, 1), F(1, 3)),  # the total lands on a breakpoint
+        ((F(1, 2), F(1, 3)), (0, 1, 2), F(1, 4)),
+        ((F(1),), (0, 1, 2, 3), F(1)),  # reached only at the last breakpoint
+        ((F(100),), (0, 1, 2, 3), F(1)),  # never reached
+    ],
+)
+def test_each_table_stops_at_the_first_breakpoint_reaching_the_total_work(jobs, breakpoints, tail):
+    # rates 1/2, 1/3, 1/4 on (0, 1], (1, 2], (2, 3], then full speed
+    intervals = tuple(
+        SharedInterval(start=F(k), end=F(k + 1), ratio=F(1, k + 2)) for k in range(3)
+    )
+    inst = Instance(machines=(MachineProfile(intervals=intervals),), jobs=jobs, m1=1, e0=F(1, 4))
+    scale, _, (scaled,) = scale_instance(inst)
+    assert tuple(F(bp, scale) for bp in scaled.breakpoints) == breakpoints
+    assert F(scaled.rate_num[-1], scaled.rate_den[-1]) == tail
