@@ -6,7 +6,8 @@ checks, CSV), gadget (emit instance JSON).  Exit codes: 0 success, 2 bad
 input, 3 work beyond a limit (the oracle's size limits, the makespan
 scheme's branch cap, the total-time scheme's state ceiling or bucket cap,
 or a result or generated instance with more digits than Python converts to
-a string).
+a string).  `compare` leaves out the row of an algorithm that refuses on a
+limit and prints the rest.
 """
 
 from __future__ import annotations
@@ -159,21 +160,17 @@ def cmd_compare(args) -> int:
     objective = Objective(args.obj)
     epsilon = _epsilon(args)
 
-    runs: list[tuple[str, Fraction]] = []
-    oracle_value: Optional[Fraction] = None
+    runs: dict[str, Fraction] = {}
     for name, alg in ALGORITHMS.items():
         if alg.objective not in (objective, None) or not alg.listed(inst.m, inst.m1, epsilon):
             continue
-        if alg.objective is None:
-            # the reference row; beyond the oracle's limits every ratio is unavailable
-            try:
-                oracle_value = exact_optimal(inst, objective).objective_value
-            except OracleLimitError:
-                continue
-            runs.append((name, oracle_value))
-        else:
+        try:
             schedule, _ = alg.run(inst, objective, epsilon, None)
-            runs.append((name, objective_value(schedule, objective)))
+        except OracleLimitError:
+            continue  # a refused row is left out
+        runs[name] = objective_value(schedule, objective)
+    # the oracle's row is the reference; without it every ratio is unavailable
+    oracle_value = runs.get("oracle")
 
     rows = [
         [
@@ -183,7 +180,7 @@ def cmd_compare(args) -> int:
             if oracle_value is None
             else _fmt(value / oracle_value, f"the ratio of {name}", args.decimal),
         ]
-        for name, value in runs
+        for name, value in runs.items()
     ]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["algorithm", "value", "ratio_to_oracle"])

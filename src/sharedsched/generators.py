@@ -35,12 +35,12 @@ def _int_jobs(a: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(jobs)
 
 
-def partition_gadget_makespan(a: Sequence[int], f: int) -> Instance:
-    """Two machines whose makespan is total/2 exactly when `a` splits evenly.
+def _partition_gadget(a: Sequence[int], f: int, totaltime: bool) -> Instance:
+    """Two machines at full speed up to half the total, then at a slow rate.
 
-    Both run at full speed up to half the total, then at 1/(f*total) for a
-    window of length f*total, then at full speed again.  Any load past the
-    halfway point drags the makespan beyond f*total/2.
+    The slow rate is 1/(f*total) for the makespan and 1/(n*f*total) for the
+    completion-time sum; the makespan's slow window lasts f*total, the
+    completion-time sum's never ends.
     """
     jobs = _int_jobs(a)
     f = int(f)
@@ -50,33 +50,29 @@ def partition_gadget_makespan(a: Sequence[int], f: int) -> Instance:
     if total % 2 != 0:
         raise ValueError(f"total job size {total} must be even")
     half = total / 2
-    slow = Fraction(1, f * int(total))
+    slow = Fraction(1, (len(jobs) if totaltime else 1) * f * int(total))
     profile = (
         SharedInterval(start=Fraction(0), end=half, ratio=Fraction(1)),
-        SharedInterval(start=half, end=half + f * total, ratio=slow),
+        SharedInterval(start=half, end=None if totaltime else half + f * total, ratio=slow),
     )
     machines = (MachineProfile(intervals=profile),) * 2
     return _checked(Instance(machines=machines, jobs=jobs, m1=2, e0=slow))
+
+
+def partition_gadget_makespan(a: Sequence[int], f: int) -> Instance:
+    """Two machines whose makespan is total/2 exactly when `a` splits evenly.
+
+    Both run at full speed up to half the total, then at 1/(f*total) for a
+    window of length f*total, then at full speed again.  Any load past the
+    halfway point drags the makespan beyond f*total/2.
+    """
+    return _partition_gadget(a, f, totaltime=False)
 
 
 def partition_gadget_totaltime(a: Sequence[int], f: int) -> Instance:
     """Two machines whose completion-time sum is at most n*total/2 exactly
     when `a` splits evenly; the slow window here never ends."""
-    jobs = _int_jobs(a)
-    f = int(f)
-    if f <= 1:
-        raise ValueError("f must be an integer greater than 1")
-    total = sum(jobs, Fraction(0))
-    if total % 2 != 0:
-        raise ValueError(f"total job size {total} must be even")
-    half = total / 2
-    slow = Fraction(1, len(jobs) * f * int(total))
-    profile = (
-        SharedInterval(start=Fraction(0), end=half, ratio=Fraction(1)),
-        SharedInterval(start=half, end=None, ratio=slow),
-    )
-    machines = (MachineProfile(intervals=profile),) * 2
-    return _checked(Instance(machines=machines, jobs=jobs, m1=2, e0=slow))
+    return _partition_gadget(a, f, totaltime=True)
 
 
 _FULL_MACHINE = MachineProfile(intervals=())

@@ -123,6 +123,16 @@ def spt_ect(inst: Instance) -> Schedule:
     return list_schedule(inst, OrderRule.SPT, PlacementRule.EARLIEST_COMPLETION)
 
 
+def _check_shares(m: int, m1: int, e0: Fraction) -> Fraction:
+    """e0 as a rational; ValueError unless it lies in (0, 1] and m1 in [1, m]."""
+    e0 = _rational(e0, "e0")
+    if not (0 < e0 <= 1):
+        raise ValueError(f"e0={e0} is outside (0, 1]")
+    if not (1 <= m1 <= m):
+        raise ValueError(f"m1={m1} is outside [1, {m}]")
+    return e0
+
+
 def guarantee_ratio(
     algorithm: str,
     *,
@@ -136,9 +146,12 @@ def guarantee_ratio(
 
     For the earliest-start rules a bound only exists when every machine keeps
     at least an e0 share (m1 = m).  SPT alone has no bound at all: its ratio
-    grows without limit as the unguarded machine's share shrinks.
+    grows without limit as the unguarded machine's share shrinks.  Refuses
+    n < 1, an m1 outside [1, m] and an e0 outside (0, 1] with ValueError.
     """
-    e0 = _rational(e0, "e0")
+    if n < 1:
+        raise ValueError(f"n={n} must be at least 1")
+    e0 = _check_shares(m, m1, e0)
     if algorithm in ("ls", "lpt"):
         return 1 + 1 / e0 if m1 == m else None
     if algorithm == "ls-ect":

@@ -9,11 +9,10 @@ merging states that agree bucket-by-bucket on a geometric grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .heuristics import OrderRule, job_order
+from .heuristics import OrderRule, _check_shares, job_order
 from .model import Instance, Schedule, _rational, _schedule_of
 from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N, OracleLimitError
 from .search import SubsetTable, best_makespan
@@ -22,7 +21,6 @@ __all__ = [
     "compute_d",
     "makespan_scheme",
     "GeometricBuckets",
-    "PartialState",
     "totaltime_scheme",
 ]
 
@@ -41,11 +39,7 @@ def compute_d(m: int, m1: int, e0: Fraction, epsilon: Fraction, n: int) -> int:
     suffices; either way d never exceeds n.
     """
     epsilon = _check_epsilon(epsilon)
-    e0 = _rational(e0, "e0")
-    if not (0 < e0 <= 1):
-        raise ValueError(f"e0={e0} is outside (0, 1]")
-    if not (1 <= m1 <= m):
-        raise ValueError(f"m1={m1} is outside [1, {m}]")
+    e0 = _check_shares(m, m1, e0)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if m1 == m:
@@ -154,22 +148,6 @@ class GeometricBuckets:
         return x
 
 
-@dataclass(frozen=True)
-class PartialState:
-    """Per-machine (load, completion-time sum) after a prefix of jobs.
-
-    `masks[i]` is the set of jobs on machine i, as a `SubsetTable` bitmask,
-    so the state alone recovers its assignment.  `serial` is the state's
-    creation order, reported only; the sweep's final choice is the first
-    state of least cost.
-    """
-
-    loads: tuple[Fraction, ...]
-    costs: tuple[Fraction, ...]
-    masks: tuple[int, ...] = ()
-    serial: int = 0
-
-
 def totaltime_scheme(
     inst: Instance,
     epsilon: Fraction,
@@ -185,7 +163,9 @@ def totaltime_scheme(
     delta=0 to disable merging, which makes the sweep exact.  States are kept
     as per-machine job sets and compared on integer keys; the schedule
     returned is `evaluate`'s.  `on_step`, if given, is called with
-    (job_index, kept_states) after each job, the states as `PartialState`s.
+    (job_index, kept_states) after each job: a tuple, in creation order, of
+    each survivor's per-machine job sets, where bit b stands for the b-th
+    job of `job_order(inst.jobs, OrderRule.SPT)`.
     Refuses with OracleLimitError before a job whose states times m would
     exceed the oracle's ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.
     """
@@ -205,17 +185,16 @@ def totaltime_scheme(
 
     subsets = SubsetTable(inst)
     get = subsets.get
-    scale = subsets.scale
     last = m - 1
     # a state is its per-machine job sets; states stay in creation order
-    states: list[tuple[int, ...]] = [(0,) * m]
+    states: tuple[tuple[int, ...], ...] = ((0,) * m,)
     buckets = GeometricBuckets(delta) if delta > 0 else None
     if buckets is not None:
         index_of: dict[int, Optional[int]] = {}  # bucket index by key
 
         def bucket(key: int) -> Optional[int]:
             if key not in index_of:
-                index_of[key] = buckets.index(Fraction(key, scale))
+                index_of[key] = buckets.index(Fraction(key, subsets.scale))
             return index_of[key]
 
         pairs: list[dict[int, tuple]] = [{} for _ in range(m)]
@@ -230,17 +209,6 @@ def totaltime_scheme(
 
         signatures = [tuple(pair(i, 0) for i in range(m))]
 
-    made: list[dict[int, tuple]] = [{} for _ in range(m)]
-
-    def as_fractions(i: int, mask: int) -> tuple:
-        # a set's (load, cost) on machine i as Fractions, made once for on_step
-        got = made[i].get(mask)
-        if got is None:
-            load, _, cost = get(i, mask)
-            got = made[i][mask] = (Fraction(load, scale), Fraction(cost, scale))
-        return got
-
-    serial = 1
     for j in subsets.order:
         if len(states) * m > _LIMIT:
             raise OracleLimitError(
@@ -266,16 +234,9 @@ def totaltime_scheme(
                     kept[sig] = (pos, last_load)
             chosen = sorted(pos for pos, _ in kept.values())
             signatures = [extended_sigs[pos] for pos in chosen]
-        states = [extended[pos] for pos in chosen]
+        states = tuple([extended[pos] for pos in chosen])
         if on_step is not None:
-            reported = []
-            for pos, masks in zip(chosen, states):
-                loads, costs = zip(*[as_fractions(i, mask) for i, mask in enumerate(masks)])
-                reported.append(
-                    PartialState(loads=loads, costs=costs, masks=masks, serial=serial + pos)
-                )
-            on_step(j, reported)
-        serial += len(extended)
+            on_step(j, states)
 
     # the first state of least cost is the oldest one
     best = min(states, key=lambda masks: sum([get(i, mask)[2] for i, mask in enumerate(masks)]))

@@ -352,6 +352,31 @@ def test_compare_marks_oracle_unavailable_when_too_big(capsys, tmp_path):
     assert not any(row.startswith("oracle") for row in lines)
 
 
+@pytest.mark.parametrize(
+    "gadget_flags, obj",
+    [
+        # d = n = 20: 3^20 placements pass the makespan scheme's branch cap
+        (["--m1", "1"], "makespan"),
+        # m1 = m: the total-time sweep passes its state ceiling partway through
+        ([], "totaltime"),
+    ],
+)
+def test_compare_leaves_out_a_refused_scheme(capsys, tmp_path, gadget_flags, obj):
+    code, out, _ = _run(
+        capsys, ["gadget", "random", "--n", "20", "--m", "3", "--seed", "1"] + gadget_flags
+    )
+    assert code == 0
+    path = tmp_path / "deep.json"
+    path.write_text(out)
+    code, out, err = _run(capsys, ["compare", str(path), "--obj", obj, "--epsilon", "1/2"])
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()
+    heuristics = {"makespan": ["ls", "lpt", "ls-ect", "lpt-ect"], "totaltime": ["spt", "spt-ect"]}
+    assert [row.split(",")[0] for row in lines[1:]] == heuristics[obj]
+    # the oracle refuses too, so no ratio is available
+    assert all(row.endswith(",unavailable") for row in lines[1:])
+
+
 def test_experiment_is_deterministic_and_checks_bounds(capsys):
     argv = [
         "experiment", "--n", "6", "--m", "3", "--m1", "3", "--e0", "1/2",

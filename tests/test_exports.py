@@ -19,12 +19,13 @@ def test_every_all_entry_resolves(name):
     assert missing == []
 
 
-# the package's public names before they were gathered from the modules' __all__
+# the package's public names before they were gathered from the modules' __all__,
+# less the since removed PartialState
 PUBLIC = """
     CapacityTable build_capacity_table finish_time work_at SharedInterval MachineProfile Instance
     Schedule Objective validate_instance evaluate objective_value instance_to_json
     instance_from_json OrderRule PlacementRule job_order list_schedule ls lpt ls_ect lpt_ect spt
-    spt_ect guarantee_ratio compute_d makespan_scheme GeometricBuckets PartialState
+    spt_ect guarantee_ratio compute_d makespan_scheme GeometricBuckets
     totaltime_scheme OracleLimitError OracleResult exact_optimal partition_gadget_makespan
     partition_gadget_totaltime named_example NAMED_EXAMPLES RandomSpec random_instance __version__
 """.split()

@@ -139,6 +139,34 @@ def test_guarantee_ratio_formulas():
         guarantee_ratio("nope", n=5, m=2, m1=1, e0=half)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"n": 0, "m": 2, "m1": 1, "e0": F(1, 2)},
+        {"n": -1, "m": 2, "m1": 2, "e0": F(1, 2)},
+        {"n": 5, "m": 2, "m1": 0, "e0": F(1, 2)},
+        {"n": 5, "m": 2, "m1": 5, "e0": F(1, 2)},
+        {"n": 5, "m": 0, "m1": 0, "e0": F(1, 2)},
+        {"n": 5, "m": 2, "m1": 2, "e0": F(0)},
+        {"n": 5, "m": 2, "m1": 2, "e0": F(-1, 2)},
+        {"n": 5, "m": 2, "m1": 2, "e0": F(3, 2)},
+    ],
+    ids=["n-0", "n-negative", "m1-0", "m1-above-m", "m-0", "e0-0", "e0-negative", "e0-above-1"],
+)
+def test_guarantee_ratio_refuses_shapes_outside_its_domain(shape):
+    for algorithm in ("ls", "lpt", "ls-ect", "lpt-ect", "spt", "spt-ect", "scheme-makespan",
+                      "scheme-totaltime", "oracle"):
+        with pytest.raises(ValueError):
+            guarantee_ratio(algorithm, epsilon=F(1, 4), **shape)
+
+
+def test_guarantee_ratio_at_the_edges_of_its_domain():
+    # n = 1, m1 = m and e0 = 1 are all allowed
+    assert guarantee_ratio("lpt-ect", n=1, m=2, m1=2, e0=F(1)) == 1 + F(2)
+    assert guarantee_ratio("spt-ect", n=1, m=1, m1=1, e0=F(1)) == F(1)
+    assert guarantee_ratio("ls", n=3, m=3, m1=3, e0=F(1, 10**6)) == 1 + 10**6
+
+
 def _reference_instances():
     rng = random.Random(11)
     for k in range(200):

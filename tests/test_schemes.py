@@ -14,7 +14,6 @@ from sharedsched import (
     Objective,
     OracleLimitError,
     OrderRule,
-    PartialState,
     RandomSpec,
     build_capacity_table,
     compute_d,
@@ -35,13 +34,36 @@ from oracle_checks import exact_bucket_index
 
 
 def similar(s1, s2, delta):
-    """True when both states agree bucket-by-bucket on every load and cost."""
-    if len(s1.loads) != len(s2.loads):
+    """True when two (loads, costs) states agree bucket-by-bucket on every load and cost."""
+    (loads1, costs1), (loads2, costs2) = s1, s2
+    if len(loads1) != len(loads2):
         raise ValueError("states span different machine counts")
     index = GeometricBuckets(delta).index
-    return all(
-        index(a) == index(b) for a, b in zip(s1.loads + s1.costs, s2.loads + s2.costs)
-    )
+    return all(index(a) == index(b) for a, b in zip(loads1 + costs1, loads2 + costs2))
+
+
+def decoder(inst):
+    """Per-machine (loads, costs) of a sweep state's job sets, on the Fraction reference.
+
+    Bit b of a set stands for the b-th job shortest first, and each machine
+    runs its set in that order.
+    """
+    tables = [build_capacity_table(mp) for mp in inst.machines]
+    order = job_order(inst.jobs, OrderRule.SPT)
+
+    def decode(masks):
+        loads, costs = [], []
+        for table, mask in zip(tables, masks):
+            load = cost = F(0)
+            for b, j in enumerate(order):
+                if mask >> b & 1:
+                    load += inst.jobs[j]
+                    cost += finish_time(table, load)
+            loads.append(load)
+            costs.append(cost)
+        return tuple(loads), tuple(costs)
+
+    return decode
 
 
 def test_compute_d_worked_values():
@@ -233,18 +255,18 @@ def test_buckets_refuse_indices_with_oversized_powers():
 
 
 def test_similar_compares_bucket_by_bucket():
-    one = PartialState(loads=(F(1),), costs=(F(0),))
-    similar_load = PartialState(loads=(F(3, 2),), costs=(F(0),))
-    far_load = PartialState(loads=(F(2),), costs=(F(0),))
+    one = ((F(1),), (F(0),))
+    similar_load = ((F(3, 2),), (F(0),))
+    far_load = ((F(2),), (F(0),))
     assert similar(one, similar_load, F(1))
     assert not similar(one, far_load, F(1))
     # zero only matches zero
-    zero = PartialState(loads=(F(0),), costs=(F(0),))
-    tiny = PartialState(loads=(F(1, 10**6),), costs=(F(0),))
+    zero = ((F(0),), (F(0),))
+    tiny = ((F(1, 10**6),), (F(0),))
     assert not similar(zero, tiny, F(1))
     assert similar(zero, zero, F(1))
     with pytest.raises(ValueError):
-        similar(one, PartialState(loads=(F(1), F(1)), costs=(F(0), F(0))), F(1))
+        similar(one, ((F(1), F(1)), (F(0), F(0))), F(1))
 
 
 def test_totaltime_scheme_on_worked_example():
@@ -288,13 +310,15 @@ def test_totaltime_scheme_never_keeps_two_similar_states():
     for seed in range(4):
         inst = random_instance(RandomSpec(n=5, m=2, m1=1, e0=F(1, 2), seed=seed))
         delta = F(1, 2)  # coarse buckets so merging actually happens
+        decode = decoder(inst)
         steps = []
-        totaltime_scheme(inst, F(1, 2), delta=delta, on_step=lambda j, s: steps.append(list(s)))
+        totaltime_scheme(inst, F(1, 2), delta=delta, on_step=lambda j, s: steps.append(s))
         assert len(steps) == inst.n
         kept_total = sum(len(kept) for kept in steps)
         unpruned_total = sum(inst.m ** (i + 1) for i in range(inst.n))
         assert kept_total < unpruned_total
-        for kept in steps:
+        for states in steps:
+            kept = [decode(masks) for masks in states]
             for a in range(len(kept)):
                 for b in range(a + 1, len(kept)):
                     assert not similar(kept[a], kept[b], delta)
@@ -303,37 +327,44 @@ def test_totaltime_scheme_never_keeps_two_similar_states():
 def test_totaltime_scheme_survivor_rule_per_step():
     # replay each extension step by hand and check exactly who survives:
     # per bucket signature, the first state (in creation order) with the
-    # smallest load on the last machine
-    from sharedsched import build_capacity_table, finish_time, job_order, OrderRule
+    # smallest load on the last machine, the survivors in creation order;
+    # identical full-speed machines tie on that load, where the older state stays
+    tied = Instance(
+        machines=(MachineProfile(intervals=()),) * 2, jobs=tuple(map(F, [1, 2, 1, 2, 1])),
+        m1=2, e0=F(1),
+    )
+    for inst in (random_instance(RandomSpec(n=5, m=2, m1=1, e0=F(1, 2), seed=3)), tied):
+        _check_survivors(inst, F(1, 2))
 
-    inst = random_instance(RandomSpec(n=5, m=2, m1=1, e0=F(1, 2), seed=3))
-    delta = F(1, 2)
+
+def _check_survivors(inst, delta):
     steps = []
-    totaltime_scheme(inst, F(1, 2), delta=delta, on_step=lambda j, s: steps.append(list(s)))
+    totaltime_scheme(inst, F(1, 2), delta=delta, on_step=lambda j, s: steps.append(s))
+    decode = decoder(inst)
     tables = [build_capacity_table(mp) for mp in inst.machines]
     m = inst.m
-    prev = [PartialState(loads=(F(0),) * m, costs=(F(0),) * m)]
-    for j, kept in zip(job_order(inst.jobs, OrderRule.SPT), steps):
+    prev = [((0,) * m, (F(0),) * m, (F(0),) * m)]  # (masks, loads, costs)
+    for b, (j, kept) in enumerate(zip(job_order(inst.jobs, OrderRule.SPT), steps)):
         p = inst.jobs[j]
         candidates = []
-        for s in prev:
+        for s_masks, s_loads, s_costs in prev:
             for i in range(m):
-                c = finish_time(tables[i], s.loads[i] + p)
-                loads = s.loads[:i] + (s.loads[i] + p,) + s.loads[i + 1 :]
-                costs = s.costs[:i] + (s.costs[i] + c,) + s.costs[i + 1 :]
-                candidates.append(PartialState(loads=loads, costs=costs))
-        expected = []
-        for cand in candidates:
-            mate = next((e for e in expected if similar(e, cand, delta)), None)
+                c = finish_time(tables[i], s_loads[i] + p)
+                masks = s_masks[:i] + (s_masks[i] | 1 << b,) + s_masks[i + 1 :]
+                loads = s_loads[:i] + (s_loads[i] + p,) + s_loads[i + 1 :]
+                costs = s_costs[:i] + (s_costs[i] + c,) + s_costs[i + 1 :]
+                candidates.append((masks, loads, costs))
+        survivors = []  # [position in creation order, masks, loads, costs]
+        for pos, (masks, loads, costs) in enumerate(candidates):
+            mate = next((s for s in survivors if similar(s[2:], (loads, costs), delta)), None)
             if mate is None:
-                expected.append(cand)
-            elif cand.loads[m - 1] < mate.loads[m - 1]:
-                expected[expected.index(mate)] = cand
-        assert sorted((s.loads, s.costs) for s in kept) == sorted(
-            (s.loads, s.costs) for s in expected
-        )
-        assert all(a.serial < b.serial for a, b in zip(kept, kept[1:]))
-        prev = kept
+                survivors.append([pos, masks, loads, costs])
+            elif loads[m - 1] < mate[2][m - 1]:
+                mate[:] = [pos, masks, loads, costs]
+        expected = [(masks, loads, costs) for _, masks, loads, costs in sorted(survivors)]
+        assert list(kept) == [masks for masks, _, _ in expected]
+        assert [decode(masks) for masks in kept] == [(loads, costs) for _, loads, costs in expected]
+        prev = expected
 
 
 @pytest.mark.parametrize(
@@ -365,13 +396,38 @@ def test_partial_state_chain_reproduces_the_returned_schedule():
     inst = named_example("spt_vs_sptect_plus3")
     finals = []
     sched = totaltime_scheme(inst, F(1, 2), on_step=lambda j, s: finals.append(s))
-    states = finals[-1]
-    best = min(states, key=lambda s: (sum(s.costs, F(0)), s.serial))
-    assert sum(best.costs, F(0)) == sched.total_completion
+    decode = decoder(inst)
+    states = [decode(masks) for masks in finals[-1]]
+    # the first state of least cost, in creation order
+    best_loads, best_costs = min(states, key=lambda s: sum(s[1], F(0)))
+    assert sum(best_costs, F(0)) == sched.total_completion
     again = evaluate(inst, sched.assignment)
     for i, seq in enumerate(sched.assignment):
-        assert sum((inst.jobs[j] for j in seq), F(0)) == best.loads[i]
-        assert sum((again.completions[j] for j in seq), F(0)) == best.costs[i]
+        assert sum((inst.jobs[j] for j in seq), F(0)) == best_loads[i]
+        assert sum((again.completions[j] for j in seq), F(0)) == best_costs[i]
+
+
+@pytest.mark.parametrize("delta", [None, F(1, 2), F(0)], ids=str)
+def test_on_step_gets_job_sets_it_cannot_change(delta):
+    inst = random_instance(RandomSpec(n=5, m=3, m1=2, e0=F(1, 2), seed=4))
+    plain = totaltime_scheme(inst, F(1, 2), delta=delta)
+    kept = []
+
+    def keep_and_meddle(j, states):
+        assert type(states) is tuple
+        assert all(type(masks) is tuple for masks in states)
+        assert all(type(mask) is int for masks in states for mask in masks)
+        with pytest.raises(TypeError):
+            states[0] = (0,) * inst.m
+        with pytest.raises(TypeError):
+            states[-1][0] = 0
+        kept.append(states)
+
+    assert totaltime_scheme(inst, F(1, 2), delta=delta, on_step=keep_and_meddle) == plain
+    assert len(kept) == inst.n
+    again = []
+    totaltime_scheme(inst, F(1, 2), delta=delta, on_step=lambda j, s: again.append(s))
+    assert kept == again
 
 
 def test_totaltime_scheme_never_beats_the_oracle_but_tracks_spt_ect():
