@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .model import (
     instance_to_json,
     objective_value,
 )
-from .oracle import OracleLimitError, exact_optimal
+from .oracle import DEFAULT_MAX_N, OracleLimitError, exact_optimal
 
 
 class Algorithm(NamedTuple):
@@ -64,7 +65,13 @@ def _scheme_totaltime(inst: Instance, objective, epsilon, d) -> tuple:
 
 
 def _oracle(inst: Instance, objective, epsilon, d) -> tuple:
-    result = exact_optimal(inst, objective)
+    # the one reader of SCHED_ORACLE_MAX_N; the library takes only max_n
+    env = os.environ.get("SCHED_ORACLE_MAX_N")
+    try:
+        max_n = int(env) if env else DEFAULT_MAX_N
+    except ValueError:
+        raise ValueError(f"SCHED_ORACLE_MAX_N={env!r} is not an integer") from None
+    result = exact_optimal(inst, objective, max_n)
     return result.best, {"states_explored": result.states_explored}
 
 
@@ -216,7 +223,7 @@ def cmd_experiment(args) -> int:
         opt: Optional[Fraction] = None
         if args.with_oracle:
             # the first trial's oracle call refuses an oversized run before any other work
-            opt = exact_optimal(inst, objective).objective_value
+            opt = objective_value(_oracle(inst, objective, epsilon, None)[0], objective)
         for name in names:
             schedule, _ = ALGORITHMS[name].run(inst, objective, epsilon, None)
             value = objective_value(schedule, objective)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .heuristics import _check_shares
 from .model import Instance, MachineProfile, SharedInterval, _checked, _rational
 
 __all__ = [
@@ -190,11 +191,7 @@ class RandomSpec:
 
 def random_instance(spec: RandomSpec) -> Instance:
     """Deterministic pseudo-random instance for the given spec and seed."""
-    if not (1 <= spec.m1 <= spec.m):
-        raise ValueError(f"m1={spec.m1} is outside [1, {spec.m}]")
-    e0 = _rational(spec.e0, "e0")
-    if not (0 < e0 <= 1):
-        raise ValueError(f"e0={e0} is outside (0, 1]")
+    e0 = _check_shares(spec.m, spec.m1, spec.e0)
     if spec.n < 1 or spec.p_max < 1:
         raise ValueError("need at least one job and p_max >= 1")
     if not (0 <= spec.min_breakpoints <= spec.max_breakpoints):

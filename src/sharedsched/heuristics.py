@@ -133,6 +133,14 @@ def _check_shares(m: int, m1: int, e0: Fraction) -> Fraction:
     return e0
 
 
+def _check_epsilon(epsilon: Fraction) -> Fraction:
+    """epsilon as a rational; ValueError unless it lies in (0, 1)."""
+    epsilon = _rational(epsilon, "epsilon")
+    if not (0 < epsilon < 1):
+        raise ValueError(f"epsilon={epsilon} is outside (0, 1)")
+    return epsilon
+
+
 def guarantee_ratio(
     algorithm: str,
     *,
@@ -147,7 +155,8 @@ def guarantee_ratio(
     For the earliest-start rules a bound only exists when every machine keeps
     at least an e0 share (m1 = m).  SPT alone has no bound at all: its ratio
     grows without limit as the unguarded machine's share shrinks.  Refuses
-    n < 1, an m1 outside [1, m] and an e0 outside (0, 1] with ValueError.
+    n < 1, an m1 outside [1, m], an e0 outside (0, 1] and, for the schemes,
+    an epsilon outside (0, 1) with ValueError.
     """
     if n < 1:
         raise ValueError(f"n={n} must be at least 1")
@@ -168,7 +177,7 @@ def guarantee_ratio(
     if algorithm == "spt-ect":
         return Fraction(math.ceil(Fraction(m, m1))) / e0
     if algorithm in ("scheme-makespan", "scheme-totaltime"):
-        return None if epsilon is None else 1 + _rational(epsilon, "epsilon")
+        return None if epsilon is None else 1 + _check_epsilon(epsilon)
     if algorithm == "oracle":
         return Fraction(1)
     raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -8,10 +8,8 @@ tests back that with a check of every order.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .model import Instance, Objective, Schedule, _schedule_of, objective_value
 from .search import SubsetTable, best_makespan, best_placement
@@ -37,20 +35,8 @@ class OracleResult:
     states_explored: int
 
 
-def _resolved_max_n(max_n: Optional[int]) -> int:
-    if max_n is not None:
-        return max_n
-    env = os.environ.get("SCHED_ORACLE_MAX_N")
-    if not env:
-        return DEFAULT_MAX_N
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"SCHED_ORACLE_MAX_N={env!r} is not an integer") from None
-
-
 def exact_optimal(
-    inst: Instance, objective: Objective, max_n: Optional[int] = None
+    inst: Instance, objective: Objective, max_n: int = DEFAULT_MAX_N
 ) -> OracleResult:
     """Optimal value over all m^n assignments, with a deterministic minimizer.
 
@@ -61,7 +47,6 @@ def exact_optimal(
     `finish_key` calls for its m^n leaves.  The schedule and value reported
     are `evaluate`'s for the minimizer.
     """
-    max_n = _resolved_max_n(max_n)
     n, m = inst.n, inst.m
     if n > max_n or m > DEFAULT_MAX_M:
         raise OracleLimitError(

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .heuristics import OrderRule, _check_shares, job_order
+from .heuristics import OrderRule, _check_epsilon, _check_shares, job_order
 from .model import Instance, Schedule, _rational, _schedule_of
 from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N, OracleLimitError
 from .search import SubsetTable, best_makespan
@@ -23,13 +23,6 @@ __all__ = [
     "GeometricBuckets",
     "totaltime_scheme",
 ]
-
-
-def _check_epsilon(epsilon: Fraction) -> Fraction:
-    epsilon = _rational(epsilon, "epsilon")
-    if not (0 < epsilon < 1):
-        raise ValueError(f"epsilon={epsilon} is outside (0, 1)")
-    return epsilon
 
 
 def compute_d(m: int, m1: int, e0: Fraction, epsilon: Fraction, n: int) -> int:

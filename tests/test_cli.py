@@ -1,9 +1,13 @@
 """Command line behavior: reports, CSV shapes, exit codes, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -483,3 +487,34 @@ def test_unknown_algorithm_is_an_argparse_error(capsys, example_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", example_path, "--alg", "magic", "--obj", "makespan"])
     assert exc.value.code == 2
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _python_m(module, argv, stdin):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        input=stdin, capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_python_m_pipes_a_gadget_into_solve():
+    gadget = _python_m("sharedsched", ["gadget", "named", "lptect_322"], "")
+    assert gadget.returncode == 0 and gadget.stderr == ""
+    solved = _python_m(
+        "sharedsched", ["solve", "-", "--alg", "lpt-ect", "--obj", "makespan"], gadget.stdout
+    )
+    assert solved.returncode == 0 and solved.stderr == ""
+    assert json.loads(solved.stdout)["value"] == "5"
+
+
+@pytest.mark.parametrize("module", ["sharedsched", "sharedsched.cli"])
+def test_python_m_refuses_a_malformed_instance_with_one_json_error(module):
+    done = _python_m(module, ["solve", "-", "--alg", "lpt-ect", "--obj", "makespan"], '{"jobs": [')
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    # json.loads refuses anything past one object
+    assert json.loads(done.stderr)["error"] == "input"

@@ -12,6 +12,7 @@ from sharedsched import (
     PlacementRule,
     RandomSpec,
     build_capacity_table,
+    compute_d,
     finish_time,
     guarantee_ratio,
     job_order,
@@ -158,6 +159,18 @@ def test_guarantee_ratio_refuses_shapes_outside_its_domain(shape):
                       "scheme-totaltime", "oracle"):
         with pytest.raises(ValueError):
             guarantee_ratio(algorithm, epsilon=F(1, 4), **shape)
+
+
+@pytest.mark.parametrize("epsilon", [-1, 0, 1, 7, "abc"])
+def test_guarantee_ratio_refuses_an_epsilon_the_schemes_refuse(epsilon):
+    with pytest.raises(ValueError) as refused:
+        compute_d(2, 1, F(1, 2), epsilon, 5)
+    if epsilon != "abc":
+        assert str(refused.value) == f"epsilon={epsilon} is outside (0, 1)"
+    for algorithm in ("scheme-makespan", "scheme-totaltime"):
+        with pytest.raises(ValueError) as exc:
+            guarantee_ratio(algorithm, n=5, m=2, m1=1, e0=F(1, 2), epsilon=epsilon)
+        assert str(exc.value) == str(refused.value)
 
 
 def test_guarantee_ratio_at_the_edges_of_its_domain():

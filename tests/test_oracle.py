@@ -165,13 +165,16 @@ def test_oracle_size_limits():
         exact_optimal(wide, Objective.MAKESPAN)
 
 
-def test_oracle_env_override(monkeypatch):
+def test_oracle_job_limit_ignores_the_environment(monkeypatch):
+    # only the CLI reads SCHED_ORACLE_MAX_N; the library takes its limit from max_n
     big = random_instance(RandomSpec(n=11, m=2, m1=1, e0=F(1, 2), seed=0))
-    monkeypatch.setenv("SCHED_ORACLE_MAX_N", "12")
-    assert exact_optimal(big, Objective.MAKESPAN).objective_value > 0
-    monkeypatch.setenv("SCHED_ORACLE_MAX_N", "5")
-    with pytest.raises(OracleLimitError):
-        exact_optimal(big, Objective.MAKESPAN)
+    for env in ("12", "abc"):
+        monkeypatch.setenv("SCHED_ORACLE_MAX_N", env)
+        with pytest.raises(OracleLimitError):
+            exact_optimal(big, Objective.MAKESPAN)
+        assert exact_optimal(big, Objective.MAKESPAN, max_n=12).objective_value > 0
+        small = exact_optimal(named_example("lptect_322"), Objective.MAKESPAN)
+        assert small.objective_value == 4
 
 
 def test_spt_within_machine_holds_on_varied_profiles():
