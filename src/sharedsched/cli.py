@@ -5,8 +5,9 @@ against the exact optimum, CSV), experiment (seeded random trials with bound
 checks, CSV), gadget (emit instance JSON).  Exit codes: 0 success, 2 bad
 input, 3 work beyond a limit (the oracle's size limits, the makespan
 scheme's branch cap, the total-time scheme's state ceiling or bucket cap,
-or a result or generated instance with more digits than Python converts to
-a string).  `compare` leaves out the row of an algorithm that refuses on a
+a size flag of `gadget random` or `experiment` past its ceiling, or a
+result or generated instance with more digits than Python converts to a
+string).  `compare` leaves out the row of an algorithm that refuses on a
 limit and prints the rest.
 """
 
@@ -96,6 +97,24 @@ ALGORITHMS = {
 
 class OutputLimitError(Exception):
     """A result has more digits than Python converts to a string."""
+
+
+class FlagLimitError(Exception):
+    """A size flag asks for more than its ceiling."""
+
+
+# Ceilings on the flags that size `gadget random` and `experiment`, far above
+# the largest benchmark instance (n 1300, m 7, 40 breakpoints per machine).
+# Each flag is checked before anything is built, so a refused run does no work.
+CEILINGS = {"n": 10_000, "m": 64, "max_breakpoints": 1_000, "trials": 10_000}
+
+
+def _check_ceilings(args) -> None:
+    for name, ceiling in CEILINGS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > ceiling:
+            flag = "--" + name.replace("_", "-")
+            raise FlagLimitError(f"{flag}={value} exceeds its ceiling of {ceiling}")
 
 
 def _fail(kind: str, message: str) -> int:
@@ -205,6 +224,7 @@ def _random_spec(args, e0: Fraction, seed: int) -> generators.RandomSpec:
 
 
 def cmd_experiment(args) -> int:
+    _check_ceilings(args)
     e0 = _frac_from_str(args.e0, "--e0")
     epsilon = _epsilon(args)
     objective = Objective(args.obj)
@@ -277,6 +297,7 @@ def cmd_gadget(args) -> int:
             kwargs["alpha"] = _frac_from_str(args.alpha, "--alpha")
         inst = generators.named_example(args.name, **kwargs)
     else:
+        _check_ceilings(args)
         e0 = _frac_from_str(args.e0, "--e0") if args.e0 is not None else Fraction(1, 2)
         inst = generators.random_instance(_random_spec(args, e0, args.seed))
     # numbers built from parameters that parse can still pass the digit limit
@@ -290,6 +311,10 @@ def cmd_gadget(args) -> int:
     _fmt(inst.e0, "e0")
     print(instance_to_json(inst))
     return 0
+
+
+def _ceiling_help(name: str) -> str:
+    return f"at most {CEILINGS[name]:,}; more exits 3"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,18 +341,20 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(func=cmd_compare)
 
     experiment = sub.add_parser("experiment", help="seeded random trials with bound checks")
-    experiment.add_argument("--n", type=int, required=True)
-    experiment.add_argument("--m", type=int, required=True)
+    experiment.add_argument("--n", type=int, required=True, help=_ceiling_help("n"))
+    experiment.add_argument("--m", type=int, required=True, help=_ceiling_help("m"))
     experiment.add_argument("--m1", type=int, required=True)
     experiment.add_argument("--e0", required=True)
-    experiment.add_argument("--trials", type=int, required=True)
+    experiment.add_argument("--trials", type=int, required=True, help=_ceiling_help("trials"))
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--obj", default="makespan", choices=["makespan", "totaltime"])
     experiment.add_argument("--epsilon")
     experiment.add_argument("--with-oracle", action="store_true")
     experiment.add_argument("--p-max", type=int, default=10)
     experiment.add_argument("--min-breakpoints", type=int, default=0)
-    experiment.add_argument("--max-breakpoints", type=int, default=3)
+    experiment.add_argument(
+        "--max-breakpoints", type=int, default=3, help=_ceiling_help("max_breakpoints")
+    )
     experiment.set_defaults(func=cmd_experiment)
 
     gadget = sub.add_parser("gadget", help="emit an instance as JSON")
@@ -345,13 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
     named.set_defaults(func=cmd_gadget)
     rand = gsub.add_parser("random", help="seeded random instance")
     rand.add_argument("--seed", type=int, default=0)
-    rand.add_argument("--n", type=int, required=True)
-    rand.add_argument("--m", type=int, required=True)
+    rand.add_argument("--n", type=int, required=True, help=_ceiling_help("n"))
+    rand.add_argument("--m", type=int, required=True, help=_ceiling_help("m"))
     rand.add_argument("--m1", type=int)
     rand.add_argument("--e0")
     rand.add_argument("--p-max", type=int, default=10)
     rand.add_argument("--min-breakpoints", type=int, default=0)
-    rand.add_argument("--max-breakpoints", type=int, default=3)
+    rand.add_argument(
+        "--max-breakpoints", type=int, default=3, help=_ceiling_help("max_breakpoints")
+    )
     rand.set_defaults(func=cmd_gadget)
 
     return parser
@@ -365,7 +394,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         # the library raises ValueError on every input it rejects
         return _fail("input", str(exc))
-    except (OracleLimitError, OutputLimitError) as exc:
+    except (OracleLimitError, OutputLimitError, FlagLimitError) as exc:
         return _fail("limit", str(exc))
 
 

@@ -40,12 +40,12 @@ def exact_optimal(
 ) -> OracleResult:
     """Optimal value over all m^n assignments, with a deterministic minimizer.
 
-    Assignments are explored with the machine index ascending per job and the
-    jobs in index order, and only strict improvements are kept, so the
-    reported minimizer is the lexicographically smallest one.  Each job set's
-    value on each machine is computed once, so a call makes at most m*2^n
-    `finish_key` calls for its m^n leaves.  The schedule and value reported
-    are `evaluate`'s for the minimizer.
+    Both objectives run `search.best_placement`'s depth-first walk over the
+    jobs, so the reported minimizer is the lexicographically smallest machine
+    vector in job index order.  Each job set's finish key on each machine is
+    computed once, so a call makes at most m*2^n `finish_key` calls for its
+    m^n leaves.  The schedule and value reported are `evaluate`'s for the
+    minimizer.
     """
     n, m = inst.n, inst.m
     if n > max_n or m > DEFAULT_MAX_M:
@@ -57,12 +57,7 @@ def exact_optimal(
         # each machine runs its jobs in index order
         best, leaves = best_makespan(inst, subsets, range(n))
     else:
-        get = subsets.get
-
-        def value(masks: list[int]) -> int:
-            return sum([get(i, mask)[2] for i, mask in enumerate(masks)])
-
-        best_vec, leaves = best_placement(m, subsets.bits, value)
+        best_vec, leaves = best_placement(subsets, range(n), objective)
         # each machine runs its jobs shortest first
         best = _schedule_of(inst, subsets.order, [best_vec[j] for j in subsets.order])
     return OracleResult(

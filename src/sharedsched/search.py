@@ -1,12 +1,16 @@
 """Exact placement search shared by the oracle and the approximation schemes.
 
 The jobs on one machine form a set, written as a bitmask.  `SubsetTable`
-holds each set's values per machine, computed once however many placements
-contain the set; `best_placement` walks every placement of a job list over
-the machines and reads the table at each leaf.  `best_makespan` is the one
-makespan search: the oracle runs it on every job with no tail, and
-`makespan_scheme` on the longest jobs with a greedy tail.  Each caller
-checks its own size limits before it searches.
+holds each set's keys per machine, computed once however many placements
+contain the set.  `best_placement` walks every placement of a job list over
+the machines depth first, one job per level.  Each node looks up the key of
+the one machine that takes its job and carries the objective down the path:
+the makespan as a running max, exact because job lengths are nonnegative,
+and the total time as a running sum.  No leaf reads the table.
+`best_makespan` is the one makespan search: the oracle runs it on every job
+with no tail, and `makespan_scheme` on the longest jobs with a greedy tail;
+the oracle's total-time search is the same walk.  Each caller checks its
+own size limits before it searches.
 
 Every value the table holds is a whole multiple of one instance-wide
 1/scale, so it holds each value times the scale, as an integer key, on the
@@ -19,11 +23,11 @@ that order.  The schedules they report are `model.evaluate`'s.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .capacity import finish_key, scale_instance
 from .heuristics import OrderRule, ect_placement, job_order
-from .model import Instance, Schedule, _schedule_of
+from .model import Instance, Objective, Schedule, _schedule_of
 
 __all__ = ["SubsetTable", "best_placement", "best_makespan"]
 
@@ -33,9 +37,11 @@ class SubsetTable:
 
     Bit b of a mask stands for the b-th job in shortest-first order (equal
     lengths by index), so a set's highest bit is the job it runs last.  An
-    entry is made on first use from the set without that job, at one
-    `finish_key` call, so filling a machine's table costs at most 2^n of them.
-    Entries are (load, finish, cost), each times `scale`, as integers.
+    entry of `get` is made on first use from the set without that job, at
+    one `finish_key` call.  `best_placement` keeps finish keys alone, filled
+    at one `finish_key` call each from the load it carries, whichever job of
+    the set it adds last.  So filling either costs at most 2^n calls per
+    machine.  Every key is a value times `scale`, as an integer.
     `order` lists the job indices in bit order, `bits` each job's bit and
     `sizes` each job's length times `scale`, both by job index.
     """
@@ -47,6 +53,7 @@ class SubsetTable:
         for b, j in enumerate(self.order):
             self.bits[j] = 1 << b
         self._entries = [{0: (0, 0, 0)} for _ in inst.machines]
+        self._finishes = [{0: 0} for _ in inst.machines]
 
     def get(self, i: int, mask: int) -> tuple[int, int, int]:
         """(load, finish time, shortest-first completion-time sum) of set `mask` on
@@ -70,41 +77,92 @@ class SubsetTable:
 
 
 def best_placement(
-    m: int, bits: Sequence[int], value: Callable[[list[int]], int]
+    subsets: SubsetTable,
+    jobs: Sequence[int],
+    objective: Objective,
+    rest: Sequence[int] = (),
 ) -> tuple[tuple[int, ...], int]:
-    """Minimize `value` over all m^k placements of k jobs, given by their bits, on m machines.
+    """The first placement of `jobs` of least objective key, and the number of placements.
 
-    `value` receives the per-machine masks of one placement (a list the walk
-    goes on to change).  Placements run in lexicographic order of the machine
-    vector, first job most significant and machine index ascending, and only
-    strict improvements are kept, so the first minimizer in that order wins.
-    Returns the minimizer's machine vector and the number of placements.
+    One iterative depth-first walk over all m^k placements of the k jobs,
+    each job trying the machines in ascending index order.  The minimizer
+    reported is the first in lexicographic order of the machine vector, the
+    first job of `jobs` most significant.  A node looks up the finish key of
+    the one set that gains its job, from the load the walk carries, and
+    carries the aggregate down the path:
+    - the makespan walk takes the jobs in list order and keeps strict
+      improvements only.  Its aggregate is the larger of the parent's and
+      the new finish key; that is exact because no set's finish key drops
+      when a job is added, as job lengths are nonnegative.  At each leaf the
+      jobs of `rest` then go, in list order, to the machine where each
+      finishes first (`ect_placement`), from the loads the walk holds.
+    - the total-time walk takes the jobs in the table's bit order, so each
+      adds the job its set runs last, and its aggregate is the parent's
+      plus the new finish key, the job's completion time.  A tie keeps the
+      lexicographically smaller vector.
+    Returns the minimizer's machine vector, one machine per job of `jobs`,
+    and the number of leaves visited.
     """
-    k = len(bits)
+    total = objective is not Objective.MAKESPAN
+    k = len(jobs)
+    # walk[t] is the position in `jobs` of the t-th job walked, and at[p] the reverse
+    walk = sorted(range(k), key=lambda p: subsets.bits[jobs[p]]) if total else range(k)
+    at = [0] * k
+    for t, p in enumerate(walk):
+        at[p] = t
+    bits = [subsets.bits[jobs[p]] for p in walk]
+    sizes = [subsets.sizes[jobs[p]] for p in walk]
+    tail = [subsets.sizes[j] for j in rest]
+    scaled, finishes = subsets.scaled, subsets._finishes
+    m = len(scaled)
+    masks, loads = [0] * m, [0] * m
+    path = [0] * (k + 1)  # the aggregate over the first t jobs walked
     choice = [0] * k
-    masks = [0] * m
-    masks[0] = sum(bits)
-    best, best_choice, leaves = value(masks), tuple(choice), 1
+    best, best_choice, leaves = None, (), 0
     last = m - 1
+    t = i = 0
     while True:
-        # odometer step: trailing jobs on the last machine go back to machine
-        # 0, and the job before them moves one machine up
-        t = k - 1
-        while t >= 0 and choice[t] == last:
-            choice[t] = 0
-            masks[last] ^= bits[t]
-            masks[0] |= bits[t]
-            t -= 1
-        if t < 0:
-            return best_choice, leaves
-        i = choice[t]
-        choice[t] = i + 1
-        masks[i] ^= bits[t]
-        masks[i + 1] |= bits[t]
+        # down: job t onto machine i, then each later job onto machine 0
+        while t < k:
+            mask = masks[i] | bits[t]
+            load = loads[i] + sizes[t]
+            finish = finishes[i].get(mask)
+            if finish is None:
+                finish = finishes[i][mask] = finish_key(scaled[i], load)
+            value = path[t]
+            if total:
+                value += finish
+            elif finish > value:
+                value = finish
+            masks[i], loads[i] = mask, load
+            choice[t] = i
+            t += 1
+            path[t] = value
+            i = 0
         leaves += 1
-        got = value(masks)
-        if got < best:
-            best, best_choice = got, tuple(choice)
+        value = path[k]
+        if tail:
+            tail_loads = loads[:]
+            for size in tail:
+                i, finish = ect_placement(scaled, tail_loads, size)
+                tail_loads[i] += size
+                if finish > value:
+                    value = finish
+        if best is None or value < best:
+            best, best_choice = value, tuple([choice[t] for t in at])
+        elif total and value == best:
+            best_choice = min(best_choice, tuple([choice[t] for t in at]))
+        # up: take back the jobs on the last machine, then the one before them
+        while True:
+            t -= 1
+            if t < 0:
+                return best_choice, leaves
+            i = choice[t]
+            masks[i] ^= bits[t]
+            loads[i] -= sizes[t]
+            if i < last:
+                i += 1
+                break
 
 
 def best_makespan(
@@ -112,40 +170,17 @@ def best_makespan(
 ) -> tuple[Schedule, int]:
     """The placement of `jobs` whose makespan is least once `rest` follows greedily.
 
-    Every placement of `jobs` is tried, in `best_placement`'s order; the jobs
-    of `rest` then go, in list order, to the machine where each finishes
-    first (`ect_placement`).  The first placement of least makespan key wins.
-    Returns `evaluate`'s schedule, each machine running its jobs in the order
-    `jobs` then `rest` lists them, and the number of placements tried.
+    `best_placement`'s makespan walk, with `rest` as its tail.  Returns
+    `evaluate`'s schedule, each machine running its jobs in the order `jobs`
+    then `rest` lists them, and the number of placements tried.
     """
-    get, scaled = subsets.get, subsets.scaled
-    sizes = [subsets.sizes[j] for j in rest]
-
-    def finish_rest(masks: list[int], placed: list[int]) -> list[int]:
-        # per-machine finish keys after the tail; its machines go onto `placed`
-        entries = [get(i, mask) for i, mask in enumerate(masks)]
-        loads = [entry[0] for entry in entries]
-        finishes = [entry[1] for entry in entries]
-        for size in sizes:
-            i, finishes[i] = ect_placement(scaled, loads, size)
-            loads[i] += size
-            placed.append(i)
-        return finishes
-
-    if sizes:
-
-        def value(masks: list[int]) -> int:
-            return max(finish_rest(masks, []))
-
-    else:
-
-        def value(masks: list[int]) -> int:
-            return max([get(i, mask)[1] for i, mask in enumerate(masks)])
-
-    choice, placements = best_placement(inst.m, [subsets.bits[j] for j in jobs], value)
-    masks = [0] * inst.m
+    choice, placements = best_placement(subsets, jobs, Objective.MAKESPAN, rest)
+    sizes, loads = subsets.sizes, [0] * inst.m
     for j, i in zip(jobs, choice):
-        masks[i] |= subsets.bits[j]
+        loads[i] += sizes[j]
     placed = list(choice)
-    finish_rest(masks, placed)
+    for j in rest:
+        i, _ = ect_placement(subsets.scaled, loads, sizes[j])
+        loads[i] += sizes[j]
+        placed.append(i)
     return _schedule_of(inst, [*jobs, *rest], placed), placements

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from sharedsched import evaluate, instance_from_json, instance_to_json, named_example, schemes
-from sharedsched.cli import main
+from sharedsched import evaluate, generators, instance_from_json, instance_to_json, named_example, schemes
+from sharedsched.cli import CEILINGS, main
 from sharedsched.generators import RandomSpec, random_instance
 
 
@@ -518,3 +518,63 @@ def test_python_m_refuses_a_malformed_instance_with_one_json_error(module):
     assert "Traceback" not in done.stderr
     # json.loads refuses anything past one object
     assert json.loads(done.stderr)["error"] == "input"
+
+
+def test_python_m_solves_a_one_machine_scheme_twelve_hundred_jobs_deep(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(instance_to_json(random_instance(RandomSpec(n=1200, m=1, m1=1, e0=F(1), seed=0))))
+    done = _python_m(
+        "sharedsched",
+        ["solve", str(path), "--alg", "scheme-makespan", "--obj", "makespan", "--d", "1200"],
+        "",
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    report = json.loads(done.stdout)
+    assert report["value"] == "742993/120" and report["params"] == {"d": 1200}
+
+
+def _sized(command, **sizes):
+    """`gadget random` or `experiment` argv with its size flags set."""
+    if command == "gadget":
+        argv, flags = ["gadget", "random"], {"n": 3, "m": 2, "max_breakpoints": 3}
+    else:
+        argv, flags = ["experiment", "--m1", "1", "--e0", "1/2"], {"n": 3, "m": 2, "trials": 1}
+    for name, value in dict(flags, **sizes).items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, name) for command in ("gadget", "experiment") for name in CEILINGS
+     if (command, name) != ("gadget", "trials")],
+)
+def test_a_size_flag_past_its_ceiling_exits_3_before_any_work(capsys, monkeypatch, command, name):
+    def refused(*args, **kwargs):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(generators, "random_instance", refused)
+    past = CEILINGS[name] + 1
+    code, out, err = _run(capsys, _sized(command, **{name: past}))
+    assert (code, out) == (3, "")
+    flag = "--" + name.replace("_", "-")
+    assert json.loads(err) == {
+        "error": "limit",
+        "message": f"{flag}={past} exceeds its ceiling of {CEILINGS[name]}",
+    }
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        {"n": CEILINGS["n"], "m": 1},
+        {"n": 1, "m": CEILINGS["m"]},
+        {"n": 1, "m": 1, "min_breakpoints": 1000, "max_breakpoints": CEILINGS["max_breakpoints"]},
+    ],
+    ids=["n", "m", "max-breakpoints"],
+)
+def test_gadget_random_takes_each_size_flag_at_its_ceiling(capsys, sizes):
+    code, out, err = _run(capsys, _sized("gadget", **sizes))
+    assert (code, err) == (0, "")
+    inst = instance_from_json(out)
+    assert (inst.n, inst.m) == (sizes["n"], sizes["m"])

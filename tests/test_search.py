@@ -1,4 +1,4 @@
-"""The integer capacity kernel and the subset table behind the oracle and the schemes."""
+"""The integer capacity kernel, the subset table and the placement walk behind the oracle and the schemes."""
 
 import itertools
 import math
@@ -27,8 +27,11 @@ from sharedsched import (
     random_instance,
     validate_instance,
 )
+from sharedsched import oracle, search
 from sharedsched.capacity import common_scale, finish_key, scale_instance, scale_table, to_key
-from sharedsched.search import SubsetTable
+from sharedsched.heuristics import ect_placement, job_order
+from sharedsched.schemes import makespan_scheme
+from sharedsched.search import SubsetTable, best_placement
 
 from oracle_checks import reference_list_schedule
 
@@ -227,3 +230,98 @@ def test_each_table_stops_at_the_first_breakpoint_reaching_the_total_work(jobs, 
     scale, _, (scaled,) = scale_instance(inst)
     assert tuple(F(bp, scale) for bp in scaled.breakpoints) == breakpoints
     assert F(scaled.rate_num[-1], scaled.rate_den[-1]) == tail
+
+
+def _brute_force(inst, jobs, objective, rest):
+    """`best_placement` by brute force: every machine vector in lexicographic
+    order, each valued from its own sets' `get` entries, the first least kept."""
+    table = SubsetTable(inst)
+    best, count = None, 0
+    for vector in itertools.product(range(inst.m), repeat=len(jobs)):
+        masks = [0] * inst.m
+        for j, i in zip(jobs, vector):
+            masks[i] |= table.bits[j]
+        entries = [table.get(i, mask) for i, mask in enumerate(masks)]
+        if objective is Objective.MAKESPAN:
+            loads = [load for load, _, _ in entries]
+            value = max(finish for _, finish, _ in entries)
+            for j in rest:
+                i, finish = ect_placement(table.scaled, loads, table.sizes[j])
+                loads[i] += table.sizes[j]
+                value = max(value, finish)
+        else:
+            value = sum(cost for _, _, cost in entries)
+        count += 1
+        if best is None or value < best[0]:
+            best = (value, vector)
+    return best[1], count
+
+
+@pytest.mark.parametrize("identical", [False, True], ids=["random", "identical"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_walk_keeps_the_first_minimizer_of_every_placement(m, identical):
+    # lengths in {1/2, 1, ..., 3} on identical machines leave many ties
+    inst = random_instance(RandomSpec(n=8, m=m, m1=m, e0=F(1, 2), p_max=3, max_breakpoints=4, seed=m))
+    if identical:
+        inst = Instance(machines=(inst.machines[0],) * m, jobs=inst.jobs, m1=m, e0=inst.e0)
+    rng = random.Random(m)
+    for k in range(7):
+        # the jobs walked, and the tail, in shuffled list orders
+        jobs = rng.sample(range(inst.n), k)
+        rest = rng.sample([j for j in range(inst.n) if j not in jobs], inst.n - k)
+        for objective, tail in (
+            (Objective.MAKESPAN, []),
+            (Objective.MAKESPAN, rest),
+            (Objective.TOTAL_COMPLETION, []),
+        ):
+            got = best_placement(SubsetTable(inst), jobs, objective, tail)
+            assert got == _brute_force(inst, jobs, objective, tail), (k, objective, tail)
+            assert got[1] == m**k
+
+
+@pytest.fixture()
+def tables(monkeypatch):
+    """The subset tables the oracle builds, and the walk's `finish_key` calls."""
+    made, calls = [], [0]
+
+    class Recorded(SubsetTable):
+        def __init__(self, inst):
+            super().__init__(inst)
+            made.append(self)
+
+    def counted(table, work):
+        calls[0] += 1
+        return finish_key(table, work)
+
+    monkeypatch.setattr(oracle, "SubsetTable", Recorded)
+    monkeypatch.setattr(search, "finish_key", counted)
+    return made, calls
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_an_exhaustive_oracle_call_fills_each_set_once(tables, m, objective):
+    made, calls = tables
+    n = 6
+    inst = random_instance(RandomSpec(n=n, m=m, m1=m, e0=F(1, 2), max_breakpoints=4, seed=m))
+    assert exact_optimal(inst, objective).states_explored == m**n
+    (table,) = made
+    # every set shows on every machine at m >= 2; one machine takes one set of each size
+    filled = 2**n if m > 1 else n + 1
+    assert [len(finishes) for finishes in table._finishes] == [filled] * m
+    assert calls[0] == m * (filled - 1)
+
+
+def test_one_machine_walks_twelve_hundred_jobs_deep(tables):
+    made, calls = tables
+    inst = random_instance(RandomSpec(n=1200, m=1, m1=1, e0=F(1), seed=0))
+    # one placement: the longest jobs first, all on the one machine
+    schedule = makespan_scheme(inst, 1200)
+    assert schedule.makespan == F(742993, 120)
+    assert schedule.assignment == (tuple(job_order(inst.jobs, OrderRule.LPT)),)
+    for objective, value in ((Objective.MAKESPAN, F(742993, 120)), (Objective.TOTAL_COMPLETION, F(351343519, 140))):
+        calls[0] = 0
+        result = exact_optimal(inst, objective, max_n=1200)
+        assert (result.objective_value, result.states_explored) == (value, 1)
+        # each job adds one set, so a walk that keeps every prefix stays linear
+        assert calls[0] == 1200
