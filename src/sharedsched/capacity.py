@@ -8,7 +8,7 @@ linear interpolation.
 The same queries also run on integers, over one instance-wide scale.
 `scale_instance` is the one place that builds an instance's integer view
 (the scale, the job lengths as keys, the scaled tables); the list heuristics
-and `search.SubsetTable` decide on it, while `finish_time` stays the exact
+and the searches decide on it, while `finish_time` stays the exact
 reference with which `model.evaluate` builds every reported schedule.
 """
 
@@ -106,7 +106,7 @@ def work_at(table: CapacityTable, t) -> Fraction:
 
 # The integer kernel.  Over a common scale S, every job length, breakpoint,
 # cumulative work and finish time of an instance is a whole number of 1/S
-# units, so the heuristics and the subset search decide on integers; the
+# units, so the heuristics and the searches decide on integers; the
 # Fraction kernel above stays the reference and builds reported schedules.
 
 
@@ -196,7 +196,7 @@ def scale_instance(inst: "Instance") -> tuple[int, list[int], list[ScaledTable]]
     """An instance's common scale, its job lengths times the scale (by job
     index) and its machines' scaled tables.
 
-    The one integer set-up behind the list heuristics and the subset search,
+    The one integer set-up behind the list heuristics and the searches,
     and the one place that refuses an instance with no machines.  No load
     passes the total job work, so each table is built only up to it and
     segments no load reaches add nothing to the scale.

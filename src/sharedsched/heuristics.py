@@ -48,8 +48,10 @@ def job_order(jobs: Sequence[Fraction | int], rule: OrderRule) -> list[int]:
     """Job indices in list order; equal processing times keep index order.
 
     The lengths may be `Fraction`s or their integer keys over one scale
-    (`capacity.scale_instance`), which sort the same and faster.
+    (`capacity.scale_instance`), which sort the same and faster.  `rule` may
+    be an `OrderRule` or its value, such as "lpt".
     """
+    rule = OrderRule(rule)
     order = list(range(len(jobs)))
     # the sort is stable, also in reverse, so equal lengths stay in index order
     if rule is OrderRule.LPT:
@@ -78,8 +80,10 @@ def list_schedule(inst: Instance, order: OrderRule, placement: PlacementRule) ->
     """Greedy schedule for the given order and placement rule.
 
     Placements are decided on exact integer keys over a common scale; the
-    schedule returned is `evaluate`'s.
+    schedule returned is `evaluate`'s.  Each rule may be given as its enum
+    member or its value, such as "earliest-completion".
     """
+    order, placement = OrderRule(order), PlacementRule(placement)
     _, sizes, scaled = scale_instance(inst)
     m = inst.m
     loads = [0] * m

@@ -181,7 +181,8 @@ def _schedule_of(inst: Instance, jobs: Iterable[int], machines: Iterable[int]) -
 
 
 def objective_value(schedule: Schedule, objective: Objective) -> Fraction:
-    if objective is Objective.MAKESPAN:
+    """The schedule's value under an `Objective` or its value, such as "makespan"."""
+    if Objective(objective) is Objective.MAKESPAN:
         return schedule.makespan
     return schedule.total_completion
 

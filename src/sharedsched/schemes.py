@@ -1,9 +1,11 @@
 """Approximation schemes: trade running time for a (1 + epsilon) guarantee.
 
 For makespan: place the d largest jobs in every possible way, finish each
-branch greedily, keep the best branch.  For the completion-time sum: sweep
-jobs shortest-first through a state space of per-machine (load, cost) pairs,
-merging states that agree bucket-by-bucket on a geometric grid.
+branch greedily, keep the best branch; the search is `search.best_placement`,
+the oracle's own.  For the completion-time sum: sweep jobs shortest-first
+through a state space of per-machine job sets, merging states whose
+(load, cost) pairs agree bucket-by-bucket on a geometric grid.  Both run on
+`capacity.scale_instance`'s integer keys.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .capacity import finish_key, scale_instance
 from .heuristics import OrderRule, _check_epsilon, _check_shares, job_order
-from .model import Instance, Schedule, _rational, _schedule_of
+from .model import Instance, Objective, Schedule, _rational, _schedule_of
 from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N, OracleLimitError
-from .search import SubsetTable, best_makespan
+from .search import best_placement
 
 __all__ = [
     "compute_d",
@@ -53,18 +56,22 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
     Tries all m^d placements of the d longest jobs; the rest follow longest
     first onto whichever machine completes them earliest.  Ties keep the
     lexicographically smallest placement vector, so the result is
-    deterministic.  Refuses with OracleLimitError, before any work, when m^d
-    exceeds the oracle's own ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.
-    The search is `search.best_makespan`, the oracle's own.
+    deterministic.  Refuses, before any work, a d that is not an integer in
+    [0, n] with ValueError, and with OracleLimitError an m^d beyond the
+    oracle's own ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.  Each
+    machine runs its jobs longest first.
     """
     n, m = inst.n, inst.m
+    if not isinstance(d, int):
+        raise ValueError(f"d={d!r} is not an integer")
     if not (0 <= d <= n):
         raise ValueError(f"d={d} is outside [0, {n}]")
     if m**d > _LIMIT:
         raise OracleLimitError(f"{m}^{d} placements exceed the limit of {_LIMIT}")
-    subsets = SubsetTable(inst)
-    by_length = job_order(subsets.sizes, OrderRule.LPT)
-    return best_makespan(inst, subsets, by_length[:d], by_length[d:])[0]
+    _, sizes, scaled = scale_instance(inst)
+    by_length = job_order(sizes, OrderRule.LPT)
+    placed, _ = best_placement(sizes, scaled, by_length[:d], Objective.MAKESPAN, by_length[d:])
+    return _schedule_of(inst, by_length, placed)
 
 
 # The exact powers of q behind a bucket index x have about |x| times the
@@ -176,8 +183,11 @@ def totaltime_scheme(
         if delta < 0:
             raise ValueError("delta must be nonnegative")
 
-    subsets = SubsetTable(inst)
-    get = subsets.get
+    scale, sizes, scaled = scale_instance(inst)
+    order = job_order(sizes, OrderRule.SPT)
+    # each machine's (load, shortest-first completion-time sum) keys of every
+    # job set a state holds, bit b standing for job order[b]
+    sets: list[dict[int, tuple[int, int]]] = [{0: (0, 0)} for _ in range(m)]
     last = m - 1
     # a state is its per-machine job sets; states stay in creation order
     states: tuple[tuple[int, ...], ...] = ((0,) * m,)
@@ -187,27 +197,29 @@ def totaltime_scheme(
 
         def bucket(key: int) -> Optional[int]:
             if key not in index_of:
-                index_of[key] = buckets.index(Fraction(key, subsets.scale))
+                index_of[key] = buckets.index(Fraction(key, scale))
             return index_of[key]
 
-        pairs: list[dict[int, tuple]] = [{} for _ in range(m)]
+        # the bucket indices of each set's (load, cost), per machine as in `sets`
+        empty = (bucket(0), bucket(0))
+        pairs = [{0: empty} for _ in range(m)]
+        signatures = [(empty,) * m]
 
-        def pair(i: int, mask: int) -> tuple:
-            # bucket indices of a set's (load, cost) on machine i
-            got = pairs[i].get(mask)
-            if got is None:
-                load, _, cost = get(i, mask)
-                got = pairs[i][mask] = (bucket(load), bucket(cost))
-            return got
-
-        signatures = [tuple(pair(i, 0) for i in range(m))]
-
-    for j in subsets.order:
+    for b, j in enumerate(order):
         if len(states) * m > _LIMIT:
             raise OracleLimitError(
                 f"extending {len(states)} states onto {m} machines exceeds the limit of {_LIMIT}"
             )
-        bit = subsets.bits[j]
+        bit, size = 1 << b, sizes[j]
+        # each set the job makes, filled from its parent, which a state holds
+        for i, made in enumerate(sets):
+            for mask in {s[i] for s in states}:
+                load, cost = made[mask]
+                load += size
+                cost += finish_key(scaled[i], load)
+                made[mask | bit] = (load, cost)
+                if buckets is not None:
+                    pairs[i][mask | bit] = (bucket(load), bucket(cost))
         # every state extended onto every machine, in creation order
         extended = [s[:i] + (s[i] | bit,) + s[i + 1 :] for s in states for i in range(m)]
         if buckets is None:
@@ -218,9 +230,9 @@ def totaltime_scheme(
             for pos, masks in enumerate(extended):
                 idx, i = divmod(pos, m)
                 sig = signatures[idx]
-                sig = sig[:i] + (pair(i, masks[i]),) + sig[i + 1 :]
+                sig = sig[:i] + (pairs[i][masks[i]],) + sig[i + 1 :]
                 extended_sigs.append(sig)
-                last_load = get(last, masks[last])[0]
+                last_load = sets[last][masks[last]][0]
                 prev = kept.get(sig)
                 # survivor keeps the smaller load on the last machine
                 if prev is None or last_load < prev[1]:
@@ -232,7 +244,7 @@ def totaltime_scheme(
             on_step(j, states)
 
     # the first state of least cost is the oldest one
-    best = min(states, key=lambda masks: sum([get(i, mask)[2] for i, mask in enumerate(masks)]))
+    best = min(states, key=lambda masks: sum([sets[i][mask][1] for i, mask in enumerate(masks)]))
     # job order[b] runs on the machine whose set holds bit b
     machines = [next(i for i in range(m) if best[i] >> b & 1) for b in range(n)]
-    return _schedule_of(inst, subsets.order, machines)
+    return _schedule_of(inst, order, machines)

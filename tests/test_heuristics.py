@@ -46,6 +46,27 @@ def test_job_order_rules_and_index_tie_breaks():
     assert job_order(jobs, OrderRule.SPT) == [0, 1, 2, 3, 7, 8, 4, 5, 6]
 
 
+def test_job_order_takes_a_rule_by_its_value():
+    jobs = (F(2), F(3), F(2), F(1))
+    for rule in OrderRule:
+        assert job_order(jobs, rule.value) == job_order(jobs, rule)
+    with pytest.raises(ValueError):
+        job_order(jobs, "longest")
+
+
+def test_list_schedule_takes_its_rules_by_their_values():
+    inst = random_instance(RandomSpec(n=6, m=3, m1=3, e0=F(1, 2), seed=4))
+    for order in OrderRule:
+        for placement in PlacementRule:
+            assert list_schedule(inst, order.value, placement.value) == list_schedule(
+                inst, order, placement
+            )
+    assert list_schedule(inst, "lpt", "earliest-completion") == lpt_ect(inst)
+    for order, placement in (("longest", "earliest-start"), ("lpt", "earliest")):
+        with pytest.raises(ValueError):
+            list_schedule(inst, order, placement)
+
+
 def test_ls_splits_across_a_nearly_unavailable_machine():
     inst = named_example("ls_bad", e0=F(1, 2), x=F(1, 100))
     sched = ls(inst)

@@ -182,6 +182,11 @@ def test_objective_value_picks_the_right_field():
     sched = evaluate(inst, [[0, 1]])
     assert objective_value(sched, Objective.MAKESPAN) == F(3)
     assert objective_value(sched, Objective.TOTAL_COMPLETION) == F(4)
+    # an objective's value names it as well as the member does
+    assert objective_value(sched, "makespan") == F(3)
+    assert objective_value(sched, "totaltime") == F(4)
+    with pytest.raises(ValueError):
+        objective_value(sched, "sum")
 
 
 def test_json_round_trip_is_bit_exact():

@@ -97,7 +97,7 @@ def test_oracle_matches_naive_enumeration_on_random_instances():
 
 
 def test_oracle_makes_at_most_m_times_2_to_the_n_kernel_calls(monkeypatch):
-    # the oracle fills its subset table with the integer kernel
+    # the oracle's walk fills each job set's finish key with the integer kernel
     calls = []
 
     def counted(table, work):
@@ -163,6 +163,14 @@ def test_oracle_size_limits():
     wide = random_instance(RandomSpec(n=2, m=5, m1=1, e0=F(1, 2), seed=0))
     with pytest.raises(OracleLimitError):
         exact_optimal(wide, Objective.MAKESPAN)
+
+
+def test_oracle_takes_an_objective_by_its_value():
+    inst = random_instance(RandomSpec(n=6, m=3, m1=3, e0=F(1, 2), seed=4))
+    for objective in Objective:
+        assert exact_optimal(inst, objective.value) == exact_optimal(inst, objective)
+    with pytest.raises(ValueError):
+        exact_optimal(inst, "sum")
 
 
 def test_oracle_job_limit_ignores_the_environment(monkeypatch):

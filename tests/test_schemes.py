@@ -184,6 +184,10 @@ def test_makespan_scheme_rejects_bad_depth():
         makespan_scheme(inst, -1)
     with pytest.raises(ValueError):
         makespan_scheme(inst, inst.n + 1)
+    # a depth that is not an integer is refused as input, not as a TypeError
+    for d in (2.5, "2", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            makespan_scheme(inst, d)
 
 
 def test_makespan_scheme_meets_its_guarantee():

@@ -1,4 +1,4 @@
-"""The integer capacity kernel, the subset table and the placement walk behind the oracle and the schemes."""
+"""The integer capacity kernel and the placement walk behind the oracle and the schemes."""
 
 import itertools
 import math
@@ -27,11 +27,11 @@ from sharedsched import (
     random_instance,
     validate_instance,
 )
-from sharedsched import oracle, search
+from sharedsched import schemes, search
 from sharedsched.capacity import common_scale, finish_key, scale_instance, scale_table, to_key
 from sharedsched.heuristics import ect_placement, job_order
-from sharedsched.schemes import makespan_scheme
-from sharedsched.search import SubsetTable, best_placement
+from sharedsched.schemes import makespan_scheme, totaltime_scheme
+from sharedsched.search import best_placement
 
 from oracle_checks import reference_list_schedule
 
@@ -58,27 +58,22 @@ def _instances():
 
 @pytest.mark.parametrize("inst", list(_instances()))
 def test_every_entry_key_is_its_value_times_the_scale(inst):
-    table = SubsetTable(inst)
+    # every job set's load and finish time on every machine, as the searches key them
+    scale, sizes, scaled = scale_instance(inst)
     for i, machine in enumerate(inst.machines):
         capacity = build_capacity_table(machine)
         for mask in range(1 << inst.n):
-            # the set's jobs shortest first, and the work done as each completes
-            lengths = sorted(inst.jobs[j] for j in range(inst.n) if mask & table.bits[j])
-            prefixes = list(itertools.accumulate(lengths, initial=F(0)))
-            load = prefixes[-1]
-            cost = sum((finish_time(capacity, w) for w in prefixes[1:]), F(0))
-            assert table.get(i, mask) == (
-                load * table.scale,
-                finish_time(capacity, load) * table.scale,
-                cost * table.scale,
-            )
+            load = sum((inst.jobs[j] for j in range(inst.n) if mask >> j & 1), F(0))
+            key = sum(sizes[j] for j in range(inst.n) if mask >> j & 1)
+            assert key == load * scale
+            assert finish_key(scaled[i], key) == finish_time(capacity, load) * scale
 
 
 def test_a_value_off_the_scale_raises_instead_of_rounding():
-    table = SubsetTable(named_example("lsect_tight"))
-    assert to_key(F(7, table.scale), table.scale) == 7
+    scale, _, _ = scale_instance(named_example("lsect_tight"))
+    assert to_key(F(7, scale), scale) == 7
     with pytest.raises(ArithmeticError):
-        to_key(F(1, 2 * table.scale), table.scale)
+        to_key(F(1, 2 * scale), scale)
 
 
 def _primes_from(low: int, count: int) -> list[int]:
@@ -234,26 +229,33 @@ def test_each_table_stops_at_the_first_breakpoint_reaching_the_total_work(jobs, 
 
 def _brute_force(inst, jobs, objective, rest):
     """`best_placement` by brute force: every machine vector in lexicographic
-    order, each valued from its own sets' `get` entries, the first least kept."""
-    table = SubsetTable(inst)
+    order, each valued from its own sets' lengths with `finish_key`, the
+    first least kept, and the machines the tail then takes."""
+    _, sizes, scaled = scale_instance(inst)
     best, count = None, 0
     for vector in itertools.product(range(inst.m), repeat=len(jobs)):
-        masks = [0] * inst.m
+        lengths = [[] for _ in range(inst.m)]
         for j, i in zip(jobs, vector):
-            masks[i] |= table.bits[j]
-        entries = [table.get(i, mask) for i, mask in enumerate(masks)]
+            lengths[i].append(sizes[j])
+        loads = [sum(own) for own in lengths]
+        placed = list(vector)
         if objective is Objective.MAKESPAN:
-            loads = [load for load, _, _ in entries]
-            value = max(finish for _, finish, _ in entries)
+            value = max(finish_key(table, load) for table, load in zip(scaled, loads))
             for j in rest:
-                i, finish = ect_placement(table.scaled, loads, table.sizes[j])
-                loads[i] += table.sizes[j]
+                i, finish = ect_placement(scaled, loads, sizes[j])
+                loads[i] += sizes[j]
+                placed.append(i)
                 value = max(value, finish)
         else:
-            value = sum(cost for _, _, cost in entries)
+            # each set runs its jobs shortest first
+            value = sum(
+                finish_key(table, work)
+                for table, own in zip(scaled, lengths)
+                for work in itertools.accumulate(sorted(own))
+            )
         count += 1
         if best is None or value < best[0]:
-            best = (value, vector)
+            best = (value, placed)
     return best[1], count
 
 
@@ -264,6 +266,7 @@ def test_the_walk_keeps_the_first_minimizer_of_every_placement(m, identical):
     inst = random_instance(RandomSpec(n=8, m=m, m1=m, e0=F(1, 2), p_max=3, max_breakpoints=4, seed=m))
     if identical:
         inst = Instance(machines=(inst.machines[0],) * m, jobs=inst.jobs, m1=m, e0=inst.e0)
+    _, sizes, scaled = scale_instance(inst)
     rng = random.Random(m)
     for k in range(7):
         # the jobs walked, and the tail, in shuffled list orders
@@ -274,46 +277,45 @@ def test_the_walk_keeps_the_first_minimizer_of_every_placement(m, identical):
             (Objective.MAKESPAN, rest),
             (Objective.TOTAL_COMPLETION, []),
         ):
-            got = best_placement(SubsetTable(inst), jobs, objective, tail)
+            got = best_placement(sizes, scaled, jobs, objective, tail)
             assert got == _brute_force(inst, jobs, objective, tail), (k, objective, tail)
             assert got[1] == m**k
 
 
 @pytest.fixture()
-def tables(monkeypatch):
-    """The subset tables the oracle builds, and the walk's `finish_key` calls."""
-    made, calls = [], [0]
-
-    class Recorded(SubsetTable):
-        def __init__(self, inst):
-            super().__init__(inst)
-            made.append(self)
+def calls(monkeypatch):
+    """The `finish_key` calls of the placement walk and of the total-time sweep."""
+    count = [0]
 
     def counted(table, work):
-        calls[0] += 1
+        count[0] += 1
         return finish_key(table, work)
 
-    monkeypatch.setattr(oracle, "SubsetTable", Recorded)
     monkeypatch.setattr(search, "finish_key", counted)
-    return made, calls
+    monkeypatch.setattr(schemes, "finish_key", counted)
+    return count
 
 
 @pytest.mark.parametrize("objective", list(Objective))
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_an_exhaustive_oracle_call_fills_each_set_once(tables, m, objective):
-    made, calls = tables
+def test_an_exhaustive_oracle_call_fills_each_set_once(calls, m, objective):
     n = 6
     inst = random_instance(RandomSpec(n=n, m=m, m1=m, e0=F(1, 2), max_breakpoints=4, seed=m))
     assert exact_optimal(inst, objective).states_explored == m**n
-    (table,) = made
-    # every set shows on every machine at m >= 2; one machine takes one set of each size
-    filled = 2**n if m > 1 else n + 1
-    assert [len(finishes) for finishes in table._finishes] == [filled] * m
-    assert calls[0] == m * (filled - 1)
+    # every nonempty set shows on every machine at m >= 2; one machine takes one set of each size
+    assert calls[0] == m * (2**n - 1 if m > 1 else n)
 
 
-def test_one_machine_walks_twelve_hundred_jobs_deep(tables):
-    made, calls = tables
+@pytest.mark.parametrize("m, filled", [(2, 126), (3, 189)])
+def test_an_exact_sweep_fills_each_set_once(calls, m, filled):
+    n = 6
+    inst = random_instance(RandomSpec(n=n, m=m, m1=m - 1, e0=F(1, 2), max_breakpoints=4, seed=m))
+    totaltime_scheme(inst, F(1, 2), delta=F(0))
+    # with no merging every nonempty set shows on every machine
+    assert calls[0] == filled == m * (2**n - 1)
+
+
+def test_one_machine_walks_twelve_hundred_jobs_deep(calls):
     inst = random_instance(RandomSpec(n=1200, m=1, m1=1, e0=F(1), seed=0))
     # one placement: the longest jobs first, all on the one machine
     schedule = makespan_scheme(inst, 1200)
