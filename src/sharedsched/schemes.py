@@ -11,8 +11,10 @@ through a state space of per-machine job sets, merging states whose
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import compress
+from typing import Optional
 
 from .capacity import finish_key, scale_instance
 from .heuristics import OrderRule, _check_epsilon, _check_shares, job_order
@@ -118,11 +120,12 @@ class GeometricBuckets:
 
     def index(self, value: Fraction) -> Optional[int]:
         """Bucket index of a nonnegative value; None is the zero bucket."""
-        if value == 0:
-            return None
-        if value < 0:
-            raise ValueError("bucketed values must be nonnegative")
+        # the sign is the numerator's, so no Fraction comparison is needed
         num, den = value.numerator, value.denominator
+        if num == 0:
+            return None
+        if num < 0:
+            raise ValueError("bucketed values must be nonnegative")
         log_num, log_den = math.log(num), math.log(den)
         log_value = log_num - log_den
         # |log_value / log_q| * bits >= MAX_BUCKET_BITS, multiplied out so
@@ -160,12 +163,15 @@ def totaltime_scheme(
     share (m1 >= m - 1).  Jobs are processed shortest-first; after each job,
     states with identical bucket signatures are merged, keeping the one with
     the smaller load on the last machine (ties keep the older state).  Pass
-    delta=0 to disable merging, which makes the sweep exact.  States are kept
-    as per-machine job sets and compared on integer keys; the schedule
-    returned is `evaluate`'s.  `on_step`, if given, is called with
-    (job_index, kept_states) after each job: a tuple, in creation order, of
-    each survivor's per-machine job sets, where bit b stands for the b-th
-    job of `job_order(inst.jobs, OrderRule.SPT)`.
+    delta=0 to disable merging, which makes the sweep exact.  A state is one
+    integer: bits i*n ... i*n+n-1 hold machine i's job set, bit i*n+b
+    standing for the b-th job of `job_order(inst.jobs, OrderRule.SPT)`.
+    States are compared on integer keys, and the schedule returned is
+    `evaluate`'s.  A state can merge only when the set the job joined shares
+    its (load, cost) buckets with another set on that machine, so only such
+    states get a signature.  `on_step`, if given, is called with
+    (job_index, kept_states) after each job: the survivors as the sweep
+    holds them, a tuple of those integers in creation order.
     Refuses with OracleLimitError before a job whose states times m would
     exceed the oracle's ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.
     """
@@ -185,12 +191,14 @@ def totaltime_scheme(
 
     scale, sizes, scaled = scale_instance(inst)
     order = job_order(sizes, OrderRule.SPT)
+    # a state is one integer: machine i's job set takes bits i*n ... i*n+n-1,
+    # bit i*n+b standing for job order[b]; states stay in creation order
+    full = (1 << n) - 1
+    shifts = [i * n for i in range(m)]
+    states: tuple[int, ...] = (0,)
     # each machine's (load, shortest-first completion-time sum) keys of every
-    # job set a state holds, bit b standing for job order[b]
+    # job set a state holds
     sets: list[dict[int, tuple[int, int]]] = [{0: (0, 0)} for _ in range(m)]
-    last = m - 1
-    # a state is its per-machine job sets; states stay in creation order
-    states: tuple[tuple[int, ...], ...] = ((0,) * m,)
     buckets = GeometricBuckets(delta) if delta > 0 else None
     if buckets is not None:
         index_of: dict[int, Optional[int]] = {}  # bucket index by key
@@ -201,9 +209,7 @@ def totaltime_scheme(
             return index_of[key]
 
         # the bucket indices of each set's (load, cost), per machine as in `sets`
-        empty = (bucket(0), bucket(0))
-        pairs = [{0: empty} for _ in range(m)]
-        signatures = [(empty,) * m]
+        pairs = [{0: (bucket(0), bucket(0))} for _ in range(m)]
 
     for b, j in enumerate(order):
         if len(states) * m > _LIMIT:
@@ -211,40 +217,64 @@ def totaltime_scheme(
                 f"extending {len(states)} states onto {m} machines exceeds the limit of {_LIMIT}"
             )
         bit, size = 1 << b, sizes[j]
-        # each set the job makes, filled from its parent, which a state holds
+        # per machine, the parents whose new set shares its (load, cost)
+        # buckets with a parent or another new set there
+        marked = []
         for i, made in enumerate(sets):
-            for mask in {s[i] for s in states}:
+            shift = shifts[i]
+            parents = {s >> shift & full for s in states}
+            # each set the job makes, filled from its parent
+            for mask in parents:
                 load, cost = made[mask]
                 load += size
                 cost += finish_key(scaled[i], load)
                 made[mask | bit] = (load, cost)
                 if buckets is not None:
                     pairs[i][mask | bit] = (bucket(load), bucket(cost))
+            if buckets is not None:
+                own = pairs[i]
+                made_pairs = [own[mask | bit] for mask in parents]
+                counts = Counter([own[mask] for mask in parents] + made_pairs)
+                sharing = {mask for mask, pair in zip(parents, made_pairs) if counts[pair] > 1}
+                if sharing:
+                    marked.append((i, sharing))
         # every state extended onto every machine, in creation order
-        extended = [s[:i] + (s[i] | bit,) + s[i + 1 :] for s in states for i in range(m)]
-        if buckets is None:
-            chosen: Sequence[int] = range(len(extended))
+        extended = [s | bit << shift for s in states for shift in shifts]
+        if not marked:
+            states = tuple(extended)
         else:
+            # Only a state whose new set is marked can merge: the states kept
+            # after the last job have distinct signatures, so two extended
+            # states of one signature that got the job on one machine hold two
+            # new sets of equal buckets there, and two that got it on machines
+            # i and k hold, on i, a new set and a parent of equal buckets.
+            mergeable = sorted(
+                idx * m + i
+                for i, sharing in marked
+                for idx, s in enumerate(states)
+                if s >> shifts[i] & full in sharing
+            )
+            keep = [True] * len(extended)
             kept: dict[tuple, tuple[int, int]] = {}
-            extended_sigs = []
-            for pos, masks in enumerate(extended):
-                idx, i = divmod(pos, m)
-                sig = signatures[idx]
-                sig = sig[:i] + (pairs[i][masks[i]],) + sig[i + 1 :]
-                extended_sigs.append(sig)
-                last_load = sets[last][masks[last]][0]
+            for pos in mergeable:
+                s = extended[pos]
+                keep[pos] = False
+                sig = tuple([held[s >> shift & full] for held, shift in zip(pairs, shifts)])
+                last_load = sets[-1][s >> shifts[-1]][0]
                 prev = kept.get(sig)
                 # survivor keeps the smaller load on the last machine
                 if prev is None or last_load < prev[1]:
                     kept[sig] = (pos, last_load)
-            chosen = sorted(pos for pos, _ in kept.values())
-            signatures = [extended_sigs[pos] for pos in chosen]
-        states = tuple([extended[pos] for pos in chosen])
+            for pos, _ in kept.values():
+                keep[pos] = True
+            states = tuple(compress(extended, keep))
         if on_step is not None:
             on_step(j, states)
 
-    # the first state of least cost is the oldest one
-    best = min(states, key=lambda masks: sum([sets[i][mask][1] for i, mask in enumerate(masks)]))
+    # each state's cost summed over the machines; the first least is the oldest state
+    costs = [[made[s >> shift & full][1] for s in states] for made, shift in zip(sets, shifts)]
+    totals = list(map(sum, zip(*costs)))
+    best = states[totals.index(min(totals))]
     # job order[b] runs on the machine whose set holds bit b
-    machines = [next(i for i in range(m) if best[i] >> b & 1) for b in range(n)]
+    machines = [next(i for i in range(m) if best >> shifts[i] + b & 1) for b in range(n)]
     return _schedule_of(inst, order, machines)

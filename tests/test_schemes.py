@@ -1,5 +1,6 @@
 """Accuracy-parameterized schemes and the geometric bucket machinery."""
 
+import collections
 import itertools
 import random
 import time
@@ -42,6 +43,12 @@ def similar(s1, s2, delta):
     return all(index(a) == index(b) for a, b in zip(loads1 + costs1, loads2 + costs2))
 
 
+def unpack(state, inst):
+    """A sweep state's per-machine job sets: machine i's set is bits i*n ... i*n+n-1."""
+    full = (1 << inst.n) - 1
+    return tuple(state >> i * inst.n & full for i in range(inst.m))
+
+
 def decoder(inst):
     """Per-machine (loads, costs) of a sweep state's job sets, on the Fraction reference.
 
@@ -51,9 +58,9 @@ def decoder(inst):
     tables = [build_capacity_table(mp) for mp in inst.machines]
     order = job_order(inst.jobs, OrderRule.SPT)
 
-    def decode(masks):
+    def decode(state):
         loads, costs = [], []
-        for table, mask in zip(tables, masks):
+        for table, mask in zip(tables, unpack(state, inst)):
             load = cost = F(0)
             for b, j in enumerate(order):
                 if mask >> b & 1:
@@ -322,7 +329,7 @@ def test_totaltime_scheme_never_keeps_two_similar_states():
         unpruned_total = sum(inst.m ** (i + 1) for i in range(inst.n))
         assert kept_total < unpruned_total
         for states in steps:
-            kept = [decode(masks) for masks in states]
+            kept = [decode(state) for state in states]
             for a in range(len(kept)):
                 for b in range(a + 1, len(kept)):
                     assert not similar(kept[a], kept[b], delta)
@@ -341,34 +348,73 @@ def test_totaltime_scheme_survivor_rule_per_step():
         _check_survivors(inst, F(1, 2))
 
 
+def test_totaltime_scheme_survivor_rule_at_the_default_delta():
+    # three machines at delta = epsilon*e0/(6n): most steps share no bucket
+    # pair on any machine; some merge two states that got the job on two
+    # machines (on each, one holds the set the job made and the other a
+    # parent set of equal buckets), some merge two that got it on one machine,
+    # and some merge two tied on the last machine's load
+    kinds = collections.Counter()
+    for seed in range(12):
+        m1 = 2 + seed % 2
+        e0 = (F(1, 4), F(1, 2), F(1))[seed % 3]
+        inst = random_instance(RandomSpec(n=5 + seed % 3, m=3, m1=m1, e0=e0, seed=seed))
+        kinds += _check_survivors(inst, None)
+    assert kinds["no shared pair"] > 0
+    assert kinds["merged, the job on two machines"] > 0
+    assert kinds["merged, the job on one machine"] > 0
+    assert kinds["tied on the last load"] > 0
+
+
 def _check_survivors(inst, delta):
+    """Replay `totaltime_scheme(inst, 1/2, delta)` step by step on the Fraction
+    reference, check its survivors, and count the kinds of step it met."""
     steps = []
     totaltime_scheme(inst, F(1, 2), delta=delta, on_step=lambda j, s: steps.append(s))
+    if delta is None:
+        delta = F(1, 2) * inst.e0 / (6 * inst.n)
+    index = GeometricBuckets(delta).index
     decode = decoder(inst)
     tables = [build_capacity_table(mp) for mp in inst.machines]
-    m = inst.m
-    prev = [((0,) * m, (F(0),) * m, (F(0),) * m)]  # (masks, loads, costs)
+    n, m = inst.n, inst.m
+    kinds = collections.Counter()
+    prev = [(0, (F(0),) * m, (F(0),) * m)]  # (packed job sets, loads, costs)
     for b, (j, kept) in enumerate(zip(job_order(inst.jobs, OrderRule.SPT), steps)):
         p = inst.jobs[j]
         candidates = []
-        for s_masks, s_loads, s_costs in prev:
+        for s_state, s_loads, s_costs in prev:
             for i in range(m):
                 c = finish_time(tables[i], s_loads[i] + p)
-                masks = s_masks[:i] + (s_masks[i] | 1 << b,) + s_masks[i + 1 :]
+                state = s_state | 1 << (i * n + b)
                 loads = s_loads[:i] + (s_loads[i] + p,) + s_loads[i + 1 :]
                 costs = s_costs[:i] + (s_costs[i] + c,) + s_costs[i + 1 :]
-                candidates.append((masks, loads, costs))
-        survivors = []  # [position in creation order, masks, loads, costs]
-        for pos, (masks, loads, costs) in enumerate(candidates):
-            mate = next((s for s in survivors if similar(s[2:], (loads, costs), delta)), None)
+                candidates.append((state, loads, costs))
+        # each candidate's buckets: its loads', then its costs'
+        signatures = [tuple(map(index, loads + costs)) for _, loads, costs in candidates]
+        # does any machine hold two sets whose (load, cost) buckets agree?
+        held = [
+            {(unpack(state, inst)[i], (sig[i], sig[m + i])) for (state, _, _), sig in zip(candidates, signatures)}
+            for i in range(m)
+        ]
+        if all(len({pair for _, pair in sets}) == len(sets) for sets in held):
+            kinds["no shared pair"] += 1
+        survivors = {}  # signature: [position in creation order, state, loads, costs]
+        for pos, ((state, loads, costs), sig) in enumerate(zip(candidates, signatures)):
+            mate = survivors.get(sig)
             if mate is None:
-                survivors.append([pos, masks, loads, costs])
+                survivors[sig] = [pos, state, loads, costs]
+                continue
+            one_machine = mate[0] % m == pos % m
+            kinds["merged, the job on one machine" if one_machine else "merged, the job on two machines"] += 1
+            if loads[m - 1] == mate[2][m - 1]:
+                kinds["tied on the last load"] += 1
             elif loads[m - 1] < mate[2][m - 1]:
-                mate[:] = [pos, masks, loads, costs]
-        expected = [(masks, loads, costs) for _, masks, loads, costs in sorted(survivors)]
-        assert list(kept) == [masks for masks, _, _ in expected]
-        assert [decode(masks) for masks in kept] == [(loads, costs) for _, loads, costs in expected]
+                mate[:] = [pos, state, loads, costs]
+        expected = [(state, loads, costs) for _, state, loads, costs in sorted(survivors.values())]
+        assert list(kept) == [state for state, _, _ in expected]
+        assert [decode(state) for state in kept] == [(loads, costs) for _, loads, costs in expected]
         prev = expected
+    return kinds
 
 
 @pytest.mark.parametrize(
@@ -401,7 +447,7 @@ def test_partial_state_chain_reproduces_the_returned_schedule():
     finals = []
     sched = totaltime_scheme(inst, F(1, 2), on_step=lambda j, s: finals.append(s))
     decode = decoder(inst)
-    states = [decode(masks) for masks in finals[-1]]
+    states = [decode(state) for state in finals[-1]]
     # the first state of least cost, in creation order
     best_loads, best_costs = min(states, key=lambda s: sum(s[1], F(0)))
     assert sum(best_costs, F(0)) == sched.total_completion
@@ -418,13 +464,13 @@ def test_on_step_gets_job_sets_it_cannot_change(delta):
     kept = []
 
     def keep_and_meddle(j, states):
+        # a tuple of packed integers: neither it nor its states can be changed
         assert type(states) is tuple
-        assert all(type(masks) is tuple for masks in states)
-        assert all(type(mask) is int for masks in states for mask in masks)
+        assert all(type(state) is int for state in states)
         with pytest.raises(TypeError):
-            states[0] = (0,) * inst.m
+            states[0] = 0
         with pytest.raises(TypeError):
-            states[-1][0] = 0
+            del states[-1]
         kept.append(states)
 
     assert totaltime_scheme(inst, F(1, 2), delta=delta, on_step=keep_and_meddle) == plain
