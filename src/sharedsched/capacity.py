@@ -7,9 +7,10 @@ linear interpolation.
 
 The same queries also run on integers, over one instance-wide scale.
 `scale_instance` is the one place that builds an instance's integer view
-(the scale, the job lengths as keys, the scaled tables); the list heuristics
-and the searches decide on it, while `finish_time` stays the exact
-reference with which `model.evaluate` builds every reported schedule.
+(the scale, the job lengths as keys, the scaled tables), straight from the
+machine profiles; the list heuristics and the searches decide on it, while
+`finish_time` stays the exact reference with which `model.evaluate` builds
+every reported schedule.  The two halves share no code.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .model import Instance, MachineProfile
@@ -50,19 +51,12 @@ def build_capacity_table(profile: "MachineProfile") -> CapacityTable:
     rate; a profile whose last interval is unbounded contributes its ratio as
     the tail rate instead.
     """
-    return _table_up_to(profile, None)
-
-
-def _table_up_to(profile: "MachineProfile", total: Optional[Fraction]) -> CapacityTable:
-    """`build_capacity_table`, stopped at the first breakpoint whose
-    cumulative work reaches `total` (if given), the next segment's rate kept
-    as the tail: the same finish times for every work up to `total`."""
     breakpoints = [Fraction(0)]
     cum_work = [Fraction(0)]
     ratios: list[Fraction] = []
     tail_ratio = Fraction(1)
     for iv in profile.intervals:
-        if iv.end is None or (total is not None and cum_work[-1] >= total):
+        if iv.end is None:
             tail_ratio = iv.ratio
             break
         breakpoints.append(iv.end)
@@ -111,9 +105,9 @@ def work_at(table: CapacityTable, t) -> Fraction:
 
 
 class ScaledTable(NamedTuple):
-    """A `CapacityTable` times a scale: breakpoints and cumulative work as
-    integers, and each segment's rate as (numerator, denominator), the tail
-    last."""
+    """One machine's capacity over an instance-wide scale S: breakpoints and
+    cumulative work times S as integers, and each segment's rate as
+    (numerator, denominator), the tail last."""
 
     breakpoints: tuple[int, ...]
     cum_work: tuple[int, ...]
@@ -121,57 +115,11 @@ class ScaledTable(NamedTuple):
     rate_den: tuple[int, ...]
 
 
-def common_scale(jobs: Iterable[Fraction], tables: Sequence[CapacityTable]) -> int:
-    """An integer S such that S times any load of `jobs`, any breakpoint,
-    cumulative work or finish time of `tables` is an integer.
-
-    S = S0 * lcm(rate numerators), where S0 is the lcm of the job
-    denominators and of den(bp) * rate denominator at both ends of every
-    finite segment.  Then each segment's work r * (bp' - bp) is a multiple of
-    1/S0, hence so are the cumulative works, and (w - cum) / r is a multiple
-    of 1/S.  Every factor is small; the lcms are taken pairwise up a tree, so
-    no step combines a large partial result with one small factor.
-    """
-    factors = {p.denominator for p in jobs}
-    rate_nums = set()
-    for table in tables:
-        bps = table.breakpoints
-        for k, r in enumerate(table.ratios):
-            factors.add(bps[k].denominator * r.denominator)
-            factors.add(bps[k + 1].denominator * r.denominator)
-            rate_nums.add(r.numerator)
-        rate_nums.add(table.tail_ratio.numerator)
-    return _lcm_tree(factors) * _lcm_tree(rate_nums)
-
-
 def _lcm_tree(values: Iterable[int]) -> int:
     values = list(values)
     while len(values) > 1:
         values = [math.lcm(*values[k : k + 2]) for k in range(0, len(values), 2)]
     return values[0] if values else 1
-
-
-def to_key(value: Fraction, scale: int) -> int:
-    """`value * scale`, which must be an integer; anything else raises, never rounds."""
-    factor, rest = divmod(scale, value.denominator)
-    if rest:
-        raise ArithmeticError(f"a value is not a multiple of 1/scale ({scale.bit_length()} bits)")
-    return value.numerator * factor
-
-
-def scale_table(table: CapacityTable, scale: int) -> ScaledTable:
-    """`table` times `scale`, which must come from `common_scale`."""
-    bps = tuple(to_key(bp, scale) for bp in table.breakpoints)
-    rates = table.ratios + (table.tail_ratio,)
-    cum = [0]
-    for k in range(len(bps) - 1):
-        work, rest = divmod((bps[k + 1] - bps[k]) * rates[k].numerator, rates[k].denominator)
-        if rest:
-            raise ArithmeticError(f"the work of segment {k + 1} is off the scale")
-        cum.append(cum[-1] + work)
-    return ScaledTable(
-        bps, tuple(cum), tuple(r.numerator for r in rates), tuple(r.denominator for r in rates)
-    )
 
 
 def finish_key(table: ScaledTable, work: int) -> int:
@@ -198,14 +146,53 @@ def scale_instance(inst: "Instance") -> tuple[int, list[int], list[ScaledTable]]
 
     The one integer set-up behind the list heuristics and the searches,
     and the one place that refuses an instance with no machines.  No load
-    passes the total job work, so each table is built only up to it and
-    segments no load reaches add nothing to the scale.
+    passes the total job work, so each profile is read only up to the first
+    breakpoint whose cumulative work reaches it, the next interval's rate
+    (or full speed) kept as the tail; later segments add nothing to the
+    scale.
+
+    S = S0 * lcm(rate numerators, tail included), where S0 is the lcm of
+    the job denominators and of den(bp) * rate denominator at both ends of
+    every kept segment.  Then each segment's work r * (bp' - bp) is a
+    multiple of 1/S0, hence so are the cumulative works, and (w - cum) / r
+    is a multiple of 1/S.  Every factor is small; the lcms are taken
+    pairwise up a tree, so no step combines a large partial result with one
+    small factor.
     """
     if not inst.machines:
         raise ValueError("instance has no machines")
     # the total job work, summed over the lcm of the job denominators
     den = math.lcm(*{p.denominator for p in inst.jobs})
     total = Fraction(sum([p.numerator * (den // p.denominator) for p in inst.jobs]), den)
-    tables = [_table_up_to(mp, total) for mp in inst.machines]
-    scale = common_scale(inst.jobs, tables)
-    return scale, [to_key(p, scale) for p in inst.jobs], [scale_table(t, scale) for t in tables]
+    factors, rate_nums, kept = {den}, set(), []
+    for mp in inst.machines:
+        ends, rates, start, reached = [], [], Fraction(0), Fraction(0)
+        for iv in mp.intervals:
+            if iv.end is None or reached >= total:
+                rates.append(iv.ratio)
+                break
+            r = iv.ratio
+            factors.add(start.denominator * r.denominator)
+            factors.add(iv.end.denominator * r.denominator)
+            reached += r * (iv.end - start)
+            start = iv.end
+            ends.append(start)
+            rates.append(r)
+        else:
+            rates.append(Fraction(1))
+        rate_nums.update(r.numerator for r in rates)
+        kept.append((ends, rates))
+    scale = _lcm_tree(factors) * _lcm_tree(rate_nums)
+    tables = []
+    for ends, rates in kept:
+        bps, cum = [0], [0]
+        for end, r in zip(ends, rates):
+            bp = end.numerator * (scale // end.denominator)
+            work, rest = divmod((bp - bps[-1]) * r.numerator, r.denominator)
+            if rest:
+                raise ArithmeticError(f"the work of segment {len(bps)} is off the scale")
+            bps.append(bp)
+            cum.append(cum[-1] + work)
+        nums, dens = zip(*[(r.numerator, r.denominator) for r in rates])
+        tables.append(ScaledTable(tuple(bps), tuple(cum), nums, dens))
+    return scale, [p.numerator * (scale // p.denominator) for p in inst.jobs], tables

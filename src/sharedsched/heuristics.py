@@ -65,7 +65,7 @@ def ect_placement(tables: Sequence[ScaledTable], loads: Sequence[int], p: int) -
     """Machine (and resulting completion) where a job of length p finishes first.
 
     Tables, loads, p and the completion are all over one common scale (see
-    `capacity.common_scale`); ties go to the lowest machine index.
+    `capacity.scale_instance`); ties go to the lowest machine index.
     """
     best_i = 0
     best_c = finish_key(tables[0], loads[0] + p)
@@ -128,10 +128,13 @@ def spt_ect(inst: Instance) -> Schedule:
 
 
 def _check_shares(m: int, m1: int, e0: Fraction) -> Fraction:
-    """e0 as a rational; ValueError unless it lies in (0, 1] and m1 in [1, m]."""
+    """e0 as a rational; ValueError unless it lies in (0, 1], m >= 1 and m1
+    lies in [1, m], checked in that order."""
     e0 = _rational(e0, "e0")
     if not (0 < e0 <= 1):
         raise ValueError(f"e0={e0} is outside (0, 1]")
+    if m < 1:
+        raise ValueError(f"m={m} must be at least 1")
     if not (1 <= m1 <= m):
         raise ValueError(f"m1={m1} is outside [1, {m}]")
     return e0

@@ -64,7 +64,7 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
     machine runs its jobs longest first.
     """
     n, m = inst.n, inst.m
-    if not isinstance(d, int):
+    if not isinstance(d, int) or isinstance(d, bool):
         raise ValueError(f"d={d!r} is not an integer")
     if not (0 <= d <= n):
         raise ValueError(f"d={d} is outside [0, {n}]")

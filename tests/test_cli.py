@@ -481,6 +481,9 @@ def test_gadget_input_errors_exit_2(capsys):
     assert code == 2
     code, _, err = _run(capsys, ["gadget", "named", "spt_unbounded", "--alpha", "1/2"])
     assert code == 2
+    code, _, err = _run(capsys, ["gadget", "random", "--n", "3", "--m", "0"])
+    assert code == 2
+    assert json.loads(err) == {"error": "input", "message": "m=0 must be at least 1"}
 
 
 def test_unknown_algorithm_is_an_argparse_error(capsys, example_path):

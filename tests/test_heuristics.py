@@ -194,6 +194,22 @@ def test_guarantee_ratio_refuses_an_epsilon_the_schemes_refuse(epsilon):
         assert str(exc.value) == str(refused.value)
 
 
+def test_no_machines_is_refused_by_name():
+    refusals = (
+        lambda: guarantee_ratio("ls", n=5, m=0, m1=0, e0=F(1, 2)),
+        lambda: compute_d(0, 0, F(1, 2), F(1, 2), 5),
+        lambda: random_instance(RandomSpec(n=3, m=0, m1=0, e0=F(1, 2))),
+    )
+    for refused in refusals:
+        with pytest.raises(ValueError, match=r"^m=0 must be at least 1$"):
+            refused()
+    # e0 is still named first, and m before m1
+    with pytest.raises(ValueError, match=r"^e0=2 is outside \(0, 1\]$"):
+        guarantee_ratio("ls", n=5, m=0, m1=0, e0=F(2))
+    with pytest.raises(ValueError, match=r"^m=-1 must be at least 1$"):
+        compute_d(-1, 1, F(1, 2), F(1, 2), 5)
+
+
 def test_guarantee_ratio_at_the_edges_of_its_domain():
     # n = 1, m1 = m and e0 = 1 are all allowed
     assert guarantee_ratio("lpt-ect", n=1, m=2, m1=2, e0=F(1)) == 1 + F(2)

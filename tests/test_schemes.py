@@ -195,6 +195,10 @@ def test_makespan_scheme_rejects_bad_depth():
     for d in (2.5, "2", None):
         with pytest.raises(ValueError, match="is not an integer"):
             makespan_scheme(inst, d)
+    # a bool is an int in Python, but not a depth
+    for d in (True, False):
+        with pytest.raises(ValueError, match=f"^d={d} is not an integer$"):
+            makespan_scheme(inst, d)
 
 
 def test_makespan_scheme_meets_its_guarantee():

@@ -27,8 +27,8 @@ from sharedsched import (
     random_instance,
     validate_instance,
 )
-from sharedsched import schemes, search
-from sharedsched.capacity import common_scale, finish_key, scale_instance, scale_table, to_key
+from sharedsched import capacity, schemes, search
+from sharedsched.capacity import finish_key, scale_instance
 from sharedsched.heuristics import ect_placement, job_order
 from sharedsched.schemes import makespan_scheme, totaltime_scheme
 from sharedsched.search import best_placement
@@ -61,19 +61,25 @@ def test_every_entry_key_is_its_value_times_the_scale(inst):
     # every job set's load and finish time on every machine, as the searches key them
     scale, sizes, scaled = scale_instance(inst)
     for i, machine in enumerate(inst.machines):
-        capacity = build_capacity_table(machine)
+        table = build_capacity_table(machine)
         for mask in range(1 << inst.n):
             load = sum((inst.jobs[j] for j in range(inst.n) if mask >> j & 1), F(0))
             key = sum(sizes[j] for j in range(inst.n) if mask >> j & 1)
             assert key == load * scale
-            assert finish_key(scaled[i], key) == finish_time(capacity, load) * scale
+            assert finish_key(scaled[i], key) == finish_time(table, load) * scale
 
 
-def test_a_value_off_the_scale_raises_instead_of_rounding():
-    scale, _, _ = scale_instance(named_example("lsect_tight"))
-    assert to_key(F(7, scale), scale) == 7
+def test_a_value_off_the_scale_raises_instead_of_rounding(monkeypatch):
+    inst = named_example("lsect_tight")
+    scale, sizes, _ = scale_instance(inst)
+    assert sizes == [p * scale for p in inst.jobs]
+    # a scale too small for a segment's work (1 at rate 2/3) raises
+    segment = MachineProfile(intervals=(SharedInterval(start=F(0), end=F(1), ratio=F(2, 3)),))
+    inst = Instance(machines=(segment,), jobs=(F(1),), m1=1, e0=F(2, 3))
+    assert scale_instance(inst)[0] == 6
+    monkeypatch.setattr(capacity, "_lcm_tree", lambda values: 1)
     with pytest.raises(ArithmeticError):
-        to_key(F(1, 2 * scale), scale)
+        scale_instance(inst)
 
 
 def _primes_from(low: int, count: int) -> list[int]:
@@ -114,18 +120,29 @@ def _times(value: F, scale: int) -> tuple[int, int]:
     return divmod(value.numerator * scale, value.denominator)
 
 
+def _whole(inst: Instance) -> Instance:
+    """`inst` plus one job longer than every machine's last breakpoint.  No
+    rate passes 1, so the total job work passes every cumulative work and
+    `scale_instance` keeps every segment of every profile."""
+    ends = [iv.end for mp in inst.machines for iv in mp.intervals if iv.end is not None]
+    long_job = F(math.floor(max(ends, default=0)) + 1)
+    return Instance(machines=inst.machines, jobs=inst.jobs + (long_job,), m1=inst.m1, e0=inst.e0)
+
+
 def _check_kernel(inst, cum_step=1, loads=40):
-    """finish_key(W) is finish_time(w) times the scale when that is an
-    integer, and raises otherwise, at and beside every `cum_step`-th
-    cumulative work value and at seeded random loads."""
-    tables = [build_capacity_table(mp) for mp in inst.machines]
-    scale = common_scale(inst.jobs, tables)
+    """`scale_instance`'s tables are the Fraction tables times the scale, and
+    finish_key(W) is finish_time(w) times the scale when that is an integer,
+    and raises otherwise, at and beside every `cum_step`-th cumulative work
+    value and at seeded random loads."""
+    scale, _, scaled_tables = scale_instance(_whole(inst))
     lj = math.lcm(*(p.denominator for p in inst.jobs))
     rng = random.Random(len(inst.jobs))
     raised = 0
-    for table in tables:
-        scaled = scale_table(table, scale)
+    for machine, scaled in zip(inst.machines, scaled_tables):
+        table = build_capacity_table(machine)
         assert len(scaled.cum_work) == len(table.cum_work)
+        rates = [F(num, den) for num, den in zip(scaled.rate_num, scaled.rate_den)]
+        assert rates == [*table.ratios, table.tail_ratio]
         for k in range(0, len(table.cum_work), cum_step):
             assert (scaled.breakpoints[k], 0) == _times(table.breakpoints[k], scale)
             assert (scaled.cum_work[k], 0) == _times(table.cum_work[k], scale)
@@ -165,19 +182,14 @@ def test_integer_kernel_on_many_segments_with_prime_denominators():
 def test_an_off_scale_work_raises_instead_of_rounding():
     # one job of length 1 on a machine lending 2/3 of its speed: the scale is 2
     machine = MachineProfile(intervals=(SharedInterval(start=F(0), end=None, ratio=F(2, 3)),))
-    table = build_capacity_table(machine)
-    scale = common_scale([F(1)], [table])
-    scaled = scale_table(table, scale)
+    inst = Instance(machines=(machine,), jobs=(F(1),), m1=1, e0=F(2, 3))
+    scale, _, (scaled,) = scale_instance(inst)
     assert scale == 2
     assert finish_key(scaled, 2) == 3  # 1 unit of work ends at 3/2
     with pytest.raises(ArithmeticError):
         finish_key(scaled, 1)
     with pytest.raises(ValueError):
         finish_key(scaled, -1)
-    # a scale other than common_scale's can leave a segment's work off it
-    segment = MachineProfile(intervals=(SharedInterval(start=F(0), end=F(1), ratio=F(2, 3)),))
-    with pytest.raises(ArithmeticError):
-        scale_table(build_capacity_table(segment), 1)
 
 
 def test_the_scale_of_many_prime_denominators_is_built_quickly():
@@ -197,7 +209,8 @@ def test_the_scale_ignores_segments_past_the_total_job_work():
     scale, _, scaled = scale_instance(inst)
     assert sum(inst.jobs) == 18
     assert all(len(table.breakpoints) <= 31 for table in scaled)
-    full = common_scale(inst.jobs, [build_capacity_table(mp) for mp in inst.machines])
+    full, _, whole = scale_instance(_whole(inst))
+    assert all(len(table.breakpoints) == 1001 for table in whole)
     assert 20 * scale.bit_length() < full.bit_length()
     for order in OrderRule:
         for placement in PlacementRule:
@@ -225,6 +238,18 @@ def test_each_table_stops_at_the_first_breakpoint_reaching_the_total_work(jobs, 
     scale, _, (scaled,) = scale_instance(inst)
     assert tuple(F(bp, scale) for bp in scaled.breakpoints) == breakpoints
     assert F(scaled.rate_num[-1], scaled.rate_den[-1]) == tail
+
+
+def test_the_integer_set_up_builds_no_fraction_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scale_instance built a CapacityTable")
+
+    monkeypatch.setattr(capacity, "build_capacity_table", refuse)
+    monkeypatch.setattr(capacity, "CapacityTable", refuse)
+    for param in _instances():
+        scale_instance(param.values[0])
+    for inst in (stress_instance(n=6), _whole(stress_instance(n=6, m=2))):
+        scale_instance(inst)
 
 
 def _brute_force(inst, jobs, objective, rest):
