@@ -149,7 +149,9 @@ def scale_instance(inst: "Instance") -> tuple[int, list[int], list[ScaledTable]]
     passes the total job work, so each profile is read only up to the first
     breakpoint whose cumulative work reaches it, the next interval's rate
     (or full speed) kept as the tail; later segments add nothing to the
-    scale.
+    scale.  Each interval read is refused with `validate_instance`'s message
+    (ValueError) when it starts off the previous end, is empty or reversed,
+    or has a ratio outside (0, 1], the tail's included.
 
     S = S0 * lcm(rate numerators, tail included), where S0 is the lcm of
     the job denominators and of den(bp) * rate denominator at both ends of
@@ -165,13 +167,20 @@ def scale_instance(inst: "Instance") -> tuple[int, list[int], list[ScaledTable]]
     den = math.lcm(*{p.denominator for p in inst.jobs})
     total = Fraction(sum([p.numerator * (den // p.denominator) for p in inst.jobs]), den)
     factors, rate_nums, kept = {den}, set(), []
-    for mp in inst.machines:
+    for i, mp in enumerate(inst.machines, start=1):
         ends, rates, start, reached = [], [], Fraction(0), Fraction(0)
+        where = f"machine {i} interval"
         for iv in mp.intervals:
+            r, s = iv.ratio, iv.start
+            # validate_instance's refusals: every interval before this one is in
+            # `ends`, and numerators and denominators compare faster than Fractions
+            if s.numerator != start.numerator or s.denominator != start.denominator:
+                raise ValueError(f"{where} {len(ends) + 1}: starts at {s}, expected {start}")
+            if not 0 < r.numerator <= r.denominator:
+                raise ValueError(f"{where} {len(ends) + 1}: ratio {r} is outside (0, 1]")
             if iv.end is None or reached >= total:
-                rates.append(iv.ratio)
+                rates.append(r)
                 break
-            r = iv.ratio
             factors.add(start.denominator * r.denominator)
             factors.add(iv.end.denominator * r.denominator)
             reached += r * (iv.end - start)
@@ -184,10 +193,14 @@ def scale_instance(inst: "Instance") -> tuple[int, list[int], list[ScaledTable]]
         kept.append((ends, rates))
     scale = _lcm_tree(factors) * _lcm_tree(rate_nums)
     tables = []
-    for ends, rates in kept:
-        bps, cum = [0], [0]
+    for i, (ends, rates) in enumerate(kept, start=1):
+        bps, cum, where = [0], [0], f"machine {i} interval"
         for end, r in zip(ends, rates):
             bp = end.numerator * (scale // end.denominator)
+            if bp <= bps[-1]:
+                k = len(bps)  # the interval's number
+                start = ends[k - 2] if k > 1 else 0
+                raise ValueError(f"{where} {k}: empty or reversed ({start}, {end}]")
             work, rest = divmod((bp - bps[-1]) * r.numerator, r.denominator)
             if rest:
                 raise ArithmeticError(f"the work of segment {len(bps)} is off the scale")

@@ -340,21 +340,26 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--decimal", action="store_true")
     compare.set_defaults(func=cmd_compare)
 
-    experiment = sub.add_parser("experiment", help="seeded random trials with bound checks")
-    experiment.add_argument("--n", type=int, required=True, help=_ceiling_help("n"))
-    experiment.add_argument("--m", type=int, required=True, help=_ceiling_help("m"))
+    # the flags of a random instance that experiment and gadget random share
+    random_flags = argparse.ArgumentParser(add_help=False)
+    random_flags.add_argument("--n", type=int, required=True, help=_ceiling_help("n"))
+    random_flags.add_argument("--m", type=int, required=True, help=_ceiling_help("m"))
+    random_flags.add_argument("--seed", type=int, default=0)
+    random_flags.add_argument("--p-max", type=int, default=10)
+    random_flags.add_argument("--min-breakpoints", type=int, default=0)
+    random_flags.add_argument(
+        "--max-breakpoints", type=int, default=3, help=_ceiling_help("max_breakpoints")
+    )
+
+    experiment = sub.add_parser(
+        "experiment", parents=[random_flags], help="seeded random trials with bound checks"
+    )
     experiment.add_argument("--m1", type=int, required=True)
     experiment.add_argument("--e0", required=True)
     experiment.add_argument("--trials", type=int, required=True, help=_ceiling_help("trials"))
-    experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--obj", default="makespan", choices=["makespan", "totaltime"])
     experiment.add_argument("--epsilon")
     experiment.add_argument("--with-oracle", action="store_true")
-    experiment.add_argument("--p-max", type=int, default=10)
-    experiment.add_argument("--min-breakpoints", type=int, default=0)
-    experiment.add_argument(
-        "--max-breakpoints", type=int, default=3, help=_ceiling_help("max_breakpoints")
-    )
     experiment.set_defaults(func=cmd_experiment)
 
     gadget = sub.add_parser("gadget", help="emit an instance as JSON")
@@ -370,17 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     named.add_argument("--x")
     named.add_argument("--alpha")
     named.set_defaults(func=cmd_gadget)
-    rand = gsub.add_parser("random", help="seeded random instance")
-    rand.add_argument("--seed", type=int, default=0)
-    rand.add_argument("--n", type=int, required=True, help=_ceiling_help("n"))
-    rand.add_argument("--m", type=int, required=True, help=_ceiling_help("m"))
+    rand = gsub.add_parser("random", parents=[random_flags], help="seeded random instance")
     rand.add_argument("--m1", type=int)
     rand.add_argument("--e0")
-    rand.add_argument("--p-max", type=int, default=10)
-    rand.add_argument("--min-breakpoints", type=int, default=0)
-    rand.add_argument(
-        "--max-breakpoints", type=int, default=3, help=_ceiling_help("max_breakpoints")
-    )
     rand.set_defaults(func=cmd_gadget)
 
     return parser

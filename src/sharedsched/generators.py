@@ -84,15 +84,17 @@ def _constant_machine(ratio: Fraction) -> MachineProfile:
     return MachineProfile(intervals=(iv,))
 
 
-NAMED_EXAMPLES = (
-    "ls_bad",
-    "lsect_tight",
-    "lpt_n2",
-    "lptect_322",
-    "spt_vs_sptect",
-    "spt_vs_sptect_plus3",
-    "spt_unbounded",
-)
+# each named example and the parameters it takes
+_PARAMETERS = {
+    "ls_bad": ("e0", "x"),
+    "lsect_tight": ("e0", "x"),
+    "lpt_n2": ("e0",),
+    "lptect_322": (),
+    "spt_vs_sptect": (),
+    "spt_vs_sptect_plus3": (),
+    "spt_unbounded": ("alpha",),
+}
+NAMED_EXAMPLES = tuple(_PARAMETERS)
 
 
 def named_example(
@@ -104,8 +106,15 @@ def named_example(
     """Small instances on which the greedy rules show their worst sides.
 
     Names: ls_bad(e0, x), lsect_tight(e0, x), lpt_n2(e0), lptect_322,
-    spt_vs_sptect, spt_vs_sptect_plus3, spt_unbounded(alpha).
+    spt_vs_sptect, spt_vs_sptect_plus3, spt_unbounded(alpha).  An unknown
+    name, or a parameter given to an example that does not take it, raises
+    ValueError.
     """
+    if name not in _PARAMETERS:
+        raise ValueError(f"unknown example {name!r}; known names: {', '.join(NAMED_EXAMPLES)}")
+    for param, value in (("e0", e0), ("x", x), ("alpha", alpha)):
+        if value is not None and param not in _PARAMETERS[name]:
+            raise ValueError(f"example {name} takes no parameter {param}")
     if name == "ls_bad":
         e0 = _rational(e0, "e0") if e0 is not None else Fraction(1, 2)
         x = _rational(x, "x") if x is not None else Fraction(1, 100)
@@ -162,13 +171,13 @@ def named_example(
                 e0=Fraction(1, 2),
             )
         )
-    if name == "spt_unbounded":
-        alpha = _rational(alpha, "alpha") if alpha is not None else Fraction(100)
-        if alpha < 1:
-            raise ValueError("spt_unbounded needs alpha >= 1")
-        machines = (_FULL_MACHINE, _constant_machine(1 / alpha))
-        return _checked(Instance(machines=machines, jobs=(Fraction(1), Fraction(1)), m1=1, e0=Fraction(1)))
-    raise ValueError(f"unknown example {name!r}; known names: {', '.join(NAMED_EXAMPLES)}")
+    # spt_unbounded
+    alpha = _rational(alpha, "alpha") if alpha is not None else Fraction(100)
+    if alpha < 1:
+        raise ValueError("spt_unbounded needs alpha >= 1")
+    machines = (_FULL_MACHINE, _constant_machine(1 / alpha))
+    jobs = (Fraction(1), Fraction(1))
+    return _checked(Instance(machines=machines, jobs=jobs, m1=1, e0=Fraction(1)))
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,24 @@
 """Exhaustive exact solvers for desk-scale instances.
 
 These enumerate every assignment of jobs to machines, so they are usable as
-ground truth in tests and experiments but nothing larger.  The search is
-`search.best_placement`, the makespan scheme's own.  Within a machine the
-makespan runs its jobs in index order and the completion-time sum shortest
-first; the tests back the latter with a check of every order.
+ground truth in tests and experiments but nothing larger.  `best_placement`,
+the search the makespan scheme shares, walks every placement of a job list
+depth first on `capacity.scale_instance`'s integer keys and computes each job
+set's finish key on each machine once; each caller checks its own limits
+first and reports `evaluate`'s schedule for the placement returned.  Within
+a machine the makespan runs its jobs in index order and the completion-time
+sum shortest first; the tests back the latter with a check of every order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .capacity import scale_instance
-from .heuristics import OrderRule, job_order
+from .capacity import ScaledTable, finish_key, scale_instance
+from .heuristics import OrderRule, ect_placement, job_order
 from .model import Instance, Objective, Schedule, _schedule_of, objective_value
-from .search import best_placement
 
 __all__ = [
     "OracleLimitError",
@@ -43,8 +46,8 @@ def exact_optimal(
 ) -> OracleResult:
     """Optimal value over all m^n assignments, with a deterministic minimizer.
 
-    Both objectives run `search.best_placement`'s depth-first walk over the
-    jobs, so the reported minimizer is the lexicographically smallest machine
+    Both objectives run `best_placement`'s depth-first walk over the jobs,
+    so the reported minimizer is the lexicographically smallest machine
     vector in job index order.  Each job set's finish key on each machine is
     computed once, so a call makes at most m*2^n `finish_key` calls for its
     m^n leaves.  The schedule and value reported are `evaluate`'s for the
@@ -66,3 +69,107 @@ def exact_optimal(
     return OracleResult(
         best=best, objective_value=objective_value(best, objective), states_explored=leaves
     )
+
+
+def best_placement(
+    sizes: Sequence[int],
+    scaled: Sequence[ScaledTable],
+    jobs: Sequence[int],
+    objective: Objective,
+    rest: Sequence[int] = (),
+) -> tuple[list[int], int]:
+    """The first placement of `jobs` of least objective key, and the number of placements.
+
+    `sizes` and `scaled` are `scale_instance`'s job keys (by job index) and
+    scaled tables.  One iterative depth-first walk over all m^k placements
+    of the k jobs, each job trying the machines in ascending index order.
+    The minimizer reported is the first in lexicographic order of the
+    machine vector, the first job of `jobs` most significant.  A node looks
+    up the finish key of the one set that gains its job, from the load the
+    walk carries, and carries the aggregate down the path:
+    - the makespan walk takes the jobs in list order and keeps strict
+      improvements only.  Its aggregate is the larger of the parent's and
+      the new finish key; that is exact because no set's finish key drops
+      when a job is added, as job lengths are nonnegative.  At each leaf the
+      jobs of `rest` then go, in list order, to the machine where each
+      finishes first (`ect_placement`), from the loads the walk holds.
+    - the total-time walk takes the jobs shortest first, equal lengths in
+      list order (`job_order(..., OrderRule.SPT)`), so each adds the job its
+      set runs last, and its aggregate is the parent's plus the new finish
+      key, the job's completion time.  A tie keeps the lexicographically
+      smaller vector.
+    Returns one machine per job of `jobs` and then of `rest`, the tail
+    replayed once from the minimizer's loads, and the number of leaves
+    visited.
+    """
+    total = objective is not Objective.MAKESPAN
+    k = len(jobs)
+    # walk[t] is the position in `jobs` of the t-th job walked, and at[p] the reverse
+    walk = job_order([sizes[j] for j in jobs], OrderRule.SPT) if total else range(k)
+    at = [0] * k
+    for t, p in enumerate(walk):
+        at[p] = t
+    walked = [sizes[jobs[p]] for p in walk]
+    # the t-th job walked is bit k-1-t, so the jobs walked deepest, which change
+    # most often, vary the low bits that a dict slot is picked by
+    bits = [1 << (k - 1 - t) for t in range(k)]
+    tail = [sizes[j] for j in rest]
+    m = len(scaled)
+    # each machine's finish key of every set reached
+    finishes = [{0: 0} for _ in scaled]
+    masks, loads = [0] * m, [0] * m
+    path = [0] * (k + 1)  # the aggregate over the first t jobs walked
+    choice = [0] * k
+    best, best_choice, leaves = None, (), 0
+    last = m - 1
+    t = i = 0
+    while t >= 0:
+        # down: job t onto machine i, then each later job onto machine 0
+        while t < k:
+            mask = masks[i] | bits[t]
+            load = loads[i] + walked[t]
+            finish = finishes[i].get(mask)
+            if finish is None:
+                finish = finishes[i][mask] = finish_key(scaled[i], load)
+            value = path[t]
+            if total:
+                value += finish
+            elif finish > value:
+                value = finish
+            masks[i], loads[i] = mask, load
+            choice[t] = i
+            t += 1
+            path[t] = value
+            i = 0
+        leaves += 1
+        value = path[k]
+        if tail:
+            tail_loads = loads[:]
+            for size in tail:
+                i, finish = ect_placement(scaled, tail_loads, size)
+                tail_loads[i] += size
+                if finish > value:
+                    value = finish
+        if best is None or value < best:
+            best, best_choice = value, tuple([choice[t] for t in at])
+        elif total and value == best:
+            best_choice = min(best_choice, tuple([choice[t] for t in at]))
+        # up: take back the jobs on the last machine, then the one before them
+        t -= 1
+        while t >= 0:
+            i = choice[t]
+            masks[i] ^= bits[t]
+            loads[i] -= walked[t]
+            if i < last:
+                i += 1
+                break
+            t -= 1
+    placed = list(best_choice)
+    loads = [0] * m
+    for j, i in zip(jobs, placed):
+        loads[i] += sizes[j]
+    for j in rest:
+        i, _ = ect_placement(scaled, loads, sizes[j])
+        loads[i] += sizes[j]
+        placed.append(i)
+    return placed, leaves

@@ -1,7 +1,7 @@
 """Approximation schemes: trade running time for a (1 + epsilon) guarantee.
 
 For makespan: place the d largest jobs in every possible way, finish each
-branch greedily, keep the best branch; the search is `search.best_placement`,
+branch greedily, keep the best branch; the search is `oracle.best_placement`,
 the oracle's own.  For the completion-time sum: sweep jobs shortest-first
 through a state space of per-machine job sets, merging states whose
 (load, cost) pairs agree bucket-by-bucket on a geometric grid.  Both run on
@@ -19,8 +19,7 @@ from typing import Optional
 from .capacity import finish_key, scale_instance
 from .heuristics import OrderRule, _check_epsilon, _check_shares, job_order
 from .model import Instance, Objective, Schedule, _rational, _schedule_of
-from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N, OracleLimitError
-from .search import best_placement
+from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N, OracleLimitError, best_placement
 
 __all__ = [
     "compute_d",
@@ -197,19 +196,15 @@ def totaltime_scheme(
     shifts = [i * n for i in range(m)]
     states: tuple[int, ...] = (0,)
     # each machine's (load, shortest-first completion-time sum) keys of every
-    # job set a state holds
-    sets: list[dict[int, tuple[int, int]]] = [{0: (0, 0)} for _ in range(m)]
+    # job set a state holds, and their bucket pair (None when nothing merges)
+    sets: list[dict[int, tuple]] = [{0: (0, 0, (None, None))} for _ in range(m)]
     buckets = GeometricBuckets(delta) if delta > 0 else None
-    if buckets is not None:
-        index_of: dict[int, Optional[int]] = {}  # bucket index by key
+    index_of: dict[int, Optional[int]] = {0: None}  # bucket index by key
 
-        def bucket(key: int) -> Optional[int]:
-            if key not in index_of:
-                index_of[key] = buckets.index(Fraction(key, scale))
-            return index_of[key]
-
-        # the bucket indices of each set's (load, cost), per machine as in `sets`
-        pairs = [{0: (bucket(0), bucket(0))} for _ in range(m)]
+    def bucket(key: int) -> Optional[int]:
+        if key not in index_of:
+            index_of[key] = buckets.index(Fraction(key, scale))
+        return index_of[key]
 
     for b, j in enumerate(order):
         if len(states) * m > _LIMIT:
@@ -225,16 +220,14 @@ def totaltime_scheme(
             parents = {s >> shift & full for s in states}
             # each set the job makes, filled from its parent
             for mask in parents:
-                load, cost = made[mask]
+                load, cost, _ = made[mask]
                 load += size
                 cost += finish_key(scaled[i], load)
-                made[mask | bit] = (load, cost)
-                if buckets is not None:
-                    pairs[i][mask | bit] = (bucket(load), bucket(cost))
+                pair = (bucket(load), bucket(cost)) if buckets is not None else None
+                made[mask | bit] = (load, cost, pair)
             if buckets is not None:
-                own = pairs[i]
-                made_pairs = [own[mask | bit] for mask in parents]
-                counts = Counter([own[mask] for mask in parents] + made_pairs)
+                made_pairs = [made[mask | bit][2] for mask in parents]
+                counts = Counter([made[mask][2] for mask in parents] + made_pairs)
                 sharing = {mask for mask, pair in zip(parents, made_pairs) if counts[pair] > 1}
                 if sharing:
                     marked.append((i, sharing))
@@ -259,7 +252,7 @@ def totaltime_scheme(
             for pos in mergeable:
                 s = extended[pos]
                 keep[pos] = False
-                sig = tuple([held[s >> shift & full] for held, shift in zip(pairs, shifts)])
+                sig = tuple([held[s >> shift & full][2] for held, shift in zip(sets, shifts)])
                 last_load = sets[-1][s >> shifts[-1]][0]
                 prev = kept.get(sig)
                 # survivor keeps the smaller load on the last machine

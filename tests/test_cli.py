@@ -459,6 +459,13 @@ def test_gadget_named_round_trips_into_solve(capsys, tmp_path):
     assert instance_from_json(out) == named_example("ls_bad", e0=F(1, 2), x=F(1, 100))
 
 
+def test_gadget_named_refuses_a_flag_the_example_does_not_take(capsys):
+    code, out, err = _run(capsys, ["gadget", "named", "lptect_322", "--e0", "1/3"])
+    assert (code, out) == (2, "")
+    message = "example lptect_322 takes no parameter e0"
+    assert json.loads(err) == {"error": "input", "message": message}
+
+
 def test_gadget_partition_and_random(capsys):
     code, out, _ = _run(capsys, ["gadget", "partition-makespan", "--a", "1,1,2", "--f", "2"])
     assert code == 0

@@ -17,6 +17,7 @@ from sharedsched import (
     Objective,
     RandomSpec,
     Schedule,
+    guarantee_ratio,
     instance_to_json,
     named_example,
     random_instance,
@@ -94,6 +95,15 @@ def test_solve_reports_exact_params(capsys, tmp_path, alg, obj, extra, params):
     report = json.loads(_run(capsys, ["solve", str(path), "--alg", alg, "--obj", obj] + extra))
     assert report["algorithm"] == alg
     assert (list(report["params"].items()) if "params" in report else None) == params
+
+
+@pytest.mark.parametrize("name", list(ALGORITHMS))
+def test_every_algorithm_name_has_a_guarantee(name):
+    # the names live both here and in guarantee_ratio, which raises on a name it does not know
+    for m1 in (2, 3):
+        for epsilon in (None, F(1, 2)):
+            bound = guarantee_ratio(name, n=4, m=3, m1=m1, e0=F(1, 2), epsilon=epsilon)
+            assert bound is None or bound >= 1
 
 
 @pytest.mark.parametrize("name", list(ALGORITHMS))

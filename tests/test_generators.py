@@ -86,6 +86,24 @@ def test_named_example_rejects_bad_parameters():
         named_example("lpt_n2", e0=F(2))
 
 
+@pytest.mark.parametrize(
+    "name, param",
+    [
+        ("lptect_322", "e0"),
+        ("spt_vs_sptect", "x"),
+        ("lpt_n2", "x"),
+        ("ls_bad", "alpha"),
+        ("spt_unbounded", "e0"),
+    ],
+)
+def test_named_example_refuses_a_parameter_it_does_not_take(name, param):
+    with pytest.raises(ValueError, match=f"^example {name} takes no parameter {param}$"):
+        named_example(name, **{param: "1/3"})
+    # an unknown name is named as such, whatever parameters come with it
+    with pytest.raises(ValueError, match="^unknown example 'no_such_example'"):
+        named_example("no_such_example", **{param: "1/3"})
+
+
 def test_string_parameters_parse_as_rationals():
     assert named_example("ls_bad", e0="1/2", x="1e-2") == named_example("ls_bad", e0=F(1, 2), x=F(1, 100))
     spec = RandomSpec(n=4, m=2, m1=2, e0="0.5", seed=3)

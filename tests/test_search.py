@@ -27,11 +27,11 @@ from sharedsched import (
     random_instance,
     validate_instance,
 )
-from sharedsched import capacity, schemes, search
+from sharedsched import capacity, oracle, schemes
 from sharedsched.capacity import finish_key, scale_instance
 from sharedsched.heuristics import ect_placement, job_order
 from sharedsched.schemes import makespan_scheme, totaltime_scheme
-from sharedsched.search import best_placement
+from sharedsched.oracle import best_placement
 
 from oracle_checks import reference_list_schedule
 
@@ -80,6 +80,43 @@ def test_a_value_off_the_scale_raises_instead_of_rounding(monkeypatch):
     monkeypatch.setattr(capacity, "_lcm_tree", lambda values: 1)
     with pytest.raises(ArithmeticError):
         scale_instance(inst)
+
+
+# (intervals of machine 2 as (start, end, ratio), validate_instance's one message);
+# three jobs of total length 4, so the walk reads every interval listed
+MALFORMED = {
+    "gap": ([(0, 1, F(1, 2)), (2, 3, F(1, 2))], "machine 2 interval 2: starts at 2, expected 1"),
+    "empty": ([(0, 1, 1), (1, 1, 1)], "machine 2 interval 2: empty or reversed (1, 1]"),
+    "reversed": ([(0, 2, 1), (2, 1, 1)], "machine 2 interval 2: empty or reversed (2, 1]"),
+    "zero-tail": ([(0, 1, 1), (1, None, 0)], "machine 2 interval 2: ratio 0 is outside (0, 1]"),
+    "ratio-2": ([(0, 1, 2)], "machine 2 interval 1: ratio 2 is outside (0, 1]"),
+    "tail-above-1": (
+        [(0, 1, 1), (1, None, F(3, 2))], "machine 2 interval 2: ratio 3/2 is outside (0, 1]"
+    ),
+    "negative": ([(0, 1, F(-1, 2))], "machine 2 interval 1: ratio -1/2 is outside (0, 1]"),
+}
+
+
+@pytest.mark.parametrize("intervals, message", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_every_entry_point_refuses_a_malformed_interval_it_reads(intervals, message):
+    profile = MachineProfile(
+        tuple(SharedInterval(F(a), None if b is None else F(b), F(r)) for a, b, r in intervals)
+    )
+    machines = (MachineProfile(()), profile)
+    inst = Instance(machines=machines, jobs=(F(2), F(1), F(1)), m1=1, e0=F(1, 2))
+    assert validate_instance(inst) == [message]
+    refusals = (
+        lambda: list_schedule(inst, OrderRule.LPT, PlacementRule.EARLIEST_COMPLETION),
+        lambda: list_schedule(inst, OrderRule.INPUT, PlacementRule.EARLIEST_START),
+        lambda: exact_optimal(inst, Objective.MAKESPAN),
+        lambda: exact_optimal(inst, Objective.TOTAL_COMPLETION),
+        lambda: makespan_scheme(inst, 1),
+        lambda: totaltime_scheme(inst, F(1, 2)),
+    )
+    for refused in refusals:
+        with pytest.raises(ValueError) as caught:
+            refused()
+        assert str(caught.value) == message
 
 
 def _primes_from(low: int, count: int) -> list[int]:
@@ -316,7 +353,7 @@ def calls(monkeypatch):
         count[0] += 1
         return finish_key(table, work)
 
-    monkeypatch.setattr(search, "finish_key", counted)
+    monkeypatch.setattr(oracle, "finish_key", counted)
     monkeypatch.setattr(schemes, "finish_key", counted)
     return count
 
