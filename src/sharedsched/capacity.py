@@ -44,18 +44,35 @@ class CapacityTable:
     tail_ratio: Fraction
 
 
-def build_capacity_table(profile: "MachineProfile") -> CapacityTable:
+def _check_interval(iv, prev: Fraction, machine: int, k: int) -> None:
+    """Refuse interval k of a machine, with `validate_instance`'s message, when it
+    starts off `prev` (the previous end), is empty or reversed, or has a ratio
+    outside (0, 1].  Numerators and denominators compare faster than Fractions."""
+    start, end, r = iv.start, iv.end, iv.ratio
+    num, den = start.numerator, start.denominator
+    if num != prev.numerator or den != prev.denominator:
+        raise ValueError(f"machine {machine} interval {k}: starts at {start}, expected {prev}")
+    if end is not None and end.numerator * den <= num * end.denominator:
+        raise ValueError(f"machine {machine} interval {k}: empty or reversed ({start}, {end}]")
+    if not 0 < r.numerator <= r.denominator:
+        raise ValueError(f"machine {machine} interval {k}: ratio {r} is outside (0, 1]")
+
+
+def build_capacity_table(profile: "MachineProfile", machine: int = 1) -> CapacityTable:
     """Precompute cumulative work at every breakpoint of a machine profile.
 
     A profile that ends at a finite breakpoint implicitly continues at full
     rate; a profile whose last interval is unbounded contributes its ratio as
-    the tail rate instead.
+    the tail rate instead.  Every interval is read, and a malformed one is
+    refused (ValueError) as `scale_instance` refuses it, naming the profile
+    as machine `machine`.
     """
     breakpoints = [Fraction(0)]
     cum_work = [Fraction(0)]
     ratios: list[Fraction] = []
     tail_ratio = Fraction(1)
-    for iv in profile.intervals:
+    for k, iv in enumerate(profile.intervals, start=1):
+        _check_interval(iv, breakpoints[-1], machine, k)
         if iv.end is None:
             tail_ratio = iv.ratio
             break
@@ -169,15 +186,9 @@ def scale_instance(inst: "Instance") -> tuple[int, list[int], list[ScaledTable]]
     factors, rate_nums, kept = {den}, set(), []
     for i, mp in enumerate(inst.machines, start=1):
         ends, rates, start, reached = [], [], Fraction(0), Fraction(0)
-        where = f"machine {i} interval"
-        for iv in mp.intervals:
-            r, s = iv.ratio, iv.start
-            # validate_instance's refusals: every interval before this one is in
-            # `ends`, and numerators and denominators compare faster than Fractions
-            if s.numerator != start.numerator or s.denominator != start.denominator:
-                raise ValueError(f"{where} {len(ends) + 1}: starts at {s}, expected {start}")
-            if not 0 < r.numerator <= r.denominator:
-                raise ValueError(f"{where} {len(ends) + 1}: ratio {r} is outside (0, 1]")
+        for k, iv in enumerate(mp.intervals, start=1):
+            _check_interval(iv, start, i, k)
+            r = iv.ratio
             if iv.end is None or reached >= total:
                 rates.append(r)
                 break
@@ -193,14 +204,10 @@ def scale_instance(inst: "Instance") -> tuple[int, list[int], list[ScaledTable]]
         kept.append((ends, rates))
     scale = _lcm_tree(factors) * _lcm_tree(rate_nums)
     tables = []
-    for i, (ends, rates) in enumerate(kept, start=1):
-        bps, cum, where = [0], [0], f"machine {i} interval"
+    for ends, rates in kept:
+        bps, cum = [0], [0]
         for end, r in zip(ends, rates):
             bp = end.numerator * (scale // end.denominator)
-            if bp <= bps[-1]:
-                k = len(bps)  # the interval's number
-                start = ends[k - 2] if k > 1 else 0
-                raise ValueError(f"{where} {k}: empty or reversed ({start}, {end}]")
             work, rest = divmod((bp - bps[-1]) * r.numerator, r.denominator)
             if rest:
                 raise ArithmeticError(f"the work of segment {len(bps)} is off the scale")

@@ -288,13 +288,11 @@ def cmd_gadget(args) -> int:
         )
         inst = build(sizes, args.f)
     elif args.kind == "named":
-        kwargs = {}
-        if args.e0 is not None:
-            kwargs["e0"] = _frac_from_str(args.e0, "--e0")
-        if args.x is not None:
-            kwargs["x"] = _frac_from_str(args.x, "--x")
-        if args.alpha is not None:
-            kwargs["alpha"] = _frac_from_str(args.alpha, "--alpha")
+        kwargs = {
+            name: _frac_from_str(value, f"--{name}")
+            for name in ("e0", "x", "alpha")
+            if (value := getattr(args, name)) is not None
+        }
         inst = generators.named_example(args.name, **kwargs)
     else:
         _check_ceilings(args)
@@ -324,20 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="run one algorithm on an instance file")
-    solve.add_argument("instance", help="instance JSON path, or - for stdin")
+    # the flags of a run on an instance file that solve and compare share
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("instance", help="instance JSON path, or - for stdin")
+    run_flags.add_argument("--obj", required=True, choices=["makespan", "totaltime"])
+    run_flags.add_argument("--epsilon", help="accuracy parameter for the schemes, e.g. 1/4")
+    run_flags.add_argument("--decimal", action="store_true", help="print floats instead of p/q")
+
+    solve = sub.add_parser(
+        "solve", parents=[run_flags], help="run one algorithm on an instance file"
+    )
     solve.add_argument("--alg", required=True, choices=ALGORITHMS)
-    solve.add_argument("--obj", required=True, choices=["makespan", "totaltime"])
-    solve.add_argument("--epsilon", help="accuracy parameter for the schemes, e.g. 1/4")
     solve.add_argument("--d", type=int, help="enumeration depth for scheme-makespan")
-    solve.add_argument("--decimal", action="store_true", help="print floats instead of p/q")
     solve.set_defaults(func=cmd_solve)
 
-    compare = sub.add_parser("compare", help="run every algorithm and compare to the optimum")
-    compare.add_argument("instance", help="instance JSON path, or - for stdin")
-    compare.add_argument("--obj", required=True, choices=["makespan", "totaltime"])
-    compare.add_argument("--epsilon", help="also run the matching scheme")
-    compare.add_argument("--decimal", action="store_true")
+    compare = sub.add_parser(
+        "compare", parents=[run_flags], help="run every algorithm and compare to the optimum"
+    )
     compare.set_defaults(func=cmd_compare)
 
     # the flags of a random instance that experiment and gadget random share

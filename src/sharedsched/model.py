@@ -142,7 +142,8 @@ def evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
     """Compute every job's completion time for a fixed assignment.
 
     `assignment` must partition the job indices across exactly the instance's
-    machines; jobs run back to back in the given per-machine order.
+    machines; jobs run back to back in the given per-machine order.  A
+    malformed interval anywhere in a profile is refused (ValueError).
     """
     n = inst.n
     if len(assignment) != inst.m:
@@ -152,8 +153,8 @@ def evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
         raise ValueError("assignment is not a partition of the job indices")
     completions: list[Fraction] = [Fraction(0)] * n
     total = Fraction(0)
-    for mp, seq in zip(inst.machines, assignment):
-        table = build_capacity_table(mp)
+    for i, (mp, seq) in enumerate(zip(inst.machines, assignment), start=1):
+        table = build_capacity_table(mp, i)
         prefix = machine_total = Fraction(0)
         for j in seq:
             prefix += inst.jobs[j]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import compress
 from typing import Optional
 
 from .capacity import finish_key, scale_instance
@@ -92,6 +91,8 @@ _LOG_ERROR = 2.0**-40
 class GeometricBuckets:
     """Geometric value buckets [q^x, q^(x+1)) with q = 1 + delta.
 
+    `index(num, den)` takes a value as integers, reduced or not, and refuses
+    a den <= 0 with ValueError; a key over a scale S is `index(key, S)`.
     Bucket indices are found from a float log estimate.  When the estimate
     lies farther from an integer than its certified error margin, its floor
     is the index; otherwise exact integer comparisons against powers of q
@@ -117,10 +118,10 @@ class GeometricBuckets:
             return num * self._qd**x >= den * self._qn**x
         return num * self._qn**-x >= den * self._qd**-x
 
-    def index(self, value: Fraction) -> Optional[int]:
-        """Bucket index of a nonnegative value; None is the zero bucket."""
-        # the sign is the numerator's, so no Fraction comparison is needed
-        num, den = value.numerator, value.denominator
+    def index(self, num: int, den: int) -> Optional[int]:
+        """Bucket index of the nonnegative value num/den; None is the zero bucket."""
+        if den <= 0:
+            raise ValueError(f"a bucketed value's denominator must be positive, not {den}")
         if num == 0:
             return None
         if num < 0:
@@ -151,10 +152,7 @@ class GeometricBuckets:
 
 
 def totaltime_scheme(
-    inst: Instance,
-    epsilon: Fraction,
-    delta: Optional[Fraction] = None,
-    on_step=None,
+    inst: Instance, epsilon: Fraction, *, delta: Optional[Fraction] = None, on_step=None
 ) -> Schedule:
     """(1 + epsilon)-approximate completion-time sum via state-space sweeps.
 
@@ -199,13 +197,6 @@ def totaltime_scheme(
     # job set a state holds, and their bucket pair (None when nothing merges)
     sets: list[dict[int, tuple]] = [{0: (0, 0, (None, None))} for _ in range(m)]
     buckets = GeometricBuckets(delta) if delta > 0 else None
-    index_of: dict[int, Optional[int]] = {0: None}  # bucket index by key
-
-    def bucket(key: int) -> Optional[int]:
-        if key not in index_of:
-            index_of[key] = buckets.index(Fraction(key, scale))
-        return index_of[key]
-
     for b, j in enumerate(order):
         if len(states) * m > _LIMIT:
             raise OracleLimitError(
@@ -223,7 +214,7 @@ def totaltime_scheme(
                 load, cost, _ = made[mask]
                 load += size
                 cost += finish_key(scaled[i], load)
-                pair = (bucket(load), bucket(cost)) if buckets is not None else None
+                pair = buckets and (buckets.index(load, scale), buckets.index(cost, scale))
                 made[mask | bit] = (load, cost, pair)
             if buckets is not None:
                 made_pairs = [made[mask | bit][2] for mask in parents]
@@ -233,34 +224,29 @@ def totaltime_scheme(
                     marked.append((i, sharing))
         # every state extended onto every machine, in creation order
         extended = [s | bit << shift for s in states for shift in shifts]
-        if not marked:
-            states = tuple(extended)
-        else:
-            # Only a state whose new set is marked can merge: the states kept
-            # after the last job have distinct signatures, so two extended
-            # states of one signature that got the job on one machine hold two
-            # new sets of equal buckets there, and two that got it on machines
-            # i and k hold, on i, a new set and a parent of equal buckets.
-            mergeable = sorted(
-                idx * m + i
-                for i, sharing in marked
-                for idx, s in enumerate(states)
-                if s >> shifts[i] & full in sharing
-            )
-            keep = [True] * len(extended)
-            kept: dict[tuple, tuple[int, int]] = {}
-            for pos in mergeable:
-                s = extended[pos]
-                keep[pos] = False
-                sig = tuple([held[s >> shift & full][2] for held, shift in zip(sets, shifts)])
-                last_load = sets[-1][s >> shifts[-1]][0]
-                prev = kept.get(sig)
-                # survivor keeps the smaller load on the last machine
-                if prev is None or last_load < prev[1]:
-                    kept[sig] = (pos, last_load)
-            for pos, _ in kept.values():
-                keep[pos] = True
-            states = tuple(compress(extended, keep))
+        # Only a state whose new set is marked can merge: the states kept after
+        # the last job have distinct signatures, so two extended states of one
+        # signature that got the job on one machine hold two new sets of equal
+        # buckets there, and two that got it on machines i and k hold, on i, a
+        # new set and a parent of equal buckets.  Taken in creation order, a
+        # state merged away becomes 0; every other one holds the job's bit.
+        kept: dict[tuple, tuple[int, int]] = {}  # signature: (position, last load)
+        for idx, s in enumerate(states):
+            for i, sharing in marked:
+                if s >> shifts[i] & full in sharing:
+                    pos = idx * m + i
+                    t = extended[pos]
+                    sig = tuple([held[t >> shift & full][2] for held, shift in zip(sets, shifts)])
+                    last_load = sets[-1][t >> shifts[-1]][0]
+                    # the survivor keeps the smaller load on the last machine; a tie
+                    # keeps the older state
+                    keeper, keeper_load = kept.setdefault(sig, (pos, last_load))
+                    if last_load < keeper_load:
+                        extended[keeper] = 0
+                        kept[sig] = (pos, last_load)
+                    elif keeper != pos:
+                        extended[pos] = 0
+        states = tuple(filter(None, extended))
         if on_step is not None:
             on_step(j, states)
 

@@ -459,6 +459,13 @@ def test_gadget_named_round_trips_into_solve(capsys, tmp_path):
     assert instance_from_json(out) == named_example("ls_bad", e0=F(1, 2), x=F(1, 100))
 
 
+@pytest.mark.parametrize("name", generators.NAMED_EXAMPLES)
+def test_gadget_named_round_trips_every_example(capsys, name):
+    code, out, err = _run(capsys, ["gadget", "named", name])
+    assert (code, err) == (0, "")
+    assert instance_from_json(out) == named_example(name)
+
+
 def test_gadget_named_refuses_a_flag_the_example_does_not_take(capsys):
     code, out, err = _run(capsys, ["gadget", "named", "lptect_322", "--e0", "1/3"])
     assert (code, out) == (2, "")

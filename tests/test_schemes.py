@@ -34,13 +34,17 @@ from sharedsched import (
 from oracle_checks import exact_bucket_index
 
 
+def bucket_of(buckets, value):
+    return buckets.index(value.numerator, value.denominator)
+
+
 def similar(s1, s2, delta):
     """True when two (loads, costs) states agree bucket-by-bucket on every load and cost."""
     (loads1, costs1), (loads2, costs2) = s1, s2
     if len(loads1) != len(loads2):
         raise ValueError("states span different machine counts")
-    index = GeometricBuckets(delta).index
-    return all(index(a) == index(b) for a, b in zip(loads1 + costs1, loads2 + costs2))
+    buckets = GeometricBuckets(delta)
+    return all(bucket_of(buckets, a) == bucket_of(buckets, b) for a, b in zip(loads1 + costs1, loads2 + costs2))
 
 
 def unpack(state, inst):
@@ -212,14 +216,14 @@ def test_makespan_scheme_meets_its_guarantee():
 
 def test_bucket_indexing_at_delta_one():
     buckets = GeometricBuckets(F(1))
-    assert buckets.index(F(0)) is None
-    assert buckets.index(F(1)) == 0
-    assert buckets.index(F(3, 2)) == 0
-    assert buckets.index(F(2)) == 1
-    assert buckets.index(F(1, 2)) == -1
-    assert buckets.index(F(1, 3)) == -2
-    assert buckets.index(F(1024)) == 10
-    assert buckets.index(F(1023)) == 9
+    assert bucket_of(buckets, F(0)) is None
+    assert bucket_of(buckets, F(1)) == 0
+    assert bucket_of(buckets, F(3, 2)) == 0
+    assert bucket_of(buckets, F(2)) == 1
+    assert bucket_of(buckets, F(1, 2)) == -1
+    assert bucket_of(buckets, F(1, 3)) == -2
+    assert bucket_of(buckets, F(1024)) == 10
+    assert bucket_of(buckets, F(1023)) == 9
 
 
 def test_bucket_indexing_is_exact_at_boundaries():
@@ -227,12 +231,23 @@ def test_bucket_indexing_is_exact_at_boundaries():
     q = F(4, 3)
     for x in (-40, -7, 0, 13, 60):
         edge = q**x
-        assert buckets.index(edge) == x
-        assert buckets.index(edge - F(1, 10**9)) == x - 1
+        assert bucket_of(buckets, edge) == x
+        assert bucket_of(buckets, edge - F(1, 10**9)) == x - 1
     with pytest.raises(ValueError):
-        buckets.index(F(-1))
+        bucket_of(buckets, F(-1))
     with pytest.raises(ValueError):
         GeometricBuckets(F(0))
+
+
+@pytest.mark.parametrize("den", [0, -1, -3])
+def test_bucket_index_refuses_a_denominator_that_is_not_positive(den):
+    # -3/-3 would be 1, but only a positive denominator is taken
+    buckets = GeometricBuckets(F(1))
+    with pytest.raises(ValueError, match="denominator"):
+        buckets.index(-3, den)
+    with pytest.raises(ValueError, match="denominator"):
+        buckets.index(0, den)
+    assert buckets.index(6, 3) == buckets.index(2, 1) == 1
 
 
 @pytest.mark.parametrize(
@@ -255,7 +270,7 @@ def test_bucket_index_matches_exact_powers(delta):
         values += [(near_one, near_one), (f"q*{near_one}", q * near_one), (f"{near_one}/q", near_one / q)]
     buckets = GeometricBuckets(delta)
     for label, value in values:
-        assert buckets.index(value) == exact_bucket_index(delta, value), label
+        assert bucket_of(buckets, value) == exact_bucket_index(delta, value), label
 
 
 def test_buckets_refuse_indices_with_oversized_powers():
@@ -263,8 +278,8 @@ def test_buckets_refuse_indices_with_oversized_powers():
     # powers of about 10^13 bits for the value 2
     for delta, value in [(F(1, 10**400), F(2)), (F(1, 10**400), F(1)), (F(1, 10**12), F(2))]:
         with pytest.raises(OracleLimitError):
-            GeometricBuckets(delta).index(value)
-    assert GeometricBuckets(F(1, 10**12)).index(F(1)) == 0
+            bucket_of(GeometricBuckets(delta), value)
+    assert bucket_of(GeometricBuckets(F(1, 10**12)), F(1)) == 0
     with pytest.raises(OracleLimitError):
         totaltime_scheme(named_example("lptect_322"), F(1, 10**4))
 
@@ -319,6 +334,18 @@ def test_totaltime_scheme_requires_bounded_prefix():
         totaltime_scheme(named_example("spt_vs_sptect"), F(2))
     with pytest.raises(ValueError):
         totaltime_scheme(named_example("spt_vs_sptect"), F(1, 2), delta=F(-1, 100))
+
+
+def test_totaltime_scheme_takes_delta_and_on_step_by_keyword_only():
+    inst = named_example("spt_vs_sptect")
+    steps = []
+    with pytest.raises(TypeError):
+        totaltime_scheme(inst, F(1, 2), F(0))
+    with pytest.raises(TypeError):
+        totaltime_scheme(inst, F(1, 2), None, lambda j, s: steps.append(s))
+    assert steps == []
+    totaltime_scheme(inst, F(1, 2), delta=F(0), on_step=lambda j, s: steps.append(s))
+    assert len(steps) == inst.n
 
 
 def test_totaltime_scheme_never_keeps_two_similar_states():
@@ -377,7 +404,7 @@ def _check_survivors(inst, delta):
     totaltime_scheme(inst, F(1, 2), delta=delta, on_step=lambda j, s: steps.append(s))
     if delta is None:
         delta = F(1, 2) * inst.e0 / (6 * inst.n)
-    index = GeometricBuckets(delta).index
+    buckets = GeometricBuckets(delta)
     decode = decoder(inst)
     tables = [build_capacity_table(mp) for mp in inst.machines]
     n, m = inst.n, inst.m
@@ -394,7 +421,7 @@ def _check_survivors(inst, delta):
                 costs = s_costs[:i] + (s_costs[i] + c,) + s_costs[i + 1 :]
                 candidates.append((state, loads, costs))
         # each candidate's buckets: its loads', then its costs'
-        signatures = [tuple(map(index, loads + costs)) for _, loads, costs in candidates]
+        signatures = [tuple(bucket_of(buckets, v) for v in loads + costs) for _, loads, costs in candidates]
         # does any machine hold two sets whose (load, cost) buckets agree?
         held = [
             {(unpack(state, inst)[i], (sig[i], sig[m + i])) for (state, _, _), sig in zip(candidates, signatures)}

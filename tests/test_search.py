@@ -18,6 +18,7 @@ from sharedsched import (
     RandomSpec,
     SharedInterval,
     build_capacity_table,
+    evaluate,
     exact_optimal,
     finish_time,
     list_schedule,
@@ -106,6 +107,42 @@ def test_every_entry_point_refuses_a_malformed_interval_it_reads(intervals, mess
     inst = Instance(machines=machines, jobs=(F(2), F(1), F(1)), m1=1, e0=F(1, 2))
     assert validate_instance(inst) == [message]
     refusals = (
+        lambda: list_schedule(inst, OrderRule.LPT, PlacementRule.EARLIEST_COMPLETION),
+        lambda: list_schedule(inst, OrderRule.INPUT, PlacementRule.EARLIEST_START),
+        lambda: exact_optimal(inst, Objective.MAKESPAN),
+        lambda: exact_optimal(inst, Objective.TOTAL_COMPLETION),
+        lambda: makespan_scheme(inst, 1),
+        lambda: totaltime_scheme(inst, F(1, 2)),
+    )
+    for refused in refusals:
+        with pytest.raises(ValueError) as caught:
+            refused()
+        assert str(caught.value) == message
+
+
+# (intervals of a lone machine, validate_instance's first message); one job
+# of length 5, so the integer walk stops at interval 2 and only evaluate
+# reads interval 3
+MALFORMED_PAST_THE_WORK = {
+    "reversed": (
+        [(0, 10, 1), (10, 11, 1), (11, 1, 1), (1, 2, 1), (2, 3, 1), (3, 20, F(1, 2))],
+        "machine 1 interval 3: empty or reversed (11, 1]",
+    ),
+    "gap": ([(0, 10, 1), (10, 11, 1), (12, 13, 1)], "machine 1 interval 3: starts at 12, expected 11"),
+    "zero": ([(0, 10, 1), (10, 11, 1), (11, 12, 0)], "machine 1 interval 3: ratio 0 is outside (0, 1]"),
+}
+
+
+@pytest.mark.parametrize(
+    "intervals, message", list(MALFORMED_PAST_THE_WORK.values()), ids=list(MALFORMED_PAST_THE_WORK)
+)
+def test_evaluate_refuses_a_malformed_interval_past_the_total_work(intervals, message):
+    profile = MachineProfile(tuple(SharedInterval(F(a), F(b), F(r)) for a, b, r in intervals))
+    inst = Instance(machines=(profile,), jobs=(F(5),), m1=1, e0=F(1, 2))
+    assert validate_instance(inst)[0] == message
+    scale_instance(inst)  # the integer set-up never reads interval 3
+    refusals = (
+        lambda: evaluate(inst, [[0]]),
         lambda: list_schedule(inst, OrderRule.LPT, PlacementRule.EARLIEST_COMPLETION),
         lambda: list_schedule(inst, OrderRule.INPUT, PlacementRule.EARLIEST_START),
         lambda: exact_optimal(inst, Objective.MAKESPAN),
