@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, compress
 from typing import Optional
 
 from .capacity import finish_key, scale_instance
@@ -99,6 +100,8 @@ class GeometricBuckets:
     pin it down.  Either way two values land in the same bucket exactly
     when the rationals say so.  Zero gets its own bucket (None).  An index
     whose powers of q would exceed MAX_BUCKET_BITS raises OracleLimitError.
+    The powers for the exponents next to the last exact index are kept, so
+    a repeated value computes none again.
     """
 
     def __init__(self, delta: Fraction):
@@ -111,12 +114,16 @@ class GeometricBuckets:
         self._log_q = math.log(self._qn) - math.log(self._qd)
         self._log_q_size = math.log(self._qn) + math.log(self._qd) + 2
         self._bits = self._qn.bit_length()
+        # q^x as (top, bottom) for the exponents next to the last exact index
+        self._powers: dict[int, tuple[int, int]] = {}
 
     def _at_least(self, num: int, den: int, x: int) -> bool:
-        # num/den >= q^x, by cross-multiplication with integer powers
-        if x >= 0:
-            return num * self._qd**x >= den * self._qn**x
-        return num * self._qn**-x >= den * self._qd**-x
+        # num/den >= q^x = top/bottom, by cross-multiplication with integer powers
+        power = self._powers.get(x)
+        if power is None:
+            power = (self._qn**x, self._qd**x) if x >= 0 else (self._qd**-x, self._qn**-x)
+            self._powers[x] = power
+        return num * power[1] >= den * power[0]
 
     def index(self, num: int, den: int) -> Optional[int]:
         """Bucket index of the nonnegative value num/den; None is the zero bucket."""
@@ -148,6 +155,8 @@ class GeometricBuckets:
             x -= 1
         while self._at_least(num, den, x + 1):
             x += 1
+        # a repeated value needs only these powers again
+        self._powers = {k: power for k, power in self._powers.items() if abs(k - x) <= 1}
         return x
 
 
@@ -157,20 +166,23 @@ def totaltime_scheme(
     """(1 + epsilon)-approximate completion-time sum via state-space sweeps.
 
     Requires every machine except possibly the last to keep at least an e0
-    share (m1 >= m - 1).  Jobs are processed shortest-first; after each job,
-    states with identical bucket signatures are merged, keeping the one with
-    the smaller load on the last machine (ties keep the older state).  Pass
-    delta=0 to disable merging, which makes the sweep exact.  A state is one
-    integer: bits i*n ... i*n+n-1 hold machine i's job set, bit i*n+b
-    standing for the b-th job of `job_order(inst.jobs, OrderRule.SPT)`.
-    States are compared on integer keys, and the schedule returned is
-    `evaluate`'s.  A state can merge only when the set the job joined shares
-    its (load, cost) buckets with another set on that machine, so only such
-    states get a signature.  `on_step`, if given, is called with
-    (job_index, kept_states) after each job: the survivors as the sweep
-    holds them, a tuple of those integers in creation order.
-    Refuses with OracleLimitError before a job whose states times m would
-    exceed the oracle's ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.
+    share (m1 >= m - 1).  Jobs are processed shortest-first.  The states are
+    held as one column of job sets per machine: cols[i][s] is machine i's
+    set in state s, bit b standing for the b-th job of
+    `job_order(inst.jobs, OrderRule.SPT)`.  State s extended onto machine i
+    is position s*m + i, so states stay in creation order.  After each job,
+    states with identical bucket signatures merge, and each signature keeps
+    its least (last-machine load, position): the smaller load on the last
+    machine wins, and a tie keeps the older state.  Only a state whose new
+    set shares its (load, cost) buckets with another set on that machine can
+    merge, so only such states get a signature.  Pass delta=0 to disable
+    merging, which makes the sweep exact.  States are compared on integer
+    keys, and the schedule returned is `evaluate`'s.  `on_step`, if given,
+    is called with (job_index, kept_states) after each job: the survivors in
+    creation order, each packed for the callback alone into one integer
+    whose bits i*n ... i*n+n-1 hold machine i's set.  Refuses with
+    OracleLimitError before a job whose states times m would exceed the
+    oracle's ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.
     """
     n, m = inst.n, inst.m
     if inst.m1 < m - 1:
@@ -188,72 +200,67 @@ def totaltime_scheme(
 
     scale, sizes, scaled = scale_instance(inst)
     order = job_order(sizes, OrderRule.SPT)
-    # a state is one integer: machine i's job set takes bits i*n ... i*n+n-1,
-    # bit i*n+b standing for job order[b]; states stay in creation order
-    full = (1 << n) - 1
-    shifts = [i * n for i in range(m)]
-    states: tuple[int, ...] = (0,)
+    cols: list[list[int]] = [[0] for _ in range(m)]  # one state, every set empty
     # each machine's (load, shortest-first completion-time sum) keys of every
     # job set a state holds, and their bucket pair (None when nothing merges)
     sets: list[dict[int, tuple]] = [{0: (0, 0, (None, None))} for _ in range(m)]
     buckets = GeometricBuckets(delta) if delta > 0 else None
     for b, j in enumerate(order):
-        if len(states) * m > _LIMIT:
+        if len(cols[0]) * m > _LIMIT:
             raise OracleLimitError(
-                f"extending {len(states)} states onto {m} machines exceeds the limit of {_LIMIT}"
+                f"extending {len(cols[0])} states onto {m} machines exceeds the limit of {_LIMIT}"
             )
         bit, size = 1 << b, sizes[j]
         # per machine, the parents whose new set shares its (load, cost)
         # buckets with a parent or another new set there
-        marked = []
-        for i, made in enumerate(sets):
-            shift = shifts[i]
-            parents = {s >> shift & full for s in states}
-            # each set the job makes, filled from its parent
-            for mask in parents:
+        extended, marked = [], []
+        for i, (col, made) in enumerate(zip(cols, sets)):
+            grown = {}  # parent: the set the job makes from it, one int shared by its states
+            for mask in set(col):
                 load, cost, _ = made[mask]
                 load += size
                 cost += finish_key(scaled[i], load)
                 pair = buckets and (buckets.index(load, scale), buckets.index(cost, scale))
-                made[mask | bit] = (load, cost, pair)
+                grown[mask] = new = mask | bit
+                made[new] = (load, cost, pair)
             if buckets is not None:
-                made_pairs = [made[mask | bit][2] for mask in parents]
-                counts = Counter([made[mask][2] for mask in parents] + made_pairs)
-                sharing = {mask for mask, pair in zip(parents, made_pairs) if counts[pair] > 1}
+                counts = Counter(made[mask][2] for mask in chain.from_iterable(grown.items()))
+                sharing = {mask for mask, new in grown.items() if counts[made[new][2]] > 1}
                 if sharing:
                     marked.append((i, sharing))
-        # every state extended onto every machine, in creation order
-        extended = [s | bit << shift for s in states for shift in shifts]
+            # each parent m times; the job joins machine i's set at positions i, i+m, ...
+            ext = list(chain.from_iterable(zip(*[col] * m)))
+            ext[i::m] = map(grown.__getitem__, col)
+            extended.append(ext)
         # Only a state whose new set is marked can merge: the states kept after
         # the last job have distinct signatures, so two extended states of one
         # signature that got the job on one machine hold two new sets of equal
         # buckets there, and two that got it on machines i and k hold, on i, a
-        # new set and a parent of equal buckets.  Taken in creation order, a
-        # state merged away becomes 0; every other one holds the job's bit.
-        kept: dict[tuple, tuple[int, int]] = {}  # signature: (position, last load)
-        for idx, s in enumerate(states):
-            for i, sharing in marked:
-                if s >> shifts[i] & full in sharing:
-                    pos = idx * m + i
-                    t = extended[pos]
-                    sig = tuple([held[t >> shift & full][2] for held, shift in zip(sets, shifts)])
-                    last_load = sets[-1][t >> shifts[-1]][0]
-                    # the survivor keeps the smaller load on the last machine; a tie
-                    # keeps the older state
-                    keeper, keeper_load = kept.setdefault(sig, (pos, last_load))
-                    if last_load < keeper_load:
-                        extended[keeper] = 0
-                        kept[sig] = (pos, last_load)
-                    elif keeper != pos:
-                        extended[pos] = 0
-        states = tuple(filter(None, extended))
+        # new set and a parent of equal buckets.  Each signature keeps its least
+        # (last-machine load, position): the smaller last load wins, and a tie
+        # keeps the older state.
+        least: dict[tuple, tuple[int, int]] = {}  # signature: least (last load, position)
+        keep = bytearray(b"\x01") * len(extended[0])  # 0: merged away
+        for i, sharing in marked:
+            for s, mask in enumerate(cols[i]):
+                if mask in sharing:
+                    pos = s * m + i
+                    sig = tuple([made[ext[pos]][2] for made, ext in zip(sets, extended)])
+                    here = (sets[-1][extended[-1][pos]][0], pos)
+                    least[sig] = min(here, least.get(sig, here))
+                    keep[pos] = 0
+        for _, pos in least.values():
+            keep[pos] = 1
+        if 0 in keep:
+            extended = [list(compress(ext, keep)) for ext in extended]
+        cols = extended
         if on_step is not None:
-            on_step(j, states)
+            shifted = [[c << i * n for c in col] for i, col in enumerate(cols)]
+            on_step(j, tuple(map(sum, zip(*shifted))))
 
     # each state's cost summed over the machines; the first least is the oldest state
-    costs = [[made[s >> shift & full][1] for s in states] for made, shift in zip(sets, shifts)]
-    totals = list(map(sum, zip(*costs)))
-    best = states[totals.index(min(totals))]
+    totals = list(map(sum, zip(*[[made[c][1] for c in col] for made, col in zip(sets, cols)])))
+    best = totals.index(min(totals))
     # job order[b] runs on the machine whose set holds bit b
-    machines = [next(i for i in range(m) if best >> shifts[i] + b & 1) for b in range(n)]
+    machines = [next(i for i, col in enumerate(cols) if col[best] >> b & 1) for b in range(n)]
     return _schedule_of(inst, order, machines)

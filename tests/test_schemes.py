@@ -377,6 +377,13 @@ def test_totaltime_scheme_survivor_rule_per_step():
     )
     for inst in (random_instance(RandomSpec(n=5, m=2, m1=1, e0=F(1, 2), seed=3)), tied):
         _check_survivors(inst, F(1, 2))
+    # at m=4, where state s extended onto machine i sits at position 4s + i
+    tied4 = Instance(
+        machines=(MachineProfile(intervals=()),) * 4, jobs=tuple(map(F, [1, 2, 1, 2, 1])),
+        m1=4, e0=F(1),
+    )
+    for inst in (random_instance(RandomSpec(n=5, m=4, m1=3, e0=F(1, 2), seed=0)), tied4):
+        _check_survivors(inst, F(1, 2))
 
 
 def test_totaltime_scheme_survivor_rule_at_the_default_delta():
@@ -453,6 +460,7 @@ def _check_survivors(inst, delta):
     [
         ([1] * 6, 2, [2, 3, 4, 5, 6, 7]),
         ([1, 1, 2, 2, 3, 3, 1], 3, [3, 6, 10, 30, 60, 180, 360]),
+        ([1, 1, 2, 2, 1], 4, [4, 10, 20, 80, 200]),
     ],
 )
 def test_merging_fires_at_the_default_delta(jobs, m, kept_per_job):
