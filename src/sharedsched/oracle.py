@@ -2,19 +2,22 @@
 
 These enumerate every assignment of jobs to machines, so they are usable as
 ground truth in tests and experiments but nothing larger.  `best_placement`,
-the search the makespan scheme shares, walks every placement of a job list
+the search the makespan scheme shares, walks the placements of a job list
 depth first on `capacity.scale_instance`'s integer keys and computes each job
-set's finish key on each machine once; each caller checks its own limits
-first and reports `evaluate`'s schedule for the placement returned.  Within
-a machine the makespan runs its jobs in index order and the completion-time
-sum shortest first; the tests back the latter with a check of every order.
+set's finish key on each machine once.  The oracle walks every placement;
+the makespan scheme passes a limit that skips the placements worse than it.
+Each caller checks its own limits first and reports `evaluate`'s schedule
+for the placement returned.  Within a machine the makespan runs its jobs in
+index order and the completion-time sum shortest first; the tests back the
+latter with a check of every order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .capacity import ScaledTable, finish_key, scale_instance
 from .heuristics import OrderRule, ect_placement, job_order
@@ -77,11 +80,12 @@ def best_placement(
     jobs: Sequence[int],
     objective: Objective,
     rest: Sequence[int] = (),
+    limit: Optional[int] = None,
 ) -> tuple[list[int], int]:
-    """The first placement of `jobs` of least objective key, and the number of placements.
+    """The first placement of `jobs` of least objective key, and the number of leaves visited.
 
     `sizes` and `scaled` are `scale_instance`'s job keys (by job index) and
-    scaled tables.  One iterative depth-first walk over all m^k placements
+    scaled tables.  One iterative depth-first walk over the m^k placements
     of the k jobs, each job trying the machines in ascending index order.
     The minimizer reported is the first in lexicographic order of the
     machine vector, the first job of `jobs` most significant.  A node looks
@@ -93,14 +97,21 @@ def best_placement(
       when a job is added, as job lengths are nonnegative.  At each leaf the
       jobs of `rest` then go, in list order, to the machine where each
       finishes first (`ect_placement`), from the loads the walk holds.
+      With an integer `limit`, a leaf counts only when its value, tail
+      included, is at most `limit`, which then drops to one below that
+      value, and a node whose aggregate passes `limit` is skipped with all
+      its leaves.  The aggregate never drops down a path and the tail only
+      adds jobs, so the first minimizer is kept whenever its value is at
+      most the `limit` given; when no leaf is, ValueError is raised.
+      Without a limit every leaf is visited.
     - the total-time walk takes the jobs shortest first, equal lengths in
       list order (`job_order(..., OrderRule.SPT)`), so each adds the job its
       set runs last, and its aggregate is the parent's plus the new finish
       key, the job's completion time.  A tie keeps the lexicographically
       smaller vector.
-    Returns one machine per job of `jobs` and then of `rest`, the tail
-    replayed once from the minimizer's loads, and the number of leaves
-    visited.
+    The total-time walk takes no `limit`.  Returns one machine per job of
+    `jobs` and then of `rest`, the tail replayed once from the minimizer's
+    loads, and the number of leaves visited: m^k without a limit.
     """
     total = objective is not Objective.MAKESPAN
     k = len(jobs)
@@ -120,11 +131,16 @@ def best_placement(
     masks, loads = [0] * m, [0] * m
     path = [0] * (k + 1)  # the aggregate over the first t jobs walked
     choice = [0] * k
-    best, best_choice, leaves = None, (), 0
+    # a leaf counts when its value is at most `bound`, which then drops to one
+    # below it: keys are integers, so only strict improvements count after it
+    prune = limit is not None
+    bound = math.inf if limit is None else limit
+    best_choice, leaves = None, 0
     last = m - 1
     t = i = 0
     while t >= 0:
-        # down: job t onto machine i, then each later job onto machine 0
+        # down: job t onto machine i, then each later job onto machine 0, until
+        # a child passes the bound and is taken back as a leaf would be
         while t < k:
             mask = masks[i] | bits[t]
             load = loads[i] + walked[t]
@@ -141,19 +157,22 @@ def best_placement(
             t += 1
             path[t] = value
             i = 0
-        leaves += 1
-        value = path[k]
-        if tail:
-            tail_loads = loads[:]
-            for size in tail:
-                i, finish = ect_placement(scaled, tail_loads, size)
-                tail_loads[i] += size
-                if finish > value:
-                    value = finish
-        if best is None or value < best:
-            best, best_choice = value, tuple([choice[t] for t in at])
-        elif total and value == best:
-            best_choice = min(best_choice, tuple([choice[t] for t in at]))
+            if prune and value > bound:
+                break
+        else:
+            leaves += 1
+            value = path[k]
+            if tail:
+                tail_loads = loads[:]
+                for size in tail:
+                    i, finish = ect_placement(scaled, tail_loads, size)
+                    tail_loads[i] += size
+                    if finish > value:
+                        value = finish
+            if value <= bound:
+                bound, best_choice = value - 1, tuple([choice[t] for t in at])
+            elif total and value == bound + 1:
+                best_choice = min(best_choice, tuple([choice[t] for t in at]))
         # up: take back the jobs on the last machine, then the one before them
         t -= 1
         while t >= 0:
@@ -164,6 +183,8 @@ def best_placement(
                 i += 1
                 break
             t -= 1
+    if best_choice is None:
+        raise ValueError(f"no placement has a makespan key of at most {limit}")
     placed = list(best_choice)
     loads = [0] * m
     for j, i in zip(jobs, placed):

@@ -2,7 +2,8 @@
 
 For makespan: place the d largest jobs in every possible way, finish each
 branch greedily, keep the best branch; the search is `oracle.best_placement`,
-the oracle's own.  For the completion-time sum: sweep jobs shortest-first
+the oracle's own, and it skips every branch that cannot beat the greedy
+LPT-ECT schedule.  For the completion-time sum: sweep jobs shortest-first
 through a state space of per-machine job sets, merging states whose
 (load, cost) pairs agree bucket-by-bucket on a geometric grid.  Both run on
 `capacity.scale_instance`'s integer keys.
@@ -17,7 +18,7 @@ from itertools import chain, compress
 from typing import Optional
 
 from .capacity import finish_key, scale_instance
-from .heuristics import OrderRule, _check_epsilon, _check_shares, job_order
+from .heuristics import OrderRule, _check_epsilon, _check_shares, ect_placement, job_order
 from .model import Instance, Objective, Schedule, _rational, _schedule_of
 from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N, OracleLimitError, best_placement
 
@@ -54,13 +55,16 @@ _LIMIT = DEFAULT_MAX_M**DEFAULT_MAX_N
 def makespan_scheme(inst: Instance, d: int) -> Schedule:
     """Best-of-enumeration makespan schedule.
 
-    Tries all m^d placements of the d longest jobs; the rest follow longest
-    first onto whichever machine completes them earliest.  Ties keep the
-    lexicographically smallest placement vector, so the result is
-    deterministic.  Refuses, before any work, a d that is not an integer in
-    [0, n] with ValueError, and with OracleLimitError an m^d beyond the
-    oracle's own ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.  Each
-    machine runs its jobs longest first.
+    Searches the m^d placements of the d longest jobs; the rest follow
+    longest first onto whichever machine completes them earliest.  The
+    search is limited by LPT-ECT's makespan, which one placement reproduces,
+    so it skips every placement whose partial makespan already passes the
+    best found.  Ties keep the lexicographically smallest placement vector,
+    so the result is deterministic and the same as an exhaustive search's.
+    Refuses, before any work, a d that is not an integer in [0, n] with
+    ValueError, and with OracleLimitError an m^d beyond the oracle's own
+    ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves: a walk that cannot prune
+    still visits every placement.  Each machine runs its jobs longest first.
     """
     n, m = inst.n, inst.m
     if not isinstance(d, int) or isinstance(d, bool):
@@ -71,7 +75,15 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
         raise OracleLimitError(f"{m}^{d} placements exceed the limit of {_LIMIT}")
     _, sizes, scaled = scale_instance(inst)
     by_length = job_order(sizes, OrderRule.LPT)
-    placed, _ = best_placement(sizes, scaled, by_length[:d], Objective.MAKESPAN, by_length[d:])
+    # LPT-ECT's makespan key: one of the branches reproduces it
+    loads, limit = [0] * m, 0
+    for j in by_length:
+        i, finish = ect_placement(scaled, loads, sizes[j])
+        loads[i] += sizes[j]
+        limit = max(limit, finish)
+    placed, _ = best_placement(
+        sizes, scaled, by_length[:d], Objective.MAKESPAN, by_length[d:], limit
+    )
     return _schedule_of(inst, by_length, placed)
 
 

@@ -379,6 +379,31 @@ def test_the_walk_keeps_the_first_minimizer_of_every_placement(m, identical):
             got = best_placement(sizes, scaled, jobs, objective, tail)
             assert got == _brute_force(inst, jobs, objective, tail), (k, objective, tail)
             assert got[1] == m**k
+            if objective is Objective.MAKESPAN:
+                # the optimum's key, and the greedy key of the list order that one leaf reproduces
+                limits = [_makespan_key(scaled, sizes, jobs + tail, got[0]), _ect_key(scaled, sizes, jobs + tail)]
+                for limit in limits:
+                    placed, leaves = best_placement(sizes, scaled, jobs, objective, tail, limit)
+                    assert placed == got[0] and leaves <= m**k, (k, tail, limit)
+                with pytest.raises(ValueError, match="no placement"):
+                    best_placement(sizes, scaled, jobs, objective, tail, limits[0] - 1)
+
+
+def _ect_key(scaled, sizes, jobs):
+    """The makespan key of `jobs` placed in list order where each finishes first."""
+    loads, key = [0] * len(scaled), 0
+    for j in jobs:
+        i, finish = ect_placement(scaled, loads, sizes[j])
+        loads[i] += sizes[j]
+        key = max(key, finish)
+    return key
+
+
+def _makespan_key(scaled, sizes, jobs, placed):
+    loads = [0] * len(scaled)
+    for j, i in zip(jobs, placed):
+        loads[i] += sizes[j]
+    return max(finish_key(table, load) for table, load in zip(scaled, loads))
 
 
 @pytest.fixture()
@@ -412,6 +437,15 @@ def test_an_exact_sweep_fills_each_set_once(calls, m, filled):
     totaltime_scheme(inst, F(1, 2), delta=F(0))
     # with no merging every nonempty set shows on every machine
     assert calls[0] == filled == m * (2**n - 1)
+
+
+def test_the_largest_admitted_scheme_walk_prunes_against_lpt_ect(calls):
+    # m=2 admits d=20: 2^20 placements, which the walk prunes to a few leaves
+    inst = random_instance(RandomSpec(n=20, m=2, m1=2, e0=F(1), seed=0))
+    assert schemes.compute_d(2, 2, F(1), F(1, 10), 20) == 20
+    assert makespan_scheme(inst, 20).makespan == F(136, 3)
+    # against 2*(2^20 - 1) for the exhaustive walk
+    assert calls[0] == 99980
 
 
 def test_one_machine_walks_twelve_hundred_jobs_deep(calls):

@@ -14,7 +14,7 @@ Each part gets one line:
   each objective it serves: the schedule and the parameters it reports;
 - totaltime: `totaltime_scheme` at epsilon 1/4 and 1/2, with `delta` at the
   default, 0 and 1/2: the schedule and every state passed to `on_step`;
-- makespan: `makespan_scheme` at each d <= min(n, 5);
+- makespan: `makespan_scheme` at each d <= n;
 - refusals: the type and message of every refused call, in order;
 - counts: each run's `finish_key` and `GeometricBuckets.index` call counts.
 
@@ -140,7 +140,7 @@ def main() -> int:
                     delta=delta, on_step=lambda *step: steps.append(step),
                 )
                 record("totaltime", key, out and schedule_of(out), steps)
-        for d in range(min(inst.n, 5) + 1):
+        for d in range(inst.n + 1):
             key = f"{label} makespan d={d}"
             out = run("makespan", key, schemes.makespan_scheme, inst, d)
             record("makespan", key, out and schedule_of(out))
