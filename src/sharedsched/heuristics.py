@@ -4,7 +4,8 @@ Two placement rules are supported: earliest start (the machine whose last job
 finishes soonest) and earliest completion (the machine where this job would
 finish soonest).  Ties always go to the lowest machine index, and equal
 processing times keep the lower job index first, so every run is
-deterministic.
+deterministic.  `_place_ect` is the one earliest-completion loop, which the
+makespan scheme's limit and each of its placements' greedy tails run too.
 """
 
 from __future__ import annotations
@@ -76,6 +77,21 @@ def ect_placement(tables: Sequence[ScaledTable], loads: Sequence[int], p: int) -
     return best_i, best_c
 
 
+def _place_ect(
+    tables: Sequence[ScaledTable], loads: list[int], lengths: Sequence[int]
+) -> tuple[list[int], int]:
+    """Each of `lengths` in turn onto the machine where it finishes first.
+
+    Updates `loads`; returns each length's machine and the largest finish key (0 if none)."""
+    placed, top = [], 0
+    for p in lengths:
+        i, finish = ect_placement(tables, loads, p)
+        loads[i] += p
+        placed.append(i)
+        top = max(top, finish)
+    return placed, top
+
+
 def list_schedule(inst: Instance, order: OrderRule, placement: PlacementRule) -> Schedule:
     """Greedy schedule for the given order and placement rule.
 
@@ -86,20 +102,16 @@ def list_schedule(inst: Instance, order: OrderRule, placement: PlacementRule) ->
     order, placement = OrderRule(order), PlacementRule(placement)
     _, sizes, scaled = scale_instance(inst)
     m = inst.m
-    loads = [0] * m
-    finishes = [0] * m
     jobs = job_order(sizes, order)
-    placed = []
-    for j in jobs:
-        p = sizes[j]
-        if placement is PlacementRule.EARLIEST_START:
+    if placement is PlacementRule.EARLIEST_COMPLETION:
+        placed, _ = _place_ect(scaled, [0] * m, [sizes[j] for j in jobs])
+    else:
+        loads, finishes, placed = [0] * m, [0] * m, []
+        for j in jobs:
             i = min(range(m), key=finishes.__getitem__)
-            c = finish_key(scaled[i], loads[i] + p)
-        else:
-            i, c = ect_placement(scaled, loads, p)
-        placed.append(i)
-        loads[i] += p
-        finishes[i] = c
+            loads[i] += sizes[j]
+            finishes[i] = finish_key(scaled[i], loads[i])
+            placed.append(i)
     return _schedule_of(inst, jobs, placed)
 
 

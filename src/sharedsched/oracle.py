@@ -5,11 +5,12 @@ ground truth in tests and experiments but nothing larger.  `best_placement`,
 the search the makespan scheme shares, walks the placements of a job list
 depth first on `capacity.scale_instance`'s integer keys and computes each job
 set's finish key on each machine once.  The oracle walks every placement;
-the makespan scheme passes a limit that skips the placements worse than it.
-Each caller checks its own limits first and reports `evaluate`'s schedule
-for the placement returned.  Within a machine the makespan runs its jobs in
-index order and the completion-time sum shortest first; the tests back the
-latter with a check of every order.
+the makespan scheme passes a limit that skips the placements worse than it,
+and a tail that each leaf places greedily (`heuristics._place_ect`), kept as
+the minimizer placed it.  Each caller checks its own limits first and reports
+`evaluate`'s schedule for the placement returned.  Within a machine the
+makespan runs its jobs in index order and the completion-time sum shortest
+first; the tests back the latter with a check of every order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .capacity import ScaledTable, finish_key, scale_instance
-from .heuristics import OrderRule, ect_placement, job_order
+from .heuristics import OrderRule, _place_ect, job_order
 from .model import Instance, Objective, Schedule, _schedule_of, objective_value
 
 __all__ = [
@@ -96,7 +97,7 @@ def best_placement(
       the new finish key; that is exact because no set's finish key drops
       when a job is added, as job lengths are nonnegative.  At each leaf the
       jobs of `rest` then go, in list order, to the machine where each
-      finishes first (`ect_placement`), from the loads the walk holds.
+      finishes first (`_place_ect`), from the loads the walk holds.
       With an integer `limit`, a leaf counts only when its value, tail
       included, is at most `limit`, which then drops to one below that
       value, and a node whose aggregate passes `limit` is skipped with all
@@ -110,8 +111,8 @@ def best_placement(
       key, the job's completion time.  A tie keeps the lexicographically
       smaller vector.
     The total-time walk takes no `limit`.  Returns one machine per job of
-    `jobs` and then of `rest`, the tail replayed once from the minimizer's
-    loads, and the number of leaves visited: m^k without a limit.
+    `jobs` and then of `rest`, the tail as the minimizer's leaf placed it,
+    and the number of leaves visited: m^k without a limit.
     """
     total = objective is not Objective.MAKESPAN
     k = len(jobs)
@@ -136,6 +137,7 @@ def best_placement(
     prune = limit is not None
     bound = math.inf if limit is None else limit
     best_choice, leaves = None, 0
+    tail_placed: list[int] = []  # the machines `rest` took at the leaf last valued
     last = m - 1
     t = i = 0
     while t >= 0:
@@ -163,16 +165,12 @@ def best_placement(
             leaves += 1
             value = path[k]
             if tail:
-                tail_loads = loads[:]
-                for size in tail:
-                    i, finish = ect_placement(scaled, tail_loads, size)
-                    tail_loads[i] += size
-                    if finish > value:
-                        value = finish
+                tail_placed, finish = _place_ect(scaled, loads[:], tail)
+                value = max(value, finish)
             if value <= bound:
-                bound, best_choice = value - 1, tuple([choice[t] for t in at])
+                bound, best_choice = value - 1, [choice[t] for t in at] + tail_placed
             elif total and value == bound + 1:
-                best_choice = min(best_choice, tuple([choice[t] for t in at]))
+                best_choice = min(best_choice, [choice[t] for t in at])
         # up: take back the jobs on the last machine, then the one before them
         t -= 1
         while t >= 0:
@@ -185,12 +183,4 @@ def best_placement(
             t -= 1
     if best_choice is None:
         raise ValueError(f"no placement has a makespan key of at most {limit}")
-    placed = list(best_choice)
-    loads = [0] * m
-    for j, i in zip(jobs, placed):
-        loads[i] += sizes[j]
-    for j in rest:
-        i, _ = ect_placement(scaled, loads, sizes[j])
-        loads[i] += sizes[j]
-        placed.append(i)
-    return placed, leaves
+    return best_choice, leaves

@@ -18,7 +18,7 @@ from itertools import chain, compress
 from typing import Optional
 
 from .capacity import finish_key, scale_instance
-from .heuristics import OrderRule, _check_epsilon, _check_shares, ect_placement, job_order
+from .heuristics import OrderRule, _check_epsilon, _check_shares, _place_ect, job_order
 from .model import Instance, Objective, Schedule, _rational, _schedule_of
 from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N, OracleLimitError, best_placement
 
@@ -76,11 +76,7 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
     _, sizes, scaled = scale_instance(inst)
     by_length = job_order(sizes, OrderRule.LPT)
     # LPT-ECT's makespan key: one of the branches reproduces it
-    loads, limit = [0] * m, 0
-    for j in by_length:
-        i, finish = ect_placement(scaled, loads, sizes[j])
-        loads[i] += sizes[j]
-        limit = max(limit, finish)
+    _, limit = _place_ect(scaled, [0] * m, [sizes[j] for j in by_length])
     placed, _ = best_placement(
         sizes, scaled, by_length[:d], Objective.MAKESPAN, by_length[d:], limit
     )

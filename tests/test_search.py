@@ -28,7 +28,7 @@ from sharedsched import (
     random_instance,
     validate_instance,
 )
-from sharedsched import capacity, oracle, schemes
+from sharedsched import capacity, heuristics, oracle, schemes
 from sharedsched.capacity import finish_key, scale_instance
 from sharedsched.heuristics import ect_placement, job_order
 from sharedsched.schemes import makespan_scheme, totaltime_scheme
@@ -408,7 +408,7 @@ def _makespan_key(scaled, sizes, jobs, placed):
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """The `finish_key` calls of the placement walk and of the total-time sweep."""
+    """The `finish_key` calls of the placement walk, the total-time sweep and the ECT loop."""
     count = [0]
 
     def counted(table, work):
@@ -417,6 +417,7 @@ def calls(monkeypatch):
 
     monkeypatch.setattr(oracle, "finish_key", counted)
     monkeypatch.setattr(schemes, "finish_key", counted)
+    monkeypatch.setattr(heuristics, "finish_key", counted)
     return count
 
 
@@ -444,8 +445,22 @@ def test_the_largest_admitted_scheme_walk_prunes_against_lpt_ect(calls):
     inst = random_instance(RandomSpec(n=20, m=2, m1=2, e0=F(1), seed=0))
     assert schemes.compute_d(2, 2, F(1), F(1, 10), 20) == 20
     assert makespan_scheme(inst, 20).makespan == F(136, 3)
-    # against 2*(2^20 - 1) for the exhaustive walk
-    assert calls[0] == 99980
+    # the walk's 99,980, against 2*(2^20 - 1) for the exhaustive walk, and
+    # 2*20 for the LPT-ECT limit
+    assert calls[0] == 99980 + 40
+
+
+@pytest.mark.parametrize(
+    "seed, m1, n, d, makespan, filled",
+    [(220900, 2, 9, 4, F(776, 35), 124), (211000, 1, 10, 8, F(4591, 168), 390)],
+)
+def test_a_tailed_scheme_call_keeps_the_tail_its_leaf_placed(calls, seed, m1, n, d, makespan, filled):
+    # from criterion 2's tail pool: m=2, e0=1, epsilon=1/2, so d < n; a replay
+    # of the minimizer's tail after the walk would add m*(n-d) calls
+    inst = random_instance(RandomSpec(n=n, m=2, m1=m1, e0=F(1), seed=seed))
+    assert schemes.compute_d(2, m1, F(1), F(1, 2), n) == d
+    assert makespan_scheme(inst, d).makespan == makespan
+    assert calls[0] == filled
 
 
 def test_one_machine_walks_twelve_hundred_jobs_deep(calls):

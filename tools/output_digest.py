@@ -8,15 +8,18 @@ equal totals mean equal outputs on every run of the corpus:
 The corpus is seeded random instances with m 1-4 and n 1-10 (m^n at most
 4^7), the named examples, the partition gadgets, and full-speed instances
 with repeated integer lengths, where the total-time scheme merges states.
-Each part gets one line:
+Each part gets two lines: one for its outputs, and one, `<part>-counts`,
+for the `finish_key` and `GeometricBuckets.index` call counts of each run
+made for that part, refused or not, so a change of work shows in the family
+that made it.  The parts:
 
 - algorithms: every `cli.ALGORITHMS` entry at epsilon 1/4 and 1/2, under
   each objective it serves: the schedule and the parameters it reports;
 - totaltime: `totaltime_scheme` at epsilon 1/4 and 1/2, with `delta` at the
   default, 0 and 1/2: the schedule and every state passed to `on_step`;
 - makespan: `makespan_scheme` at each d <= n;
-- refusals: the type and message of every refused call, in order;
-- counts: each run's `finish_key` and `GeometricBuckets.index` call counts.
+- refusals: the type and message of every refused call, in order; its runs
+  are the calls beyond the corpus, made to be refused.
 
 The last line is the digest of the part digests.  Standard library only;
 it takes no flags.
@@ -33,7 +36,7 @@ from sharedsched import cli, generators, heuristics, oracle, schemes
 from sharedsched.generators import RandomSpec, named_example, random_instance
 from sharedsched.model import Instance, MachineProfile, Objective
 
-PARTS = ("algorithms", "totaltime", "makespan", "refusals", "counts")
+PARTS = ("algorithms", "totaltime", "makespan", "refusals")
 EPSILONS = (F(1, 4), F(1, 2))
 DELTAS = (None, F(0), F(1, 2))
 
@@ -51,10 +54,11 @@ class Counted:
 
 
 class Digest:
-    """The running digest of each part, over every run recorded."""
+    """The running digest of each part and of its runs' counts, over every run recorded."""
 
     def __init__(self):
-        self.parts = {part: hashlib.sha256() for part in PARTS}
+        names = [*PARTS, *(f"{part}-counts" for part in PARTS)]
+        self.parts = {name: hashlib.sha256() for name in names}
         self.runs = 0
         # every module that imports the kernel calls it through its own name
         self.finish_key = Counted(oracle.finish_key)
@@ -68,7 +72,7 @@ class Digest:
         self.parts[part].update(repr(values).encode("utf-8") + b"\n")
 
     def run(self, part: str, label: str, call, *args, **kwargs):
-        """Call, then record the result in `part` (or the refusal) and the counts."""
+        """Call, then record the result in `part` (or the refusal) and the counts in its counts."""
         self.runs += 1
         self.finish_key.calls = self.index.calls = 0
         try:
@@ -76,7 +80,7 @@ class Digest:
         except (ValueError, oracle.OracleLimitError) as exc:
             self.record("refusals", label, type(exc).__name__, str(exc))
             result = None
-        self.record("counts", label, self.finish_key.calls, self.index.calls)
+        self.record(f"{part}-counts", label, self.finish_key.calls, self.index.calls)
         return result
 
 
@@ -162,9 +166,9 @@ def main() -> int:
     total = hashlib.sha256()
     for part, sha in digest.parts.items():
         total.update(sha.hexdigest().encode("ascii"))
-        print(f"{part:<10} {sha.hexdigest()}")
-    print(f"{'runs':<10} {digest.runs}")
-    print(f"{'total':<10} {total.hexdigest()}")
+        print(f"{part:<17} {sha.hexdigest()}")
+    print(f"{'runs':<17} {digest.runs}")
+    print(f"{'total':<17} {total.hexdigest()}")
     return 0
 
 
