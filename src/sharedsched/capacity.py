@@ -10,7 +10,9 @@ The same queries also run on integers, over one instance-wide scale.
 (the scale, the job lengths as keys, the scaled tables), straight from the
 machine profiles; the list heuristics and the searches decide on it, while
 `finish_time` stays the exact reference with which `model.evaluate` builds
-every reported schedule.  The two halves share no code.
+every reported schedule.  Both halves refuse a malformed interval through
+`_interval_faults`, the one statement of the interval rules, which
+`model.validate_instance` reports from too.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .model import Instance, MachineProfile
 
-__all__ = ["CapacityTable", "build_capacity_table", "finish_time", "work_at"]
+__all__ = ["CapacityTable", "build_capacity_table", "finish_time"]
 
 
 @dataclass(frozen=True)
@@ -44,18 +46,27 @@ class CapacityTable:
     tail_ratio: Fraction
 
 
-def _check_interval(iv, prev: Fraction, machine: int, k: int) -> None:
-    """Refuse interval k of a machine, with `validate_instance`'s message, when it
-    starts off `prev` (the previous end), is empty or reversed, or has a ratio
-    outside (0, 1].  Numerators and denominators compare faster than Fractions."""
-    start, end, r = iv.start, iv.end, iv.ratio
-    num, den = start.numerator, start.denominator
-    if num != prev.numerator or den != prev.denominator:
-        raise ValueError(f"machine {machine} interval {k}: starts at {start}, expected {prev}")
-    if end is not None and end.numerator * den <= num * end.denominator:
-        raise ValueError(f"machine {machine} interval {k}: empty or reversed ({start}, {end}]")
-    if not 0 < r.numerator <= r.denominator:
-        raise ValueError(f"machine {machine} interval {k}: ratio {r} is outside (0, 1]")
+def _interval_faults(iv, prev: Optional[Fraction], machine: int, k: int) -> list[str]:
+    """`validate_instance`'s messages for interval k of a machine, in order, or []
+    when it is well formed.  `prev` is the previous interval's end, None when
+    that interval is unbounded; a following interval reports only that.
+    Integer ratios compare exactly, and several times faster than Fractions."""
+    if prev is None:
+        faults = ["follows an unbounded interval"]
+    else:
+        faults = []
+        start, end, r = iv.start, iv.end, iv.ratio
+        num, den = start.as_integer_ratio()
+        if (num, den) != prev.as_integer_ratio():
+            faults.append(f"starts at {start}, expected {prev}")
+        if end is not None:
+            end_num, end_den = end.as_integer_ratio()
+            if end_num * den <= num * end_den:
+                faults.append(f"empty or reversed ({start}, {end}]")
+        r_num, r_den = r.as_integer_ratio()
+        if not 0 < r_num <= r_den:
+            faults.append(f"ratio {r} is outside (0, 1]")
+    return [f"machine {machine} interval {k}: {fault}" for fault in faults]
 
 
 def build_capacity_table(profile: "MachineProfile", machine: int = 1) -> CapacityTable:
@@ -63,30 +74,31 @@ def build_capacity_table(profile: "MachineProfile", machine: int = 1) -> Capacit
 
     A profile that ends at a finite breakpoint implicitly continues at full
     rate; a profile whose last interval is unbounded contributes its ratio as
-    the tail rate instead.  Every interval is read, and a malformed one is
-    refused (ValueError) as `scale_instance` refuses it, naming the profile
-    as machine `machine`.
+    the tail rate instead.  Every interval is read, an interval after an
+    unbounded one too, and a malformed one is refused (ValueError) with the
+    first of `validate_instance`'s messages on it, naming the profile as
+    machine `machine`.
     """
     breakpoints = [Fraction(0)]
     cum_work = [Fraction(0)]
     ratios: list[Fraction] = []
     tail_ratio = Fraction(1)
+    prev: Optional[Fraction] = Fraction(0)
     for k, iv in enumerate(profile.intervals, start=1):
-        _check_interval(iv, breakpoints[-1], machine, k)
-        if iv.end is None:
+        if faults := _interval_faults(iv, prev, machine, k):
+            raise ValueError(faults[0])
+        prev = iv.end
+        if prev is None:
             tail_ratio = iv.ratio
-            break
-        breakpoints.append(iv.end)
-        cum_work.append(cum_work[-1] + iv.ratio * (iv.end - iv.start))
-        ratios.append(iv.ratio)
+        else:
+            breakpoints.append(prev)
+            cum_work.append(cum_work[-1] + iv.ratio * (prev - iv.start))
+            ratios.append(iv.ratio)
     return CapacityTable(tuple(breakpoints), tuple(cum_work), tuple(ratios), tail_ratio)
 
 
 def finish_time(table: CapacityTable, work) -> Fraction:
-    """Earliest time by which a never-idle machine completes `work` units.
-
-    Exact inverse of :func:`work_at` for nonnegative work.
-    """
+    """Earliest time by which a never-idle machine completes `work` units."""
     work = Fraction(work)
     if work < 0:
         raise ValueError("work must be nonnegative")
@@ -99,20 +111,6 @@ def finish_time(table: CapacityTable, work) -> Fraction:
             return table.breakpoints[0]
         return table.breakpoints[k - 1] + (work - cum[k - 1]) / table.ratios[k - 1]
     return table.breakpoints[-1] + (work - cum[-1]) / table.tail_ratio
-
-
-def work_at(table: CapacityTable, t) -> Fraction:
-    """Total work a never-idle machine completes by time `t`."""
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    bps = table.breakpoints
-    if t <= bps[-1]:
-        k = bisect_left(bps, t)
-        if k == 0:
-            return table.cum_work[0]
-        return table.cum_work[k - 1] + table.ratios[k - 1] * (t - bps[k - 1])
-    return table.cum_work[-1] + table.tail_ratio * (t - bps[-1])
 
 
 # The integer kernel.  Over a common scale S, every job length, breakpoint,
@@ -166,9 +164,8 @@ def scale_instance(inst: "Instance") -> tuple[int, list[int], list[ScaledTable]]
     passes the total job work, so each profile is read only up to the first
     breakpoint whose cumulative work reaches it, the next interval's rate
     (or full speed) kept as the tail; later segments add nothing to the
-    scale.  Each interval read is refused with `validate_instance`'s message
-    (ValueError) when it starts off the previous end, is empty or reversed,
-    or has a ratio outside (0, 1], the tail's included.
+    scale.  Each interval read, the tail's included, is refused (ValueError)
+    with the first of `validate_instance`'s messages on it.
 
     S = S0 * lcm(rate numerators, tail included), where S0 is the lcm of
     the job denominators and of den(bp) * rate denominator at both ends of
@@ -187,7 +184,8 @@ def scale_instance(inst: "Instance") -> tuple[int, list[int], list[ScaledTable]]
     for i, mp in enumerate(inst.machines, start=1):
         ends, rates, start, reached = [], [], Fraction(0), Fraction(0)
         for k, iv in enumerate(mp.intervals, start=1):
-            _check_interval(iv, start, i, k)
+            if faults := _interval_faults(iv, start, i, k):
+                raise ValueError(faults[0])
             r = iv.ratio
             if iv.end is None or reached >= total:
                 rates.append(r)

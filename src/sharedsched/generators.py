@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .heuristics import _check_shares
-from .model import Instance, MachineProfile, SharedInterval, _checked, _rational
+from .model import Instance, MachineProfile, SharedInterval, _check_shares, _checked, _rational
 
 __all__ = [
     "partition_gadget_makespan",

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .capacity import ScaledTable, finish_key, scale_instance
-from .model import Instance, Schedule, _rational, _schedule_of
+from .model import Instance, Schedule, _check_epsilon, _check_shares, _schedule_of
 
 __all__ = [
     "OrderRule",
@@ -137,27 +137,6 @@ def spt(inst: Instance) -> Schedule:
 
 def spt_ect(inst: Instance) -> Schedule:
     return list_schedule(inst, OrderRule.SPT, PlacementRule.EARLIEST_COMPLETION)
-
-
-def _check_shares(m: int, m1: int, e0: Fraction) -> Fraction:
-    """e0 as a rational; ValueError unless it lies in (0, 1], m >= 1 and m1
-    lies in [1, m], checked in that order."""
-    e0 = _rational(e0, "e0")
-    if not (0 < e0 <= 1):
-        raise ValueError(f"e0={e0} is outside (0, 1]")
-    if m < 1:
-        raise ValueError(f"m={m} must be at least 1")
-    if not (1 <= m1 <= m):
-        raise ValueError(f"m1={m1} is outside [1, {m}]")
-    return e0
-
-
-def _check_epsilon(epsilon: Fraction) -> Fraction:
-    """epsilon as a rational; ValueError unless it lies in (0, 1)."""
-    epsilon = _rational(epsilon, "epsilon")
-    if not (0 < epsilon < 1):
-        raise ValueError(f"epsilon={epsilon} is outside (0, 1)")
-    return epsilon
 
 
 def guarantee_ratio(

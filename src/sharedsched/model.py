@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .capacity import build_capacity_table, finish_time
+from .capacity import _interval_faults, build_capacity_table, finish_time
 
 __all__ = [
     "SharedInterval",
@@ -120,20 +120,12 @@ def validate_instance(inst: Instance) -> list[str]:
     for i, mp in enumerate(inst.machines, start=1):
         prev_end: Optional[Fraction] = Fraction(0)
         for k, iv in enumerate(mp.intervals, start=1):
-            where = f"machine {i} interval {k}"
+            errors += _interval_faults(iv, prev_end, i, k)
             if prev_end is None:
-                errors.append(f"{where}: follows an unbounded interval")
                 break
-            if iv.start != prev_end:
-                errors.append(f"{where}: starts at {iv.start}, expected {prev_end}")
-            if iv.end is not None and iv.end <= iv.start:
-                errors.append(f"{where}: empty or reversed ({iv.start}, {iv.end}]")
-            if not (0 < iv.ratio <= 1):
-                errors.append(f"{where}: ratio {iv.ratio} is outside (0, 1]")
             if i <= inst.m1 and iv.ratio < inst.e0:
-                errors.append(
-                    f"{where}: ratio {iv.ratio} below e0={inst.e0} on a bounded machine"
-                )
+                where = f"machine {i} interval {k}"
+                errors.append(f"{where}: ratio {iv.ratio} below e0={inst.e0} on a bounded machine")
             prev_end = iv.end
     return errors
 
@@ -143,7 +135,8 @@ def evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
 
     `assignment` must partition the job indices across exactly the instance's
     machines; jobs run back to back in the given per-machine order.  A
-    malformed interval anywhere in a profile is refused (ValueError).
+    malformed interval anywhere in a profile, an interval after an unbounded
+    one included, is refused (ValueError) by `build_capacity_table`.
     """
     n = inst.n
     if len(assignment) != inst.m:
@@ -225,6 +218,27 @@ def _frac_from_str(text, what: str) -> Fraction:
 def _rational(value, what: str) -> Fraction:
     """A number a library caller passed; strings go through the bounded parser."""
     return _frac_from_str(value, what) if isinstance(value, str) else Fraction(value)
+
+
+def _check_shares(m: int, m1: int, e0: Fraction) -> Fraction:
+    """e0 as a rational; ValueError unless it lies in (0, 1], m >= 1 and m1
+    lies in [1, m], checked in that order."""
+    e0 = _rational(e0, "e0")
+    if not (0 < e0 <= 1):
+        raise ValueError(f"e0={e0} is outside (0, 1]")
+    if m < 1:
+        raise ValueError(f"m={m} must be at least 1")
+    if not (1 <= m1 <= m):
+        raise ValueError(f"m1={m1} is outside [1, {m}]")
+    return e0
+
+
+def _check_epsilon(epsilon: Fraction) -> Fraction:
+    """epsilon as a rational; ValueError unless it lies in (0, 1)."""
+    epsilon = _rational(epsilon, "epsilon")
+    if not (0 < epsilon < 1):
+        raise ValueError(f"epsilon={epsilon} is outside (0, 1)")
+    return epsilon
 
 
 def instance_to_json(inst: Instance) -> str:

@@ -18,8 +18,16 @@ from itertools import chain, compress
 from typing import Optional
 
 from .capacity import finish_key, scale_instance
-from .heuristics import OrderRule, _check_epsilon, _check_shares, _place_ect, job_order
-from .model import Instance, Objective, Schedule, _rational, _schedule_of
+from .heuristics import OrderRule, _place_ect, job_order
+from .model import (
+    Instance,
+    Objective,
+    Schedule,
+    _check_epsilon,
+    _check_shares,
+    _rational,
+    _schedule_of,
+)
 from .oracle import DEFAULT_MAX_M, DEFAULT_MAX_N, OracleLimitError, best_placement
 
 __all__ = [

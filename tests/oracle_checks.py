@@ -5,16 +5,18 @@ machine by trying every order; `check_claim2_bound` compares optimal
 completion-time sums on full-speed machines in closed form;
 `exact_bucket_index` finds a geometric bucket index by exact powers alone;
 `reference_list_schedule` is the list scheduler placing every job by
-`Fraction` finish times.
+`Fraction` finish times; `work_at` is the inverse of `finish_time`.
 """
 
 import math
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Sequence
 
 from sharedsched import (
+    CapacityTable,
     Instance,
     OracleLimitError,
     OrderRule,
@@ -24,6 +26,21 @@ from sharedsched import (
     evaluate,
     finish_time,
 )
+
+
+def work_at(table: CapacityTable, t) -> Fraction:
+    """Total work a never-idle machine completes by time `t`; the exact inverse
+    of `finish_time` for nonnegative work."""
+    t = Fraction(t)
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    bps = table.breakpoints
+    if t <= bps[-1]:
+        k = bisect_left(bps, t)
+        if k == 0:
+            return table.cum_work[0]
+        return table.cum_work[k - 1] + table.ratios[k - 1] * (t - bps[k - 1])
+    return table.cum_work[-1] + table.tail_ratio * (t - bps[-1])
 
 
 def verify_spt_within_machine(inst: Instance, max_n: int = 8) -> bool:

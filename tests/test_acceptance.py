@@ -33,11 +33,10 @@ from sharedsched import (
     spt,
     spt_ect,
     totaltime_scheme,
-    work_at,
 )
 from sharedsched.generators import RandomSpec
 
-from oracle_checks import verify_spt_within_machine
+from oracle_checks import verify_spt_within_machine, work_at
 
 
 def _timed(fn):

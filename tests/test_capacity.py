@@ -5,13 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from sharedsched import (
-    MachineProfile,
-    SharedInterval,
-    build_capacity_table,
-    finish_time,
-    work_at,
-)
+from sharedsched import MachineProfile, SharedInterval, build_capacity_table, finish_time
+
+from oracle_checks import work_at
 
 
 def _profile(*segments):

@@ -67,6 +67,16 @@ def test_validation_flags_gaps_and_bad_ratios():
     big_ratio = _instance([_machine((1, 2))], [1])
     assert any("outside (0, 1]" in e for e in validate_instance(big_ratio))
 
+    # every fault of one interval, in order
+    three = MachineProfile(
+        intervals=(SharedInterval(F(0), F(1), F(1)), SharedInterval(F(2), F(1), F(2)))
+    )
+    assert validate_instance(_instance([three], [1])) == [
+        "machine 1 interval 2: starts at 2, expected 1",
+        "machine 1 interval 2: empty or reversed (2, 1]",
+        "machine 1 interval 2: ratio 2 is outside (0, 1]",
+    ]
+
 
 def test_validation_flags_instance_level_problems():
     inst = _instance([_machine((None, 1))], [1, 0])

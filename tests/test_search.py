@@ -121,8 +121,8 @@ def test_every_entry_point_refuses_a_malformed_interval_it_reads(intervals, mess
 
 
 # (intervals of a lone machine, validate_instance's first message); one job
-# of length 5, so the integer walk stops at interval 2 and only evaluate
-# reads interval 3
+# of length 5, so the integer walk stops at the unbounded interval 1 or at
+# interval 2, and only evaluate reads the interval after it
 MALFORMED_PAST_THE_WORK = {
     "reversed": (
         [(0, 10, 1), (10, 11, 1), (11, 1, 1), (1, 2, 1), (2, 3, 1), (3, 20, F(1, 2))],
@@ -130,6 +130,9 @@ MALFORMED_PAST_THE_WORK = {
     ),
     "gap": ([(0, 10, 1), (10, 11, 1), (12, 13, 1)], "machine 1 interval 3: starts at 12, expected 11"),
     "zero": ([(0, 10, 1), (10, 11, 1), (11, 12, 0)], "machine 1 interval 3: ratio 0 is outside (0, 1]"),
+    "after-unbounded": (
+        [(0, None, F(1, 2)), (5, 6, 1)], "machine 1 interval 2: follows an unbounded interval"
+    ),
 }
 
 
@@ -137,10 +140,12 @@ MALFORMED_PAST_THE_WORK = {
     "intervals, message", list(MALFORMED_PAST_THE_WORK.values()), ids=list(MALFORMED_PAST_THE_WORK)
 )
 def test_evaluate_refuses_a_malformed_interval_past_the_total_work(intervals, message):
-    profile = MachineProfile(tuple(SharedInterval(F(a), F(b), F(r)) for a, b, r in intervals))
+    profile = MachineProfile(
+        tuple(SharedInterval(F(a), None if b is None else F(b), F(r)) for a, b, r in intervals)
+    )
     inst = Instance(machines=(profile,), jobs=(F(5),), m1=1, e0=F(1, 2))
     assert validate_instance(inst)[0] == message
-    scale_instance(inst)  # the integer set-up never reads interval 3
+    scale_instance(inst)  # the integer set-up never reads the malformed interval
     refusals = (
         lambda: evaluate(inst, [[0]]),
         lambda: list_schedule(inst, OrderRule.LPT, PlacementRule.EARLIEST_COMPLETION),

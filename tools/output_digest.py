@@ -19,7 +19,11 @@ that made it.  The parts:
   default, 0 and 1/2: the schedule and every state passed to `on_step`;
 - makespan: `makespan_scheme` at each d <= n;
 - refusals: the type and message of every refused call, in order; its runs
-  are the calls beyond the corpus, made to be refused.
+  are the calls beyond the corpus, made to be refused.  Among them, each
+  malformed profile (the interval shapes every entry point refuses, one
+  interval with three faults, an interval after an unbounded one) goes
+  through `validate_instance`, whose whole report is recorded, `evaluate`
+  and every `cli.ALGORITHMS` entry.
 
 The last line is the digest of the part digests.  Standard library only;
 it takes no flags.
@@ -34,7 +38,14 @@ from fractions import Fraction as F
 
 from sharedsched import cli, generators, heuristics, oracle, schemes
 from sharedsched.generators import RandomSpec, named_example, random_instance
-from sharedsched.model import Instance, MachineProfile, Objective
+from sharedsched.model import (
+    Instance,
+    MachineProfile,
+    Objective,
+    SharedInterval,
+    evaluate,
+    validate_instance,
+)
 
 PARTS = ("algorithms", "totaltime", "makespan", "refusals")
 EPSILONS = (F(1, 4), F(1, 2))
@@ -121,20 +132,57 @@ def corpus() -> list[tuple[str, Instance]]:
     return instances
 
 
+def malformed() -> list[tuple[str, Instance]]:
+    """One instance per malformed profile: each shape as the second of two
+    machines, under three jobs of total length 4, so every entry point reads
+    it; one interval with three faults; and an interval after an unbounded
+    one, which lies past the total job work."""
+
+    def profile(intervals) -> MachineProfile:
+        return MachineProfile(
+            tuple(SharedInterval(F(a), None if b is None else F(b), F(r)) for a, b, r in intervals)
+        )
+
+    shapes = {
+        "gap": [(0, 1, F(1, 2)), (2, 3, F(1, 2))],
+        "empty": [(0, 1, 1), (1, 1, 1)],
+        "reversed": [(0, 2, 1), (2, 1, 1)],
+        "zero-tail": [(0, 1, 1), (1, None, 0)],
+        "ratio-2": [(0, 1, 2)],
+        "tail-above-1": [(0, 1, 1), (1, None, F(3, 2))],
+        "negative": [(0, 1, F(-1, 2))],
+    }
+    full = MachineProfile(intervals=())
+    instances = [
+        (f"malformed {name}", Instance((full, profile(ivs)), (F(2), F(1), F(1)), 1, F(1, 2)))
+        for name, ivs in shapes.items()
+    ]
+    three = profile([(0, 1, 1), (2, 1, 2)])
+    instances.append(("malformed three-faults", Instance((three,), (F(1),), 1, F(1, 2))))
+    after = profile([(0, None, F(1, 2)), (5, 6, 1)])
+    instances.append(("malformed after-unbounded", Instance((after,), (F(5),), 1, F(1, 2))))
+    return instances
+
+
+def run_algorithms(digest: Digest, part: str, label: str, inst: Instance) -> None:
+    """Every `cli.ALGORITHMS` entry on `inst`, under each objective it serves."""
+    for name, alg in cli.ALGORITHMS.items():
+        objectives = [alg.objective] if alg.objective else list(Objective)
+        # the heuristics and the oracle take no epsilon, and compare lists them without one
+        epsilons = (None,) if alg.listed(inst.m, inst.m1, None) else EPSILONS
+        for objective in objectives:
+            for eps in epsilons:
+                key = f"{label} {name} {objective.value} {eps}"
+                out = digest.run(part, key, alg.run, inst, objective, eps, None)
+                if out is not None:
+                    digest.record(part, key, schedule_of(out[0]), out[1])
+
+
 def main() -> int:
     digest = Digest()
     run, record = digest.run, digest.record
     for label, inst in corpus():
-        for name, alg in cli.ALGORITHMS.items():
-            objectives = [alg.objective] if alg.objective else list(Objective)
-            # the heuristics and the oracle take no epsilon, and compare lists them without one
-            epsilons = (None,) if alg.listed(inst.m, inst.m1, None) else EPSILONS
-            for objective in objectives:
-                for eps in epsilons:
-                    key = f"{label} {name} {objective.value} {eps}"
-                    out = run("algorithms", key, alg.run, inst, objective, eps, None)
-                    if out is not None:
-                        record("algorithms", key, schedule_of(out[0]), out[1])
+        run_algorithms(digest, "algorithms", label, inst)
         for eps in EPSILONS:
             for delta in DELTAS:
                 key = f"{label} totaltime {eps} {delta}"
@@ -162,6 +210,11 @@ def main() -> int:
     for eps in (F(0), F(1), F(-1, 2)):
         run("refusals", f"totaltime eps={eps}", schemes.totaltime_scheme, lptect, eps)
     run("refusals", "delta<0", schemes.totaltime_scheme, lptect, F(1, 2), delta=F(-1, 100))
+    for label, inst in malformed():
+        record("refusals", label, validate_instance(inst))
+        assignment = [list(range(inst.n))] + [[] for _ in inst.machines[1:]]
+        run("refusals", f"{label} evaluate", evaluate, inst, assignment)
+        run_algorithms(digest, "refusals", label, inst)
 
     total = hashlib.sha256()
     for part, sha in digest.parts.items():
