@@ -113,10 +113,7 @@ def validate_instance(inst: Instance) -> list[str]:
     for j, p in enumerate(inst.jobs):
         if p <= 0:
             errors.append(f"job {j + 1}: processing time {p} is not positive")
-    if not (1 <= inst.m1 <= max(m, 1)):
-        errors.append(f"m1={inst.m1} is outside [1, {m}]")
-    if not (0 < inst.e0 <= 1):
-        errors.append(f"e0={inst.e0} is outside (0, 1]")
+    errors += _m1_faults(m, inst.m1) + _e0_faults(inst.e0)
     for i, mp in enumerate(inst.machines, start=1):
         prev_end: Optional[Fraction] = Fraction(0)
         for k, iv in enumerate(mp.intervals, start=1):
@@ -220,16 +217,23 @@ def _rational(value, what: str) -> Fraction:
     return _frac_from_str(value, what) if isinstance(value, str) else Fraction(value)
 
 
+def _m1_faults(m: int, m1: int) -> list[str]:
+    """The message for an m1 outside [1, m], or none; with no machine, m1 = 1 passes."""
+    return [] if 1 <= m1 <= max(m, 1) else [f"m1={m1} is outside [1, {m}]"]
+
+
+def _e0_faults(e0: Fraction) -> list[str]:
+    """The message for an e0 outside (0, 1], or none."""
+    return [] if 0 < e0 <= 1 else [f"e0={e0} is outside (0, 1]"]
+
+
 def _check_shares(m: int, m1: int, e0: Fraction) -> Fraction:
     """e0 as a rational; ValueError unless it lies in (0, 1], m >= 1 and m1
     lies in [1, m], checked in that order."""
     e0 = _rational(e0, "e0")
-    if not (0 < e0 <= 1):
-        raise ValueError(f"e0={e0} is outside (0, 1]")
-    if m < 1:
-        raise ValueError(f"m={m} must be at least 1")
-    if not (1 <= m1 <= m):
-        raise ValueError(f"m1={m1} is outside [1, {m}]")
+    faults = _e0_faults(e0) + ([] if m >= 1 else [f"m={m} must be at least 1"]) + _m1_faults(m, m1)
+    if faults:
+        raise ValueError(faults[0])
     return e0
 
 

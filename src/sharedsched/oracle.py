@@ -110,9 +110,12 @@ def best_placement(
       set runs last, and its aggregate is the parent's plus the new finish
       key, the job's completion time.  A tie keeps the lexicographically
       smaller vector.
-    The total-time walk takes no `limit`.  Returns one machine per job of
-    `jobs` and then of `rest`, the tail as the minimizer's leaf placed it,
-    and the number of leaves visited: m^k without a limit.
+    The total-time walk takes no `limit`.  The last job walked tries the
+    machines in one loop at its parent node: each child within `limit` is a
+    leaf, valued and scored there, so no leaf takes a step down or back.
+    With no job walked, the one leaf is the tail alone.  Returns one machine
+    per job of `jobs` and then of `rest`, the tail as the minimizer's leaf
+    placed it, and the number of leaves visited: m^k without a limit.
     """
     total = objective is not Objective.MAKESPAN
     k = len(jobs)
@@ -140,10 +143,16 @@ def best_placement(
     tail_placed: list[int] = []  # the machines `rest` took at the leaf last valued
     last = m - 1
     t = i = 0
+    if not k:  # no job walked: one leaf, the tail alone
+        t, leaves = -1, 1
+        tail_placed, value = _place_ect(scaled, loads[:], tail)
+        if value <= bound:
+            best_choice = tail_placed
     while t >= 0:
-        # down: job t onto machine i, then each later job onto machine 0, until
-        # a child passes the bound and is taken back as a leaf would be
-        while t < k:
+        # down: job t onto machine i, then each later job but the last onto
+        # machine 0, until a child passes the bound and is taken back as a
+        # leaf would be
+        while t < k - 1:
             mask = masks[i] | bits[t]
             load = loads[i] + walked[t]
             finish = finishes[i].get(mask)
@@ -162,15 +171,32 @@ def best_placement(
             if prune and value > bound:
                 break
         else:
-            leaves += 1
-            value = path[k]
-            if tail:
-                tail_placed, finish = _place_ect(scaled, loads[:], tail)
-                value = max(value, finish)
-            if value <= bound:
-                bound, best_choice = value - 1, [choice[t] for t in at] + tail_placed
-            elif total and value == bound + 1:
-                best_choice = min(best_choice, [choice[t] for t in at])
+            # the last job onto each machine in turn, each child within the
+            # bound a leaf; none is placed, so none is taken back
+            bit, size, above = bits[t], walked[t], path[t]
+            for i in range(m):
+                mask = masks[i] | bit
+                finish = finishes[i].get(mask)
+                if finish is None:
+                    finish = finishes[i][mask] = finish_key(scaled[i], loads[i] + size)
+                value = above
+                if total:
+                    value += finish
+                elif finish > value:
+                    value = finish
+                if prune and value > bound:
+                    continue
+                leaves += 1
+                choice[t] = i
+                if tail:
+                    held = loads[:]
+                    held[i] += size
+                    tail_placed, finish = _place_ect(scaled, held, tail)
+                    value = max(value, finish)
+                if value <= bound:
+                    bound, best_choice = value - 1, [choice[t] for t in at] + tail_placed
+                elif total and value == bound + 1:
+                    best_choice = min(best_choice, [choice[t] for t in at])
         # up: take back the jobs on the last machine, then the one before them
         t -= 1
         while t >= 0:

@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, compress
+from operator import add
 from typing import Optional
 
 from .capacity import finish_key, scale_instance
@@ -196,9 +197,13 @@ def totaltime_scheme(
     keys, and the schedule returned is `evaluate`'s.  `on_step`, if given,
     is called with (job_index, kept_states) after each job: the survivors in
     creation order, each packed for the callback alone into one integer
-    whose bits i*n ... i*n+n-1 hold machine i's set.  Refuses with
-    OracleLimitError before a job whose states times m would exceed the
-    oracle's ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.
+    whose bits i*n ... i*n+n-1 hold machine i's set.  The last job builds
+    no columns: each kept position s*m + i is valued as state s's cost
+    summed over the machines plus the job's finish key on machine i's set,
+    and the first least wins; only for `on_step` is each kept final state
+    packed, as its parent's integer plus the job's bit for machine i.
+    Refuses with OracleLimitError before a job whose states times m would
+    exceed the oracle's ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.
     """
     n, m = inst.n, inst.m
     if inst.m1 < m - 1:
@@ -215,6 +220,8 @@ def totaltime_scheme(
             raise ValueError("delta must be nonnegative")
 
     scale, sizes, scaled = scale_instance(inst)
+    if not n:  # no job: the empty schedule
+        return _schedule_of(inst, [], [])
     order = job_order(sizes, OrderRule.SPT)
     cols: list[list[int]] = [[0] for _ in range(m)]  # one state, every set empty
     # each machine's (load, shortest-first completion-time sum) keys of every
@@ -227,56 +234,79 @@ def totaltime_scheme(
                 f"extending {len(cols[0])} states onto {m} machines exceeds the limit of {_LIMIT}"
             )
         bit, size = 1 << b, sizes[j]
+        # per machine, each parent set's gain: the job's finish key on top of it
+        gains = []
         # per machine, the parents whose new set shares its (load, cost)
         # buckets with a parent or another new set there
-        extended, marked = [], []
-        for i, (col, made) in enumerate(zip(cols, sets)):
-            grown = {}  # parent: the set the job makes from it, one int shared by its states
-            for mask in set(col):
+        marked = []
+        for i, made in enumerate(sets):
+            gain = {}
+            for mask in set(cols[i]):
                 load, cost, _ = made[mask]
                 load += size
-                cost += finish_key(scaled[i], load)
+                gain[mask] = finish = finish_key(scaled[i], load)
+                cost += finish
                 pair = buckets and (buckets.index(load, scale), buckets.index(cost, scale))
-                grown[mask] = new = mask | bit
-                made[new] = (load, cost, pair)
+                made[mask | bit] = (load, cost, pair)
+            gains.append(gain)
             if buckets is not None:
-                counts = Counter(made[mask][2] for mask in chain.from_iterable(grown.items()))
-                sharing = {mask for mask, new in grown.items() if counts[made[new][2]] > 1}
+                counts = Counter(made[mask][2] for mask in gain)
+                counts.update(made[mask | bit][2] for mask in gain)
+                sharing = {mask for mask in gain if counts[made[mask | bit][2]] > 1}
                 if sharing:
                     marked.append((i, sharing))
-            # each parent m times; the job joins machine i's set at positions i, i+m, ...
-            ext = list(chain.from_iterable(zip(*[col] * m)))
-            ext[i::m] = map(grown.__getitem__, col)
-            extended.append(ext)
-        # Only a state whose new set is marked can merge: the states kept after
-        # the last job have distinct signatures, so two extended states of one
-        # signature that got the job on one machine hold two new sets of equal
-        # buckets there, and two that got it on machines i and k hold, on i, a
-        # new set and a parent of equal buckets.  Each signature keeps its least
-        # (last-machine load, position): the smaller last load wins, and a tie
-        # keeps the older state.
+        # State s extended onto machine i is position s*m + i.  Only a state
+        # whose new set is marked can merge: the states kept after the last
+        # job have distinct signatures, so two extended states of one
+        # signature that got the job on one machine hold two new sets of
+        # equal buckets there, and two that got it on machines i and k hold,
+        # on i, a new set and a parent of equal buckets.  Each signature keeps
+        # its least (last-machine load, position): the smaller last load
+        # wins, and a tie keeps the older state.
         least: dict[tuple, tuple[int, int]] = {}  # signature: least (last load, position)
-        keep = bytearray(b"\x01") * len(extended[0])  # 0: merged away
+        keep = bytearray(b"\x01") * (len(cols[0]) * m)  # 0: merged away
         for i, sharing in marked:
             for s, mask in enumerate(cols[i]):
                 if mask in sharing:
-                    pos = s * m + i
-                    sig = tuple([made[ext[pos]][2] for made, ext in zip(sets, extended)])
-                    here = (sets[-1][extended[-1][pos]][0], pos)
+                    held = [col[s] for col in cols]
+                    held[i] = mask | bit
+                    sig = tuple([made[c][2] for made, c in zip(sets, held)])
+                    here = (sets[-1][held[-1]][0], s * m + i)
                     least[sig] = min(here, least.get(sig, here))
-                    keep[pos] = 0
+                    keep[s * m + i] = 0
         for _, pos in least.values():
             keep[pos] = 1
+        if b == n - 1:
+            break
+        # each parent m times; the job joins machine i's set at positions i, i+m, ...
+        extended = []
+        for i, col in enumerate(cols):
+            ext = list(chain.from_iterable(zip(*[col] * m)))
+            ext[i::m] = [c | bit for c in col]
+            extended.append(ext)
         if 0 in keep:
             extended = [list(compress(ext, keep)) for ext in extended]
         cols = extended
         if on_step is not None:
-            shifted = [[c << i * n for c in col] for i, col in enumerate(cols)]
-            on_step(j, tuple(map(sum, zip(*shifted))))
+            on_step(j, _packed(cols, n))
 
-    # each state's cost summed over the machines; the first least is the oldest state
+    # The last job builds no columns: position s*m + i costs state s's sum
+    # over the machines plus machine i's gain, and the first least cost
+    # among the positions kept is the oldest final state of least cost.
     totals = list(map(sum, zip(*[[made[c][1] for c in col] for made, col in zip(sets, cols)])))
-    best = totals.index(min(totals))
-    # job order[b] runs on the machine whose set holds bit b
-    machines = [next(i for i, col in enumerate(cols) if col[best] >> b & 1) for b in range(n)]
-    return _schedule_of(inst, order, machines)
+    costs = zip(*[map(add, totals, map(gain.__getitem__, col)) for gain, col in zip(gains, cols)])
+    costs = list(compress(chain.from_iterable(costs), keep))
+    positions = list(compress(range(len(keep)), keep))
+    best, i = divmod(positions[costs.index(min(costs))], m)
+    if on_step is not None:
+        parents = _packed(cols, n)
+        on_step(j, tuple([parents[pos // m] + (bit << pos % m * n) for pos in positions]))
+    # job order[b] runs on the machine whose set holds bit b, and the last job on machine i
+    machines = [next(k for k, col in enumerate(cols) if col[best] >> b & 1) for b in range(n - 1)]
+    return _schedule_of(inst, order, machines + [i])
+
+
+def _packed(cols: list[list[int]], n: int) -> tuple[int, ...]:
+    """Each state of `cols` as one integer: machine i's set in bits i*n ... i*n+n-1."""
+    shifted = [[c << i * n for c in col] for i, col in enumerate(cols)]
+    return tuple(map(sum, zip(*shifted)))

@@ -87,6 +87,13 @@ def test_validation_flags_instance_level_problems():
     assert any("e0=3/2" in e for e in validate_instance(inst))
     assert any("no jobs" in e for e in validate_instance(_instance([_machine((None, 1))], [])))
     assert any("no machines" in e for e in validate_instance(_instance([], [1], m1=1)))
+    # both share messages, m1's first, each worded as the library's own refusals word it
+    both = validate_instance(_instance([_machine((None, 1))], [1], m1=2, e0=F(3, 2)))
+    assert both[:2] == ["m1=2 is outside [1, 1]", "e0=3/2 is outside (0, 1]"]
+    for message, e0 in ((both[0], F(1, 2)), (both[1], F(3, 2))):
+        with pytest.raises(ValueError) as refused:
+            compute_d(1, 2, e0, F(1, 2), 1)
+        assert str(refused.value) == message
 
 
 def test_validation_enforces_e0_on_the_bounded_prefix():

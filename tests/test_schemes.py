@@ -1,6 +1,7 @@
 """Accuracy-parameterized schemes and the geometric bucket machinery."""
 
 import collections
+import functools
 import itertools
 import random
 import time
@@ -517,6 +518,43 @@ def test_on_step_gets_job_sets_it_cannot_change(delta):
     again = []
     totaltime_scheme(inst, F(1, 2), delta=delta, on_step=lambda j, s: again.append(s))
     assert kept == again
+
+
+def _callback_cases():
+    """Per m in 2-4 and n in 4-7: a seeded random instance with m1 = m - 1,
+    and full-speed machines with repeated integer lengths, where states merge."""
+    rng = random.Random(23)
+    full = MachineProfile(intervals=())
+    for m in (2, 3, 4):
+        for n in (4, 5, 6, 7):
+            yield random_instance(RandomSpec(n=n, m=m, m1=m - 1, e0=F(1, 2), seed=10 * m + n))
+            jobs = tuple(F(rng.randint(1, 3)) for _ in range(n))
+            yield Instance(machines=(full,) * m, jobs=jobs, m1=m, e0=F(1))
+
+
+@pytest.mark.parametrize("delta", [None, F(0), F(1, 2)], ids=str)
+def test_the_sweeps_choice_does_not_depend_on_the_callback(delta):
+    # the schedule is the same with and without `on_step`, and it is the first
+    # of the final states the callback gets whose cost, on the Fraction
+    # reference, is least
+    for inst in _callback_cases():
+        steps = []
+        called = totaltime_scheme(inst, F(1, 2), delta=delta, on_step=lambda j, s: steps.append(s))
+        plain = totaltime_scheme(inst, F(1, 2), delta=delta)
+        assert plain == called
+        tables = [build_capacity_table(mp) for mp in inst.machines]
+        order = job_order(inst.jobs, OrderRule.SPT)
+
+        @functools.cache
+        def cost(i, mask):
+            done = [inst.jobs[j] for b, j in enumerate(order) if mask >> b & 1]
+            return sum((finish_time(tables[i], load) for load in itertools.accumulate(done)), F(0))
+
+        costs = [sum(itertools.starmap(cost, enumerate(unpack(state, inst)))) for state in steps[-1]]
+        first = steps[-1][costs.index(min(costs))]
+        machines = [tuple(j for b, j in enumerate(order) if mask >> b & 1) for mask in unpack(first, inst)]
+        assert plain.assignment == tuple(machines), (inst, delta)
+        assert plain.total_completion == min(costs)
 
 
 def test_totaltime_scheme_never_beats_the_oracle_but_tracks_spt_ect():

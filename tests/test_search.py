@@ -468,6 +468,24 @@ def test_a_tailed_scheme_call_keeps_the_tail_its_leaf_placed(calls, seed, m1, n,
     assert calls[0] == filled
 
 
+@pytest.mark.parametrize(
+    "seed, m1, n, d, leaves",
+    [(0, 2, 20, 20, 4), (220900, 2, 9, 4, 8), (211000, 1, 10, 8, 36)],
+)
+def test_the_pruned_walk_counts_only_the_leaves_within_its_limit(seed, m1, n, d, leaves):
+    # the scheme's walk, limited by LPT-ECT's makespan key: the m=2, d=20 case
+    # above and the two tail-pool cases; a child past the limit is no leaf
+    inst = random_instance(RandomSpec(n=n, m=2, m1=m1, e0=F(1), seed=seed))
+    _, sizes, scaled = scale_instance(inst)
+    by_length = job_order(sizes, OrderRule.LPT)
+    limit = _ect_key(scaled, sizes, by_length)
+    placed, visited = best_placement(
+        sizes, scaled, by_length[:d], Objective.MAKESPAN, by_length[d:], limit
+    )
+    assert visited == leaves
+    assert _makespan_key(scaled, sizes, by_length, placed) <= limit
+
+
 def test_one_machine_walks_twelve_hundred_jobs_deep(calls):
     inst = random_instance(RandomSpec(n=1200, m=1, m1=1, e0=F(1), seed=0))
     # one placement: the longest jobs first, all on the one machine

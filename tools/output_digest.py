@@ -16,7 +16,8 @@ that made it.  The parts:
 - algorithms: every `cli.ALGORITHMS` entry at epsilon 1/4 and 1/2, under
   each objective it serves: the schedule and the parameters it reports;
 - totaltime: `totaltime_scheme` at epsilon 1/4 and 1/2, with `delta` at the
-  default, 0 and 1/2: the schedule and every state passed to `on_step`;
+  default, 0 and 1/2: the schedule and every state passed to `on_step`, and
+  the schedule of the same call without `on_step`;
 - makespan: `makespan_scheme` at each d <= n;
 - refusals: the type and message of every refused call, in order; its runs
   are the calls beyond the corpus, made to be refused.  Among them, each
@@ -192,6 +193,9 @@ def main() -> int:
                     delta=delta, on_step=lambda *step: steps.append(step),
                 )
                 record("totaltime", key, out and schedule_of(out), steps)
+                key += " no on_step"
+                out = run("totaltime", key, schemes.totaltime_scheme, inst, eps, delta=delta)
+                record("totaltime", key, out and schedule_of(out))
         for d in range(inst.n + 1):
             key = f"{label} makespan d={d}"
             out = run("makespan", key, schemes.makespan_scheme, inst, d)
