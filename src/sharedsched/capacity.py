@@ -2,8 +2,8 @@
 
 A machine's availability is a piecewise-constant rate over left-open,
 right-closed intervals.  The table below turns that into cumulative work at
-each breakpoint, so completion-time queries become a binary search plus one
-linear interpolation.
+each breakpoint, and each segment's offset, so completion-time queries
+become a binary search plus one division and one addition.
 
 The same queries also run on integers, over one instance-wide scale.
 `scale_instance` is the one place that builds an instance's integer view
@@ -37,13 +37,17 @@ class CapacityTable:
     is always 0) and ``cum_work[k]`` is the total work the machine completes
     by that time when never idle.  ``ratios[k]`` is the rate on the segment
     ``(breakpoints[k], breakpoints[k+1]]``.  Past the last breakpoint the
-    machine runs at ``tail_ratio``.
+    machine runs at ``tail_ratio``.  ``offsets[k]`` is
+    ``breakpoints[k] - cum_work[k] / rate``, with the rate of the segment
+    starting at ``breakpoints[k]`` (the tail's for the last), so a work on
+    that segment finishes at ``offsets[k] + work / rate``.
     """
 
     breakpoints: tuple[Fraction, ...]
     cum_work: tuple[Fraction, ...]
     ratios: tuple[Fraction, ...]
     tail_ratio: Fraction
+    offsets: tuple[Fraction, ...]
 
 
 def _interval_faults(iv, prev: Optional[Fraction], machine: int, k: int) -> list[str]:
@@ -82,6 +86,7 @@ def build_capacity_table(profile: "MachineProfile", machine: int = 1) -> Capacit
     breakpoints = [Fraction(0)]
     cum_work = [Fraction(0)]
     ratios: list[Fraction] = []
+    offsets: list[Fraction] = []
     tail_ratio = Fraction(1)
     prev: Optional[Fraction] = Fraction(0)
     for k, iv in enumerate(profile.intervals, start=1):
@@ -91,15 +96,34 @@ def build_capacity_table(profile: "MachineProfile", machine: int = 1) -> Capacit
         if prev is None:
             tail_ratio = iv.ratio
         else:
+            offsets.append(_offset(breakpoints[-1], cum_work[-1], iv.ratio))
             breakpoints.append(prev)
             cum_work.append(cum_work[-1] + iv.ratio * (prev - iv.start))
             ratios.append(iv.ratio)
-    return CapacityTable(tuple(breakpoints), tuple(cum_work), tuple(ratios), tail_ratio)
+    offsets.append(_offset(breakpoints[-1], cum_work[-1], tail_ratio))
+    return CapacityTable(
+        tuple(breakpoints), tuple(cum_work), tuple(ratios), tail_ratio, tuple(offsets)
+    )
+
+
+def _offset(bp: Fraction, cum: Fraction, rate: Fraction) -> Fraction:
+    """``bp - cum / rate``, built as one Fraction from integers: on the short
+    tables of small instances, a division and a subtraction of Fractions
+    would cost more than `finish_time` then saves."""
+    bp_num, bp_den = bp.as_integer_ratio()
+    cum_num, cum_den = cum.as_integer_ratio()
+    rate_num, rate_den = rate.as_integer_ratio()
+    return Fraction(
+        bp_num * cum_den * rate_num - cum_num * rate_den * bp_den, bp_den * cum_den * rate_num
+    )
 
 
 def finish_time(table: CapacityTable, work) -> Fraction:
-    """Earliest time by which a never-idle machine completes `work` units."""
-    work = Fraction(work)
+    """Earliest time by which a never-idle machine completes `work` units:
+    ``offsets[k] + work / rate`` on the segment k holding the work, one
+    division and one addition."""
+    if not isinstance(work, Fraction):
+        work = Fraction(work)
     if work < 0:
         raise ValueError("work must be nonnegative")
     cum = table.cum_work
@@ -109,8 +133,8 @@ def finish_time(table: CapacityTable, work) -> Fraction:
         k = bisect_left(cum, work)
         if k == 0:
             return table.breakpoints[0]
-        return table.breakpoints[k - 1] + (work - cum[k - 1]) / table.ratios[k - 1]
-    return table.breakpoints[-1] + (work - cum[-1]) / table.tail_ratio
+        return table.offsets[k - 1] + work / table.ratios[k - 1]
+    return table.offsets[-1] + work / table.tail_ratio
 
 
 # The integer kernel.  Over a common scale S, every job length, breakpoint,

@@ -131,15 +131,19 @@ def evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
     """Compute every job's completion time for a fixed assignment.
 
     `assignment` must partition the job indices across exactly the instance's
-    machines; jobs run back to back in the given per-machine order.  A
-    malformed interval anywhere in a profile, an interval after an unbounded
-    one included, is refused (ValueError) by `build_capacity_table`.
+    machines, each index an `int` (a `bool` is not one); jobs run back to
+    back in the given per-machine order.  A malformed interval anywhere in a
+    profile, an interval after an unbounded one included, is refused
+    (ValueError) by `build_capacity_table`.
     """
     n = inst.n
     if len(assignment) != inst.m:
         raise ValueError(f"assignment covers {len(assignment)} machines, instance has {inst.m}")
-    seen = sorted(j for seq in assignment for j in seq)
-    if seen != list(range(n)):
+    seen = [j for seq in assignment for j in seq]
+    for j in seen:
+        if not isinstance(j, int) or isinstance(j, bool):
+            raise ValueError(f"assignment holds {j!r}, which is not a job index")
+    if sorted(seen) != list(range(n)):
         raise ValueError("assignment is not a partition of the job indices")
     completions: list[Fraction] = [Fraction(0)] * n
     total = Fraction(0)
@@ -196,6 +200,15 @@ MAX_DIGITS = 4300
 def _frac_from_str(text, what: str) -> Fraction:
     """Parse one exact rational from instance JSON, a command line flag or a library string."""
     text = str(text)
+    # plain ASCII p or p/q, each side below the digit limit and q nonzero;
+    # isascii() too, as "²".isdigit() holds but int("²") raises
+    if text.isascii():
+        num, slash, den = text.partition("/")
+        if num.isdigit() and len(num) < MAX_DIGITS:
+            if not slash:
+                return Fraction(int(num))
+            if den.isdigit() and len(den) < MAX_DIGITS and (q := int(den)):
+                return Fraction(int(num), q)
     if "/" not in text:  # each side of p/q meets Python's own digit limit
         mantissa, _, exponent = text.lower().partition("e")
         try:

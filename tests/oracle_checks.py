@@ -5,7 +5,9 @@ machine by trying every order; `check_claim2_bound` compares optimal
 completion-time sums on full-speed machines in closed form;
 `exact_bucket_index` finds a geometric bucket index by exact powers alone;
 `reference_list_schedule` is the list scheduler placing every job by
-`Fraction` finish times; `work_at` is the inverse of `finish_time`.
+`Fraction` finish times; `work_at` is the inverse of `finish_time`, and
+`segment_finish_time` is `finish_time` by the segment formula, without the
+table's offsets.
 """
 
 import math
@@ -41,6 +43,22 @@ def work_at(table: CapacityTable, t) -> Fraction:
             return table.cum_work[0]
         return table.cum_work[k - 1] + table.ratios[k - 1] * (t - bps[k - 1])
     return table.cum_work[-1] + table.tail_ratio * (t - bps[-1])
+
+
+def segment_finish_time(table: CapacityTable, work) -> Fraction:
+    """`finish_time` as ``bp + (work - cum) / rate`` on the segment holding
+    `work`, by the same rule: the leftmost segment reaching it, so a work on
+    a breakpoint resolves to the earlier time."""
+    work = Fraction(work)
+    if work < 0:
+        raise ValueError("work must be nonnegative")
+    cum = table.cum_work
+    if work <= cum[-1]:
+        k = bisect_left(cum, work)
+        if k == 0:
+            return table.breakpoints[0]
+        return table.breakpoints[k - 1] + (work - cum[k - 1]) / table.ratios[k - 1]
+    return table.breakpoints[-1] + (work - cum[-1]) / table.tail_ratio
 
 
 def verify_spt_within_machine(inst: Instance, max_n: int = 8) -> bool:

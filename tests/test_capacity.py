@@ -1,5 +1,6 @@
 """Capacity table construction and the finish-time / work-at queries."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import pytest
 
 from sharedsched import MachineProfile, SharedInterval, build_capacity_table, finish_time
 
-from oracle_checks import work_at
+from oracle_checks import segment_finish_time, work_at
 
 
 def _profile(*segments):
@@ -26,6 +27,8 @@ def test_table_for_slowdown_profile():
     assert table.cum_work == (F(0), F(1))
     assert table.ratios == (F(1),)
     assert table.tail_ratio == F(1, 2)
+    # 0 - 0/1 on the first segment, 1 - 1/(1/2) on the tail
+    assert table.offsets == (F(0), F(-1))
 
 
 def test_table_for_single_unbounded_interval():
@@ -133,3 +136,39 @@ def test_finish_time_bounds_follow_the_slowest_ratio_seen():
             ratios.append(table.tail_ratio)
         slowest = min(ratios)
         assert t <= work / slowest
+
+
+def _seeded_profiles(rng):
+    """The empty profile, then seeded profiles whose last interval is bounded
+    and unbounded in turn."""
+    yield MachineProfile(intervals=())
+    for k in range(60):
+        segments = []
+        end = F(0)
+        for _ in range(rng.randint(1, 5)):
+            end = end + F(rng.randint(1, 40), rng.randint(1, 8))
+            segments.append((end, F(rng.randint(1, 16), rng.randint(16, 20))))
+        if k % 2:
+            segments.append((None, F(rng.randint(1, 16), 16)))
+        yield _profile(*segments)
+
+
+def test_finish_time_offsets_equal_the_segment_formula():
+    # at 0, at every cumulative work, 10^-6 either side of each and deep in
+    # the tail, as int, float and Fraction works
+    rng = random.Random(24)
+    eps = F(1, 10**6)
+    for profile in _seeded_profiles(rng):
+        table = build_capacity_table(profile)
+        points = [F(0), *table.cum_work, table.cum_work[-1] * 10**6 + F(1, 3)]
+        works = []
+        for w in points:
+            works += [w, w - eps, w + eps, float(w), float(w) - 1e-6, float(w) + 1e-6]
+            works += [math.floor(w), math.ceil(w)]
+        works.append(10**12)
+        for work in works:
+            if work < 0:
+                continue
+            got = finish_time(table, work)
+            assert type(got) is F
+            assert got == segment_finish_time(table, work), (table, work)

@@ -25,6 +25,7 @@ from sharedsched import (
     totaltime_scheme,
     validate_instance,
 )
+from sharedsched.model import _frac_from_str
 
 
 def _machine(*segments):
@@ -137,6 +138,15 @@ def test_evaluate_requires_a_partition():
         evaluate(inst, [[0, 1], [1]])
     with pytest.raises(ValueError):
         evaluate(inst, [[0, 1]])
+
+
+@pytest.mark.parametrize("index", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_evaluate_refuses_a_job_index_that_is_not_an_int(index):
+    # each equals or sorts like job 1, so only its type can refuse it
+    inst = _instance([_machine((None, 1))], [1, 2])
+    with pytest.raises(ValueError) as refused:
+        evaluate(inst, [[0, index]])
+    assert str(refused.value) == f"assignment holds {index!r}, which is not a job index"
 
 
 def test_completions_increase_along_each_machine():
@@ -274,6 +284,61 @@ def test_library_string_numbers_with_huge_exponents_are_refused_quickly(call):
     with pytest.raises(ValueError, match="exponent"):
         call()
     assert time.perf_counter() - started < 0.5
+
+
+def _unparsed(text):
+    return f"x: cannot parse {text!r} as a rational"
+
+
+_NINES = "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # plain ASCII p and p/q, which the fast path takes
+        ("0", F(0)),
+        ("007/010", F(7, 10)),
+        ("6/8", F(3, 4)),
+        (_NINES[:4299], F(int(_NINES[:4299]))),
+        (_NINES[:4299] + "/7", F(int(_NINES[:4299]), 7)),
+        ("7/" + _NINES[:4299], F(7, int(_NINES[:4299]))),
+        # everything else, which the general parser takes
+        ("1/0", _unparsed("1/0")),
+        ("0/0", _unparsed("0/0")),
+        ("+3", F(3)),
+        ("-3/4", F(-3, 4)),
+        ("3/-4", _unparsed("3/-4")),
+        (" 3", F(3)),
+        ("3/ 4", _unparsed("3/ 4")),
+        ("1_000", F(1000)),
+        ("1.5", F(3, 2)),
+        ("1e3", F(1000)),
+        # "²".isdigit() holds, but int("²") raises
+        ("²", _unparsed("²")),
+        ("٣", F(3)),
+        ("３/4", F(3, 4)),
+        (_NINES, f"x: the mantissa digits plus exponent of {_NINES!r} reach 4300"),
+        (_NINES + "/7", F(int(_NINES), 7)),
+        ("7/" + _NINES, F(7, int(_NINES))),
+    ],
+    ids=[
+        "0", "007/010", "6/8", "4299-digits", "4299-digits/7", "7/4299-digits",
+        "1/0", "0/0", "+3", "-3/4", "3/-4", "space-3", "3/space-4", "1_000", "1.5", "1e3",
+        "superscript-2", "arabic-indic-3", "fullwidth-3/4", "4300-digits", "4300-digits/7",
+        "7/4300-digits",
+    ],
+)
+def test_both_number_parser_paths_agree(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as refused:
+            _frac_from_str(text, "x")
+        assert str(refused.value) == expected
+    else:
+        got = _frac_from_str(text, "x")
+        assert type(got) is F and got == expected
+        # the text's value as Fraction itself reads it
+        assert got == F(text)
 
 
 def test_json_round_trip_on_random_instances():

@@ -24,7 +24,13 @@ that made it.  The parts:
   malformed profile (the interval shapes every entry point refuses, one
   interval with three faults, an interval after an unbounded one) goes
   through `validate_instance`, whose whole report is recorded, `evaluate`
-  and every `cli.ALGORITHMS` entry.
+  and every `cli.ALGORITHMS` entry; so does each assignment that holds a
+  job index that is not an `int`;
+- parsing (no counts line): the value or the refusal of the number parser
+  `model._frac_from_str` on each text of a fixed list (plain ASCII `p` and
+  `p/q`, sides of 4299 and 4300 digits, signs, spaces, points, exponents,
+  underscores, zero denominators and non-ASCII digits), and of
+  `instance_from_json` with that text as a job length, as e0 and as a ratio.
 
 The last line is the digest of the part digests.  Standard library only;
 it takes no flags.
@@ -33,6 +39,7 @@ it takes no flags.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import sys
 from fractions import Fraction as F
@@ -44,13 +51,22 @@ from sharedsched.model import (
     MachineProfile,
     Objective,
     SharedInterval,
+    _frac_from_str,
     evaluate,
+    instance_from_json,
+    instance_to_json,
     validate_instance,
 )
 
 PARTS = ("algorithms", "totaltime", "makespan", "refusals")
 EPSILONS = (F(1, 4), F(1, 2))
 DELTAS = (None, F(0), F(1, 2))
+NINES = "9" * 4300
+NUMBER_TEXTS = (
+    "0", "007/010", "6/8", "1/0", "0/0", "+3", "-3/4", "3/-4", " 3", "3/ 4",
+    "1_000", "1.5", "1e3", "²", "٣", "３/4",
+    *(side for k in (4299, 4300) for side in (NINES[:k], NINES[:k] + "/7", "7/" + NINES[:k])),
+)
 
 
 class Counted:
@@ -69,7 +85,7 @@ class Digest:
     """The running digest of each part and of its runs' counts, over every run recorded."""
 
     def __init__(self):
-        names = [*PARTS, *(f"{part}-counts" for part in PARTS)]
+        names = [*PARTS, *(f"{part}-counts" for part in PARTS), "parsing"]
         self.parts = {name: hashlib.sha256() for name in names}
         self.runs = 0
         # every module that imports the kernel calls it through its own name
@@ -89,11 +105,37 @@ class Digest:
         self.finish_key.calls = self.index.calls = 0
         try:
             result = call(*args, **kwargs)
-        except (ValueError, oracle.OracleLimitError) as exc:
+        # a TypeError too: on an earlier checkout, which this tool also runs
+        # on, evaluate refused some job indices that are not ints with one
+        except (ValueError, TypeError, oracle.OracleLimitError) as exc:
             self.record("refusals", label, type(exc).__name__, str(exc))
             result = None
         self.record(f"{part}-counts", label, self.finish_key.calls, self.index.calls)
         return result
+
+
+def parsed(call, *args):
+    """The call's result, or the type and message of its ValueError."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def record_parsing(digest: Digest) -> None:
+    """The number parser, alone and inside `instance_from_json`, on every text."""
+    base = instance_to_json(named_example("lptect_322"))
+    for text in NUMBER_TEXTS:
+        digest.record("parsing", text, parsed(_frac_from_str, text, "x"))
+        for slot in ("job", "e0", "ratio"):
+            payload = json.loads(base)
+            if slot == "job":
+                payload["jobs"][0] = text
+            elif slot == "e0":
+                payload["e0"] = text
+            else:
+                payload["machines"][1]["intervals"][0]["ratio"] = text
+            digest.record("parsing", text, slot, parsed(instance_from_json, json.dumps(payload)))
 
 
 def schedule_of(schedule) -> tuple:
@@ -219,6 +261,9 @@ def main() -> int:
         assignment = [list(range(inst.n))] + [[] for _ in inst.machines[1:]]
         run("refusals", f"{label} evaluate", evaluate, inst, assignment)
         run_algorithms(digest, "refusals", label, inst)
+    for index in (True, 1.0, "1"):
+        run("refusals", f"evaluate index {index!r}", evaluate, lptect, [[0, 1, index], []])
+    record_parsing(digest)
 
     total = hashlib.sha256()
     for part, sha in digest.parts.items():
