@@ -7,8 +7,11 @@ become a binary search plus one division and one addition.
 
 The same queries also run on integers, over one instance-wide scale.
 `scale_instance` is the one place that builds an instance's integer view
-(the scale, the job lengths as keys, the scaled tables), straight from the
-machine profiles; the list heuristics and the searches decide on it, while
+(the scale, the job lengths as keys, the scaled tables, all tuples),
+straight from the machine profiles.  The `Instance` builds it on first use
+and keeps it, so every algorithm call on one instance shares it; the
+instance's fields are tuples that must not change after that.  The list
+heuristics and the searches decide on the view, while
 `finish_time` stays the exact reference with which `model.evaluate` builds
 every reported schedule.  Both halves refuse a malformed interval through
 `_interval_faults`, the one statement of the interval rules, which
@@ -179,15 +182,16 @@ def finish_key(table: ScaledTable, work: int) -> int:
     return table.breakpoints[k] + time
 
 
-def scale_instance(inst: "Instance") -> tuple[int, list[int], list[ScaledTable]]:
+def scale_instance(inst: "Instance") -> tuple[int, tuple[int, ...], tuple[ScaledTable, ...]]:
     """An instance's common scale, its job lengths times the scale (by job
-    index) and its machines' scaled tables.
+    index) and its machines' scaled tables, all immutable.
 
     The one integer set-up behind the list heuristics and the searches,
-    and the one place that refuses an instance with no machines.  No load
-    passes the total job work, so each profile is read only up to the first
-    breakpoint whose cumulative work reaches it, the next interval's rate
-    (or full speed) kept as the tail; later segments add nothing to the
+    and the one place that refuses an instance with no machines; they read
+    it as `Instance._view`, which builds it on first use and keeps it.  No
+    load passes the total job work, so each profile is read only up to the
+    first breakpoint whose cumulative work reaches it, the next interval's
+    rate (or full speed) kept as the tail; later segments add nothing to the
     scale.  Each interval read, the tail's included, is refused (ValueError)
     with the first of `validate_instance`'s messages on it.
 
@@ -237,4 +241,5 @@ def scale_instance(inst: "Instance") -> tuple[int, list[int], list[ScaledTable]]
             cum.append(cum[-1] + work)
         nums, dens = zip(*[(r.numerator, r.denominator) for r in rates])
         tables.append(ScaledTable(tuple(bps), tuple(cum), nums, dens))
-    return scale, [p.numerator * (scale // p.denominator) for p in inst.jobs], tables
+    sizes = tuple([p.numerator * (scale // p.denominator) for p in inst.jobs])
+    return scale, sizes, tuple(tables)

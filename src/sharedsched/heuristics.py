@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .capacity import ScaledTable, finish_key, scale_instance
+from .capacity import ScaledTable, finish_key
 from .model import Instance, Schedule, _check_epsilon, _check_shares, _schedule_of
 
 __all__ = [
@@ -100,7 +100,7 @@ def list_schedule(inst: Instance, order: OrderRule, placement: PlacementRule) ->
     member or its value, such as "earliest-completion".
     """
     order, placement = OrderRule(order), PlacementRule(placement)
-    _, sizes, scaled = scale_instance(inst)
+    _, sizes, scaled = inst._view
     m = inst.m
     jobs = job_order(sizes, order)
     if placement is PlacementRule.EARLIEST_COMPLETION:

@@ -13,9 +13,16 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .capacity import _interval_faults, build_capacity_table, finish_time
+from .capacity import (
+    ScaledTable,
+    _interval_faults,
+    build_capacity_table,
+    finish_time,
+    scale_instance,
+)
 
 __all__ = [
     "SharedInterval",
@@ -63,6 +70,12 @@ class Instance:
     The first `m1` machines are guaranteed to keep at least an `e0` fraction
     of their speed available at all times; machines after them may drop
     arbitrarily low.
+
+    The integer view the algorithms decide on (`capacity.scale_instance`)
+    is built on first use and kept on the instance, so every algorithm call
+    on it shares one.  `machines` and `jobs` are tuples, which must not
+    change after that; `dataclasses.replace` makes an instance with a view
+    of its own.
     """
 
     machines: tuple[MachineProfile, ...]
@@ -77,6 +90,13 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.jobs)
+
+    @cached_property
+    def _view(self) -> tuple[int, tuple[int, ...], tuple[ScaledTable, ...]]:
+        """`scale_instance(self)`: the scale, the job keys and the scaled tables.
+
+        A refusal is not kept, so every use of a view refused raises again."""
+        return scale_instance(self)
 
 
 class Objective(Enum):
@@ -195,23 +215,36 @@ def _checked(inst: Instance) -> Instance:
 # check it, so "1e10000000" alone takes seconds.  Python converts no integer
 # of more than 4300 digits to or from a string.  A decimal's numerator and
 # denominator have at most one digit more than its mantissa digits plus its
-# exponent, so a number whose sum stays below the limit parses and prints.
+# exponent, so a number whose sum stays below the limit parses and prints;
+# each side of p/q may have up to the limit.
 MAX_DIGITS = 4300
+
+# A refusal quotes at most this many characters of the text it refuses.
+MAX_SHOWN = 60
+
+
+def _shown(text: str) -> str:
+    """`text` quoted for a refusal, cut to its first MAX_SHOWN characters."""
+    if len(text) <= MAX_SHOWN:
+        return repr(text)
+    return f"{text[:MAX_SHOWN]!r}... ({len(text)} characters)"
 
 
 def _frac_from_str(text, what: str) -> Fraction:
     """Parse one exact rational from instance JSON, a command line flag or a library string."""
     text = str(text)
+    num, slash, den = text.partition("/")
     # plain ASCII p or p/q, each side below the digit limit and q nonzero;
     # isascii() too, as "²".isdigit() holds but int("²") raises
-    if text.isascii():
-        num, slash, den = text.partition("/")
-        if num.isdigit() and len(num) < MAX_DIGITS:
-            if not slash:
-                return Fraction(int(num))
-            if den.isdigit() and len(den) < MAX_DIGITS and (q := int(den)):
-                return Fraction(int(num), q)
-    if "/" not in text:  # each side of p/q meets Python's own digit limit
+    if text.isascii() and num.isdigit() and len(num) < MAX_DIGITS:
+        if not slash:
+            return Fraction(int(num))
+        if den.isdigit() and len(den) < MAX_DIGITS and (q := int(den)):
+            return Fraction(int(num), q)
+    if slash:
+        if max(sum(map(str.isdigit, num)), sum(map(str.isdigit, den))) > MAX_DIGITS:
+            raise ValueError(f"{what}: a side of {_shown(text)} has more than {MAX_DIGITS} digits")
+    else:
         mantissa, _, exponent = text.lower().partition("e")
         try:
             shift = abs(int(exponent)) if exponent else 0
@@ -219,12 +252,12 @@ def _frac_from_str(text, what: str) -> Fraction:
             shift = 0
         if sum(map(str.isdigit, mantissa)) + shift >= MAX_DIGITS:
             raise ValueError(
-                f"{what}: the mantissa digits plus exponent of {text!r} reach {MAX_DIGITS}"
+                f"{what}: the mantissa digits plus exponent of {_shown(text)} reach {MAX_DIGITS}"
             )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{what}: cannot parse {text!r} as a rational") from exc
+        raise ValueError(f"{what}: cannot parse {_shown(text)} as a rational") from exc
 
 
 def _rational(value, what: str) -> Fraction:

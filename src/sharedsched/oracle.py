@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .capacity import ScaledTable, finish_key, scale_instance
+from .capacity import ScaledTable, finish_key
 from .heuristics import OrderRule, _place_ect, job_order
 from .model import Instance, Objective, Schedule, _schedule_of, objective_value
 
@@ -65,7 +65,7 @@ def exact_optimal(
         raise OracleLimitError(
             f"instance size n={n}, m={m} exceeds oracle limits n<={max_n}, m<={DEFAULT_MAX_M}"
         )
-    _, sizes, scaled = scale_instance(inst)
+    _, sizes, scaled = inst._view
     placed, leaves = best_placement(sizes, scaled, range(n), objective)
     rule = OrderRule.INPUT if objective is Objective.MAKESPAN else OrderRule.SPT
     order = job_order(sizes, rule)

@@ -18,7 +18,7 @@ from itertools import chain, compress
 from operator import add
 from typing import Optional
 
-from .capacity import finish_key, scale_instance
+from .capacity import finish_key
 from .heuristics import OrderRule, _place_ect, job_order
 from .model import (
     Instance,
@@ -82,7 +82,7 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
         raise ValueError(f"d={d} is outside [0, {n}]")
     if m**d > _LIMIT:
         raise OracleLimitError(f"{m}^{d} placements exceed the limit of {_LIMIT}")
-    _, sizes, scaled = scale_instance(inst)
+    _, sizes, scaled = inst._view
     by_length = job_order(sizes, OrderRule.LPT)
     # LPT-ECT's makespan key: one of the branches reproduces it
     _, limit = _place_ect(scaled, [0] * m, [sizes[j] for j in by_length])
@@ -219,7 +219,7 @@ def totaltime_scheme(
         if delta < 0:
             raise ValueError("delta must be nonnegative")
 
-    scale, sizes, scaled = scale_instance(inst)
+    scale, sizes, scaled = inst._view
     if not n:  # no job: the empty schedule
         return _schedule_of(inst, [], [])
     order = job_order(sizes, OrderRule.SPT)

@@ -328,15 +328,18 @@ _NINES = "9" * 4300
         ("²", _unparsed("²")),
         ("٣", F(3)),
         ("３/4", F(3, 4)),
-        (_NINES, f"x: the mantissa digits plus exponent of {_NINES!r} reach 4300"),
+        # a refusal quotes the first 60 characters of a longer text
+        (_NINES, f"x: the mantissa digits plus exponent of {_NINES[:60]!r}... (4300 characters) reach 4300"),
         (_NINES + "/7", F(int(_NINES), 7)),
         ("7/" + _NINES, F(7, int(_NINES))),
+        (_NINES + "9/7", f"x: a side of {_NINES[:60]!r}... (4303 characters) has more than 4300 digits"),
+        ("7/9" + _NINES, f"x: a side of {'7/' + _NINES[:58]!r}... (4303 characters) has more than 4300 digits"),
     ],
     ids=[
         "0", "007/010", "6/8", "4299-digits", "4299-digits/7", "7/4299-digits",
         "1/0", "0/0", "+3", "-3/4", "3/-4", "space-3", "3/space-4", "1_000", "1.5", "1e3",
         "superscript-2", "arabic-indic-3", "fullwidth-3/4", "4300-digits", "4300-digits/7",
-        "7/4300-digits",
+        "7/4300-digits", "4301-digits/7", "7/4301-digits",
     ],
 )
 def test_both_number_parser_paths_agree(text, expected):

@@ -73,7 +73,7 @@ def test_every_entry_key_is_its_value_times_the_scale(inst):
 def test_a_value_off_the_scale_raises_instead_of_rounding(monkeypatch):
     inst = named_example("lsect_tight")
     scale, sizes, _ = scale_instance(inst)
-    assert sizes == [p * scale for p in inst.jobs]
+    assert sizes == tuple(p * scale for p in inst.jobs)
     # a scale too small for a segment's work (1 at rate 2/3) raises
     segment = MachineProfile(intervals=(SharedInterval(start=F(0), end=F(1), ratio=F(2, 3)),))
     inst = Instance(machines=(segment,), jobs=(F(1),), m1=1, e0=F(2, 3))
