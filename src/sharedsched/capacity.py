@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
@@ -32,24 +31,21 @@ if TYPE_CHECKING:
 __all__ = ["CapacityTable", "build_capacity_table", "finish_time"]
 
 
-@dataclass(frozen=True)
-class CapacityTable:
-    """Breakpoints and cumulative work for one machine.
+class CapacityTable(NamedTuple):
+    """Breakpoints and cumulative work for one machine, in `ScaledTable`'s layout.
 
     ``breakpoints[k]`` is the end of the k-th rate segment (``breakpoints[0]``
     is always 0) and ``cum_work[k]`` is the total work the machine completes
-    by that time when never idle.  ``ratios[k]`` is the rate on the segment
-    ``(breakpoints[k], breakpoints[k+1]]``.  Past the last breakpoint the
-    machine runs at ``tail_ratio``.  ``offsets[k]`` is
-    ``breakpoints[k] - cum_work[k] / rate``, with the rate of the segment
-    starting at ``breakpoints[k]`` (the tail's for the last), so a work on
-    that segment finishes at ``offsets[k] + work / rate``.
+    by that time when never idle.  ``rates[k]`` is the rate from
+    ``breakpoints[k]`` on: on ``(breakpoints[k], breakpoints[k+1]]``, and
+    past the last breakpoint for the last rate, the tail's.  ``offsets[k]``
+    is ``breakpoints[k] - cum_work[k] / rates[k]``, so a work on that
+    segment finishes at ``offsets[k] + work / rates[k]``.
     """
 
     breakpoints: tuple[Fraction, ...]
     cum_work: tuple[Fraction, ...]
-    ratios: tuple[Fraction, ...]
-    tail_ratio: Fraction
+    rates: tuple[Fraction, ...]
     offsets: tuple[Fraction, ...]
 
 
@@ -88,25 +84,24 @@ def build_capacity_table(profile: "MachineProfile", machine: int = 1) -> Capacit
     """
     breakpoints = [Fraction(0)]
     cum_work = [Fraction(0)]
-    ratios: list[Fraction] = []
+    rates: list[Fraction] = []
     offsets: list[Fraction] = []
-    tail_ratio = Fraction(1)
     prev: Optional[Fraction] = Fraction(0)
     for k, iv in enumerate(profile.intervals, start=1):
         if faults := _interval_faults(iv, prev, machine, k):
             raise ValueError(faults[0])
+        rates.append(iv.ratio)
+        offsets.append(_offset(breakpoints[-1], cum_work[-1], iv.ratio))
         prev = iv.end
-        if prev is None:
-            tail_ratio = iv.ratio
-        else:
-            offsets.append(_offset(breakpoints[-1], cum_work[-1], iv.ratio))
+        if prev is not None:
+            # the segment starts at the previous end, so cum + rate * (end - start)
+            # is rate * (end - offset): one Fraction step fewer
             breakpoints.append(prev)
-            cum_work.append(cum_work[-1] + iv.ratio * (prev - iv.start))
-            ratios.append(iv.ratio)
-    offsets.append(_offset(breakpoints[-1], cum_work[-1], tail_ratio))
-    return CapacityTable(
-        tuple(breakpoints), tuple(cum_work), tuple(ratios), tail_ratio, tuple(offsets)
-    )
+            cum_work.append((prev - offsets[-1]) * iv.ratio)
+    if prev is not None:  # full speed after the last breakpoint
+        rates.append(Fraction(1))
+        offsets.append(_offset(breakpoints[-1], cum_work[-1], Fraction(1)))
+    return CapacityTable(tuple(breakpoints), tuple(cum_work), tuple(rates), tuple(offsets))
 
 
 def _offset(bp: Fraction, cum: Fraction, rate: Fraction) -> Fraction:
@@ -136,8 +131,8 @@ def finish_time(table: CapacityTable, work) -> Fraction:
         k = bisect_left(cum, work)
         if k == 0:
             return table.breakpoints[0]
-        return table.offsets[k - 1] + work / table.ratios[k - 1]
-    return table.offsets[-1] + work / table.tail_ratio
+        return table.offsets[k - 1] + work / table.rates[k - 1]
+    return table.offsets[-1] + work / table.rates[-1]
 
 
 # The integer kernel.  Over a common scale S, every job length, breakpoint,

@@ -156,24 +156,22 @@ def evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
     profile, an interval after an unbounded one included, is refused
     (ValueError) by `build_capacity_table`.
     """
-    n = inst.n
+    jobs = inst.jobs
     if len(assignment) != inst.m:
         raise ValueError(f"assignment covers {len(assignment)} machines, instance has {inst.m}")
     seen = [j for seq in assignment for j in seq]
-    # the set of types first, at C speed; the loop only on a type other than int
-    if not set(map(type, seen)) <= {int}:
-        for j in seen:
-            if not isinstance(j, int) or isinstance(j, bool):
-                raise ValueError(f"assignment holds {j!r}, which is not a job index")
-    if sorted(seen) != list(range(n)):
+    for j in seen:
+        if not isinstance(j, int) or isinstance(j, bool):
+            raise ValueError(f"assignment holds {j!r}, which is not a job index")
+    if sorted(seen) != list(range(len(jobs))):
         raise ValueError("assignment is not a partition of the job indices")
-    completions: list[Fraction] = [Fraction(0)] * n
+    completions: list[Fraction] = [Fraction(0)] * len(jobs)
     total = Fraction(0)
     for i, (mp, seq) in enumerate(zip(inst.machines, assignment), start=1):
         table = build_capacity_table(mp, i)
         prefix = machine_total = Fraction(0)
         for j in seq:
-            prefix += inst.jobs[j]
+            prefix += jobs[j]
             completions[j] = finish_time(table, prefix)
             # summed per machine first: one machine's completions share most
             # of their denominators, different machines' are often coprime,

@@ -110,7 +110,8 @@ def best_placement(
       set runs last, and its aggregate is the parent's plus the new finish
       key, the job's completion time.  A tie keeps the lexicographically
       smaller vector.
-    The total-time walk takes no `limit`.  The last job walked tries the
+    The total-time walk takes no `rest` and no `limit`, and refuses either
+    (ValueError) before any work.  The last job walked tries the
     machines in one loop at its parent node: each child within `limit` is a
     leaf, valued and scored there, so no leaf takes a step down or back.
     With no job walked, the one leaf is the tail alone.  Returns one machine
@@ -118,6 +119,8 @@ def best_placement(
     placed it, and the number of leaves visited: m^k without a limit.
     """
     total = objective is not Objective.MAKESPAN
+    if total and (rest or limit is not None):
+        raise ValueError("the total-time walk takes no rest and no limit")
     k = len(jobs)
     # walk[t] is the position in `jobs` of the t-th job walked, and at[p] the reverse
     walk = job_order([sizes[j] for j in jobs], OrderRule.SPT) if total else range(k)

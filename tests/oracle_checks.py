@@ -41,8 +41,8 @@ def work_at(table: CapacityTable, t) -> Fraction:
         k = bisect_left(bps, t)
         if k == 0:
             return table.cum_work[0]
-        return table.cum_work[k - 1] + table.ratios[k - 1] * (t - bps[k - 1])
-    return table.cum_work[-1] + table.tail_ratio * (t - bps[-1])
+        return table.cum_work[k - 1] + table.rates[k - 1] * (t - bps[k - 1])
+    return table.cum_work[-1] + table.rates[-1] * (t - bps[-1])
 
 
 def segment_finish_time(table: CapacityTable, work) -> Fraction:
@@ -57,8 +57,8 @@ def segment_finish_time(table: CapacityTable, work) -> Fraction:
         k = bisect_left(cum, work)
         if k == 0:
             return table.breakpoints[0]
-        return table.breakpoints[k - 1] + (work - cum[k - 1]) / table.ratios[k - 1]
-    return table.breakpoints[-1] + (work - cum[-1]) / table.tail_ratio
+        return table.breakpoints[k - 1] + (work - cum[k - 1]) / table.rates[k - 1]
+    return table.breakpoints[-1] + (work - cum[-1]) / table.rates[-1]
 
 
 def verify_spt_within_machine(inst: Instance, max_n: int = 8) -> bool:

@@ -25,8 +25,7 @@ def test_table_for_slowdown_profile():
     table = build_capacity_table(_profile((1, 1), (None, F(1, 2))))
     assert table.breakpoints == (F(0), F(1))
     assert table.cum_work == (F(0), F(1))
-    assert table.ratios == (F(1),)
-    assert table.tail_ratio == F(1, 2)
+    assert table.rates == (F(1), F(1, 2))
     # 0 - 0/1 on the first segment, 1 - 1/(1/2) on the tail
     assert table.offsets == (F(0), F(-1))
 
@@ -35,7 +34,7 @@ def test_table_for_single_unbounded_interval():
     table = build_capacity_table(_profile((None, 1)))
     assert table.breakpoints == (F(0),)
     assert table.cum_work == (F(0),)
-    assert table.tail_ratio == F(1)
+    assert table.rates == (F(1),)
 
 
 def test_table_for_empty_profile_is_full_speed():
@@ -127,14 +126,8 @@ def test_finish_time_bounds_follow_the_slowest_ratio_seen():
         work = F(rng.randint(1, 800), rng.randint(1, 8))
         t = finish_time(table, work)
         assert t >= work
-        ratios = [
-            table.ratios[k]
-            for k in range(len(table.ratios))
-            if table.breakpoints[k] < t
-        ]
-        if t > table.breakpoints[-1]:
-            ratios.append(table.tail_ratio)
-        slowest = min(ratios)
+        # the rate from each breakpoint before t on, the tail's after the last
+        slowest = min(rate for bp, rate in zip(table.breakpoints, table.rates) if bp < t)
         assert t <= work / slowest
 
 
@@ -151,6 +144,22 @@ def _seeded_profiles(rng):
         if k % 2:
             segments.append((None, F(rng.randint(1, 16), 16)))
         yield _profile(*segments)
+
+
+def test_each_rate_and_offset_belongs_to_the_segment_from_its_breakpoint():
+    rng = random.Random(26)
+    for profile in _seeded_profiles(rng):
+        table = build_capacity_table(profile)
+        bps, cum, rates, offsets = table
+        assert len(rates) == len(offsets) == len(cum) == len(bps)
+        # the profile's ratios in order, then full speed unless the last is unbounded
+        intervals = profile.intervals
+        tail = [] if intervals and intervals[-1].end is None else [F(1)]
+        assert list(rates) == [iv.ratio for iv in intervals] + tail
+        for k in range(len(bps) - 1):
+            assert cum[k + 1] == cum[k] + rates[k] * (bps[k + 1] - bps[k])
+        for k in range(len(bps)):
+            assert offsets[k] == bps[k] - cum[k] / rates[k]
 
 
 def test_finish_time_offsets_equal_the_segment_formula():

@@ -221,7 +221,7 @@ def _check_kernel(inst, cum_step=1, loads=40):
         table = build_capacity_table(machine)
         assert len(scaled.cum_work) == len(table.cum_work)
         rates = [F(num, den) for num, den in zip(scaled.rate_num, scaled.rate_den)]
-        assert rates == [*table.ratios, table.tail_ratio]
+        assert rates == list(table.rates)
         for k in range(0, len(table.cum_work), cum_step):
             assert (scaled.breakpoints[k], 0) == _times(table.breakpoints[k], scale)
             assert (scaled.cum_work[k], 0) == _times(table.cum_work[k], scale)
@@ -484,6 +484,18 @@ def test_the_pruned_walk_counts_only_the_leaves_within_its_limit(seed, m1, n, d,
     )
     assert visited == leaves
     assert _makespan_key(scaled, sizes, by_length, placed) <= limit
+
+
+@pytest.mark.parametrize(
+    "rest, limit", [([3], None), ([], 10**9), ([3], 10**9)], ids=["rest", "limit", "both"]
+)
+def test_the_total_time_walk_refuses_a_tail_or_a_limit(calls, rest, limit):
+    # a tail's finish has no place in a completion-time sum
+    inst = random_instance(RandomSpec(n=4, m=2, m1=2, e0=F(1, 2), seed=0))
+    _, sizes, scaled = scale_instance(inst)
+    with pytest.raises(ValueError, match="total-time walk takes no rest and no limit"):
+        best_placement(sizes, scaled, [0, 1, 2], Objective.TOTAL_COMPLETION, rest, limit)
+    assert calls[0] == 0
 
 
 def test_one_machine_walks_twelve_hundred_jobs_deep(calls):
