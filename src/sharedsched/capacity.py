@@ -2,8 +2,9 @@
 
 A machine's availability is a piecewise-constant rate over left-open,
 right-closed intervals.  The table below turns that into cumulative work at
-each breakpoint, and each segment's offset, so completion-time queries
-become a binary search plus one division and one addition.
+each breakpoint, and each segment's offset, so a completion-time query is
+a binary search plus one Fraction built from integers.  A table can stop
+at the first breakpoint that reaches a given work, when no query passes it.
 
 The same queries also run on integers, over one instance-wide scale.
 `scale_instance` is the one place that builds an instance's integer view
@@ -72,7 +73,9 @@ def _interval_faults(iv, prev: Optional[Fraction], machine: int, k: int) -> list
     return [f"machine {machine} interval {k}: {fault}" for fault in faults]
 
 
-def build_capacity_table(profile: "MachineProfile", machine: int = 1) -> CapacityTable:
+def build_capacity_table(
+    profile: "MachineProfile", machine: int = 1, reach: Optional[tuple[int, int]] = None
+) -> CapacityTable:
     """Precompute cumulative work at every breakpoint of a machine profile.
 
     A profile that ends at a finite breakpoint implicitly continues at full
@@ -81,6 +84,12 @@ def build_capacity_table(profile: "MachineProfile", machine: int = 1) -> Capacit
     unbounded one too, and a malformed one is refused (ValueError) with the
     first of `validate_instance`'s messages on it, naming the profile as
     machine `machine`.
+
+    With `reach = (num, den)`, no query passes the work num/den: the table
+    stops at the first breakpoint whose cumulative work reaches it and takes
+    the next interval's rate (or full speed) as the tail, as
+    `scale_instance` does, so `finish_time` gives the same value for every
+    work up to num/den.  The later intervals are still checked.
     """
     breakpoints = [Fraction(0)]
     cum_work = [Fraction(0)]
@@ -90,18 +99,29 @@ def build_capacity_table(profile: "MachineProfile", machine: int = 1) -> Capacit
     for k, iv in enumerate(profile.intervals, start=1):
         if faults := _interval_faults(iv, prev, machine, k):
             raise ValueError(faults[0])
+        prev = iv.end
+        if len(rates) == len(breakpoints):  # the tail is set; the rest is only checked
+            continue
         rates.append(iv.ratio)
         offsets.append(_offset(breakpoints[-1], cum_work[-1], iv.ratio))
-        prev = iv.end
-        if prev is not None:
+        if prev is not None and not _reaches(cum_work[-1], reach):
             # the segment starts at the previous end, so cum + rate * (end - start)
             # is rate * (end - offset): one Fraction step fewer
             breakpoints.append(prev)
             cum_work.append((prev - offsets[-1]) * iv.ratio)
-    if prev is not None:  # full speed after the last breakpoint
+    if len(rates) < len(breakpoints):  # full speed after the last breakpoint
         rates.append(Fraction(1))
         offsets.append(_offset(breakpoints[-1], cum_work[-1], Fraction(1)))
     return CapacityTable(tuple(breakpoints), tuple(cum_work), tuple(rates), tuple(offsets))
+
+
+def _reaches(work: Fraction, reach: Optional[tuple[int, int]]) -> bool:
+    """Whether `work` reaches the bound ``reach = (num, den)``, compared on
+    integers; never without a bound."""
+    if reach is None:
+        return False
+    num, den = work.as_integer_ratio()
+    return num * reach[1] >= reach[0] * den
 
 
 def _offset(bp: Fraction, cum: Fraction, rate: Fraction) -> Fraction:
@@ -118,21 +138,26 @@ def _offset(bp: Fraction, cum: Fraction, rate: Fraction) -> Fraction:
 
 def finish_time(table: CapacityTable, work) -> Fraction:
     """Earliest time by which a never-idle machine completes `work` units:
-    ``offsets[k] + work / rate`` on the segment k holding the work, one
-    division and one addition."""
+    ``offsets[k] + work / rates[k]`` on the segment k holding the work,
+    built as one Fraction from integers."""
     if not isinstance(work, Fraction):
         work = Fraction(work)
-    if work < 0:
+    num, den = work.as_integer_ratio()
+    if num < 0:
         raise ValueError("work must be nonnegative")
     cum = table.cum_work
-    if work <= cum[-1]:
+    last_num, last_den = cum[-1].as_integer_ratio()
+    if num * last_den <= last_num * den:
         # leftmost segment reaching the work, so a value landing exactly on a
         # breakpoint resolves to the earlier time
-        k = bisect_left(cum, work)
-        if k == 0:
+        k = bisect_left(cum, work) - 1
+        if k < 0:
             return table.breakpoints[0]
-        return table.offsets[k - 1] + work / table.rates[k - 1]
-    return table.offsets[-1] + work / table.rates[-1]
+    else:
+        k = -1
+    off_num, off_den = table.offsets[k].as_integer_ratio()
+    rate_num, rate_den = table.rates[k].as_integer_ratio()
+    return Fraction(off_num * den * rate_num + num * rate_den * off_den, off_den * den * rate_num)
 
 
 # The integer kernel.  Over a common scale S, every job length, breakpoint,
@@ -177,6 +202,13 @@ def finish_key(table: ScaledTable, work: int) -> int:
     return table.breakpoints[k] + time
 
 
+def _job_keys(jobs: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the job denominators and each job length times it, by job index."""
+    ratios = [p.as_integer_ratio() for p in jobs]
+    den = math.lcm(*{d for _, d in ratios})
+    return den, [num * (den // d) for num, d in ratios]
+
+
 def scale_instance(inst: "Instance") -> tuple[int, tuple[int, ...], tuple[ScaledTable, ...]]:
     """An instance's common scale, its job lengths times the scale (by job
     index) and its machines' scaled tables, all immutable.
@@ -200,9 +232,8 @@ def scale_instance(inst: "Instance") -> tuple[int, tuple[int, ...], tuple[Scaled
     """
     if not inst.machines:
         raise ValueError("instance has no machines")
-    # the total job work, summed over the lcm of the job denominators
-    den = math.lcm(*{p.denominator for p in inst.jobs})
-    total = Fraction(sum([p.numerator * (den // p.denominator) for p in inst.jobs]), den)
+    den, keys = _job_keys(inst.jobs)
+    total = Fraction(sum(keys), den)
     factors, rate_nums, kept = {den}, set(), []
     for i, mp in enumerate(inst.machines, start=1):
         ends, rates, start, reached = [], [], Fraction(0), Fraction(0)

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .capacity import (
     ScaledTable,
     _interval_faults,
+    _job_keys,
     build_capacity_table,
     finish_time,
     scale_instance,
@@ -154,7 +156,9 @@ def evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
     machines, each index an `int` (a `bool` is not one); jobs run back to
     back in the given per-machine order.  A malformed interval anywhere in a
     profile, an interval after an unbounded one included, is refused
-    (ValueError) by `build_capacity_table`.
+    (ValueError) by `build_capacity_table`, machine by machine, before any
+    job of that machine is timed.  Each machine's table stops at its
+    largest load, and each completion is one `finish_time` call.
     """
     jobs = inst.jobs
     if len(assignment) != inst.m:
@@ -165,25 +169,27 @@ def evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
             raise ValueError(f"assignment holds {j!r}, which is not a job index")
     if sorted(seen) != list(range(len(jobs))):
         raise ValueError("assignment is not a partition of the job indices")
+    # job lengths as integers over one denominator, so each prefix load is an int
+    den, keys = _job_keys(jobs)
     completions: list[Fraction] = [Fraction(0)] * len(jobs)
-    total = Fraction(0)
+    sums: dict[int, int] = {}  # numerators of the completions, by denominator
+    tops = []  # each machine's completion at its largest load
     for i, (mp, seq) in enumerate(zip(inst.machines, assignment), start=1):
-        table = build_capacity_table(mp, i)
-        prefix = machine_total = Fraction(0)
-        for j in seq:
-            prefix += jobs[j]
-            completions[j] = finish_time(table, prefix)
-            # summed per machine first: one machine's completions share most
-            # of their denominators, different machines' are often coprime,
-            # and one running sum over all would carry their product along
-            machine_total += completions[j]
-        total += machine_total
-    makespan = max(completions, default=Fraction(0))
+        prefixes = list(accumulate([keys[j] for j in seq]))
+        load = max(prefixes, default=0)
+        table = build_capacity_table(mp, i, (load, den))
+        for j, prefix in zip(seq, prefixes):
+            c = completions[j] = finish_time(table, Fraction(prefix, den))
+            num, d = c.as_integer_ratio()
+            sums[d] = sums.get(d, 0) + num
+        if seq:
+            # finish_time never decreases with work
+            tops.append(completions[seq[prefixes.index(load)]])
     return Schedule(
         assignment=tuple(tuple(seq) for seq in assignment),
         completions=tuple(completions),
-        makespan=makespan,
-        total_completion=total,
+        makespan=max(tops, default=Fraction(0)),
+        total_completion=sum([Fraction(num, d) for d, num in sums.items()], Fraction(0)),
     )
 
 

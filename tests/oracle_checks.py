@@ -5,9 +5,10 @@ machine by trying every order; `check_claim2_bound` compares optimal
 completion-time sums on full-speed machines in closed form;
 `exact_bucket_index` finds a geometric bucket index by exact powers alone;
 `reference_list_schedule` is the list scheduler placing every job by
-`Fraction` finish times; `work_at` is the inverse of `finish_time`, and
+`Fraction` finish times; `work_at` is the inverse of `finish_time`,
 `segment_finish_time` is `finish_time` by the segment formula, without the
-table's offsets.
+table's offsets, and `reference_evaluate` is `evaluate` on `Fraction`
+prefix sums, whole tables and `segment_finish_time`.
 """
 
 import math
@@ -59,6 +60,27 @@ def segment_finish_time(table: CapacityTable, work) -> Fraction:
             return table.breakpoints[0]
         return table.breakpoints[k - 1] + (work - cum[k - 1]) / table.rates[k - 1]
     return table.breakpoints[-1] + (work - cum[-1]) / table.rates[-1]
+
+
+def reference_evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
+    """`evaluate` one `Fraction` step at a time: each machine's whole table,
+    its jobs' `Fraction` prefix sums, a `segment_finish_time` per job, and
+    the makespan and total over every completion.  It does not check the
+    assignment, and refuses a malformed profile or a negative load as
+    `evaluate` does, machine by machine."""
+    completions = [Fraction(0)] * len(inst.jobs)
+    for i, (mp, seq) in enumerate(zip(inst.machines, assignment), start=1):
+        table = build_capacity_table(mp, i)
+        prefix = Fraction(0)
+        for j in seq:
+            prefix += inst.jobs[j]
+            completions[j] = segment_finish_time(table, prefix)
+    return Schedule(
+        assignment=tuple(tuple(seq) for seq in assignment),
+        completions=tuple(completions),
+        makespan=max(completions, default=Fraction(0)),
+        total_completion=sum(completions, Fraction(0)),
+    )
 
 
 def verify_spt_within_machine(inst: Instance, max_n: int = 8) -> bool:

@@ -77,8 +77,10 @@ def test_zero_work_and_zero_time():
 
 def test_negative_arguments_are_rejected():
     table = build_capacity_table(_profile((None, 1)))
-    with pytest.raises(ValueError):
-        finish_time(table, F(-1))
+    for work in (F(-1), F(-1, 10**9), -1, -0.5):
+        with pytest.raises(ValueError) as caught:
+            finish_time(table, work)
+        assert str(caught.value) == "work must be nonnegative"
     with pytest.raises(ValueError):
         work_at(table, F(-1))
 
@@ -164,7 +166,7 @@ def test_each_rate_and_offset_belongs_to_the_segment_from_its_breakpoint():
 
 def test_finish_time_offsets_equal_the_segment_formula():
     # at 0, at every cumulative work, 10^-6 either side of each and deep in
-    # the tail, as int, float and Fraction works
+    # the tail, as int, float, Fraction and bool works
     rng = random.Random(24)
     eps = F(1, 10**6)
     for profile in _seeded_profiles(rng):
@@ -174,10 +176,26 @@ def test_finish_time_offsets_equal_the_segment_formula():
         for w in points:
             works += [w, w - eps, w + eps, float(w), float(w) - 1e-6, float(w) + 1e-6]
             works += [math.floor(w), math.ceil(w)]
-        works.append(10**12)
+        works += [10**12, False, True]
         for work in works:
             if work < 0:
                 continue
             got = finish_time(table, work)
             assert type(got) is F
             assert got == segment_finish_time(table, work), (table, work)
+
+
+def test_a_table_with_a_work_bound_is_the_whole_table_up_to_the_first_breakpoint_reaching_it():
+    # its tail is the rate from that breakpoint on, so every work up to the
+    # bound finishes where it does on the whole table
+    rng = random.Random(27)
+    for profile in _seeded_profiles(rng):
+        whole = build_capacity_table(profile)
+        top = int(2 * whole.cum_work[-1]) + 2
+        for bound in (F(0), *whole.cum_work, F(rng.randint(1, 16 * top), 16), F(top)):
+            table = build_capacity_table(profile, 1, bound.as_integer_ratio())
+            k = next((k for k, cum in enumerate(whole.cum_work) if cum >= bound), len(whole.cum_work) - 1)
+            assert table == tuple(column[: k + 1] for column in whole)
+            for work in (bound, bound / 3, *(cum for cum in whole.cum_work if cum <= bound)):
+                assert finish_time(table, work) == finish_time(whole, work)
+

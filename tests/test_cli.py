@@ -595,3 +595,33 @@ def test_gadget_random_takes_each_size_flag_at_its_ceiling(capsys, sizes):
     assert (code, err) == (0, "")
     inst = instance_from_json(out)
     assert (inst.n, inst.m) == (sizes["n"], sizes["m"])
+
+
+def test_commands_in_turn_in_one_process_print_what_separate_runs_print(tmp_path, capsys):
+    # the parser is built once per process and shared by every main call
+    path = tmp_path / "lptect.json"
+    path.write_text(instance_to_json(named_example("lptect_322")), encoding="utf-8")
+    commands = [
+        ["solve", str(path), "--alg", "lpt-ect", "--obj", "makespan"],
+        ["gadget", "random", "--n", "5", "--m", "2", "--seed", "3"],
+        ["compare", str(path), "--obj", "totaltime", "--epsilon", "1/2"],
+        ["solve", str(path), "--alg", "scheme-totaltime", "--obj", "totaltime"],  # exits 2
+        ["gadget", "named", "lptect_322"],
+        ["solve", str(path), "--alg", "spt-ect", "--obj", "totaltime", "--decimal"],
+    ]
+
+    def shown(code, out, err):
+        if '"wall_time_s"' in out:  # a solve report; its wall time differs between runs
+            out = json.loads(out)
+            del out["wall_time_s"]
+        return code, out, err
+
+    in_turn = []
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_turn.append(shown(code, captured.out, captured.err))
+    assert [code for code, _, _ in in_turn] == [0, 0, 0, 2, 0, 0]
+    for argv, got in zip(commands, in_turn):
+        alone = _python_m("sharedsched", argv, "")
+        assert shown(alone.returncode, alone.stdout, alone.stderr) == got, argv

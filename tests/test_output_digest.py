@@ -1,9 +1,14 @@
-"""`tools/output_digest.py` prints the lines committed in `tools/expected_digest.txt`."""
+"""`tools/output_digest.py` prints the lines committed in `tools/expected_digest.txt`,
+and leaves the library as it found it."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
+
+from sharedsched import Objective, capacity, cli, heuristics, named_example, oracle, schemes
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = ROOT / "tools" / "expected_digest.txt"
@@ -29,3 +34,23 @@ def test_every_output_digest_equals_its_committed_line():
     )
     version = f"{sys.version_info.major}.{sys.version_info.minor}"
     assert [line.split() for line in out.stdout.splitlines()] == _expected(version)
+
+
+def test_a_digest_run_in_process_puts_the_library_back():
+    spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    users = (heuristics, oracle, schemes)
+    index = vars(schemes.GeometricBuckets)["index"]
+    assert all(module.finish_key is capacity.finish_key for module in users)
+    inst = named_example("lptect_322")
+    with tool.Digest() as digest:
+        assert all(module.finish_key is digest.finish_key for module in users)
+        tool.run_algorithms(digest, "algorithms", "lptect_322", inst)
+        assert digest.finish_key.calls > 0 and digest.runs > 0
+    assert all(module.finish_key is capacity.finish_key for module in users)
+    assert vars(schemes.GeometricBuckets)["index"] is index
+    # the library's own kernel and buckets are counted no more
+    calls = digest.finish_key.calls, digest.index.calls
+    cli.ALGORITHMS["scheme-totaltime"].run(inst, Objective.TOTAL_COMPLETION, F(1, 2), None)
+    assert (digest.finish_key.calls, digest.index.calls) == calls

@@ -298,6 +298,32 @@ def test_the_scale_ignores_segments_past_the_total_job_work():
             )
 
 
+def test_evaluate_on_long_profiles_builds_offsets_only_up_to_each_load(monkeypatch):
+    # each machine's Fraction table stops at the first breakpoint reaching
+    # its load, as the view's tables stop at the total job work, so evaluate
+    # builds at most the view's segments plus each machine's tail; the whole
+    # tables hold 4,004 offsets, about 1.5 s of math.gcd on 160,000-bit
+    # denominators, where a count bounds the work on any host
+    inst = stress_instance(n=6)
+    kept = sum(len(table.rate_num) for table in inst._view[2])
+    calls = 0
+    offset = capacity._offset
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return offset(*args)
+
+    monkeypatch.setattr(capacity, "_offset", counted)
+    for assignment in ([[0, 1], [2], [3, 4], [5]], [list(range(6)), [], [], []]):
+        calls = 0
+        evaluate(inst, assignment)
+        assert 0 < calls <= kept
+    calls = 0
+    list_schedule(inst, OrderRule.LPT, PlacementRule.EARLIEST_COMPLETION)
+    assert 0 < calls <= kept
+
+
 @pytest.mark.parametrize(
     "jobs, breakpoints, tail",
     [

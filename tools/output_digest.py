@@ -34,7 +34,9 @@ that made it.  The parts:
   `instance_from_json` with that text as a job length, as e0 and as a ratio.
 
 The last line is the digest of the part digests.  Standard library only;
-it takes no flags.
+it takes no flags.  A `Digest` counts the kernel calls only while it is
+open as a context manager, so its parts can also run inside another
+process, which gets the library's own functions back when it closes.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ from sharedsched.model import (
     validate_instance,
 )
 
+# every module that imports the kernel calls it through its own name
+KERNEL_USERS = (heuristics, oracle, schemes)
 PARTS = ("algorithms", "totaltime", "makespan", "refusals")
 EPSILONS = (F(1, 4), F(1, 2))
 DELTAS = (None, F(0), F(1, 2))
@@ -83,19 +87,31 @@ class Counted:
 
 
 class Digest:
-    """The running digest of each part and of its runs' counts, over every run recorded."""
+    """The running digest of each part and of its runs' counts, over every run recorded.
+
+    A context manager: it counts the kernel calls of the library modules
+    while it is open, and puts their own functions back when it closes."""
 
     def __init__(self):
         names = [*PARTS, *(f"{part}-counts" for part in PARTS), "parsing"]
         self.parts = {name: hashlib.sha256() for name in names}
         self.runs = 0
-        # every module that imports the kernel calls it through its own name
         self.finish_key = Counted(oracle.finish_key)
-        for module in (heuristics, oracle, schemes):
+        self.index = Counted(schemes.GeometricBuckets.index)
+
+    def __enter__(self) -> "Digest":
+        self.originals = [(module, "finish_key", module.finish_key) for module in KERNEL_USERS]
+        self.originals.append((schemes.GeometricBuckets, "index", schemes.GeometricBuckets.index))
+        for module in KERNEL_USERS:
             module.finish_key = self.finish_key
         # a plain function, so that it binds as a method
-        index = self.index = Counted(schemes.GeometricBuckets.index)
+        index = self.index
         schemes.GeometricBuckets.index = lambda buckets, num, den: index(buckets, num, den)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for owner, name, original in self.originals:
+            setattr(owner, name, original)
 
     def record(self, part: str, *values) -> None:
         self.parts[part].update(repr(values).encode("utf-8") + b"\n")
@@ -224,8 +240,8 @@ def run_algorithms(digest: Digest, part: str, label: str, inst: Instance) -> Non
                     digest.record(part, key, schedule_of(out[0]), out[1])
 
 
-def main() -> int:
-    digest = Digest()
+def record_corpus(digest: Digest) -> None:
+    """Every part but parsing: the corpus, then the refusals beyond it."""
     run, record = digest.run, digest.record
     for label, inst in corpus():
         run_algorithms(digest, "algorithms", label, inst)
@@ -266,8 +282,12 @@ def main() -> int:
         run_algorithms(digest, "refusals", label, inst)
     for index in (True, 1.0, "1"):
         run("refusals", f"evaluate index {index!r}", evaluate, lptect, [[0, 1, index], []])
-    record_parsing(digest)
 
+
+def main() -> int:
+    with Digest() as digest:
+        record_corpus(digest)
+        record_parsing(digest)
     total = hashlib.sha256()
     for part, sha in digest.parts.items():
         total.update(sha.hexdigest().encode("ascii"))
