@@ -2,9 +2,10 @@
 
 A machine's availability is a piecewise-constant rate over left-open,
 right-closed intervals.  The table below turns that into cumulative work at
-each breakpoint, and each segment's offset, so a completion-time query is
-a binary search plus one Fraction built from integers.  A table can stop
-at the first breakpoint that reaches a given work, when no query passes it.
+each breakpoint, so a completion-time query is a binary search plus one
+Fraction built from integers, ``bp + (work - cum) / rate`` on the segment
+holding the work.  A table can stop at the first breakpoint that reaches a
+given work, when no query passes it.
 
 The same queries also run on integers, over one instance-wide scale.
 `scale_instance` is the one place that builds an instance's integer view
@@ -39,15 +40,12 @@ class CapacityTable(NamedTuple):
     is always 0) and ``cum_work[k]`` is the total work the machine completes
     by that time when never idle.  ``rates[k]`` is the rate from
     ``breakpoints[k]`` on: on ``(breakpoints[k], breakpoints[k+1]]``, and
-    past the last breakpoint for the last rate, the tail's.  ``offsets[k]``
-    is ``breakpoints[k] - cum_work[k] / rates[k]``, so a work on that
-    segment finishes at ``offsets[k] + work / rates[k]``.
+    past the last breakpoint for the last rate, the tail's.
     """
 
     breakpoints: tuple[Fraction, ...]
     cum_work: tuple[Fraction, ...]
     rates: tuple[Fraction, ...]
-    offsets: tuple[Fraction, ...]
 
 
 def _interval_faults(iv, prev: Optional[Fraction], machine: int, k: int) -> list[str]:
@@ -94,7 +92,6 @@ def build_capacity_table(
     breakpoints = [Fraction(0)]
     cum_work = [Fraction(0)]
     rates: list[Fraction] = []
-    offsets: list[Fraction] = []
     prev: Optional[Fraction] = Fraction(0)
     for k, iv in enumerate(profile.intervals, start=1):
         if faults := _interval_faults(iv, prev, machine, k):
@@ -103,16 +100,12 @@ def build_capacity_table(
         if len(rates) == len(breakpoints):  # the tail is set; the rest is only checked
             continue
         rates.append(iv.ratio)
-        offsets.append(_offset(breakpoints[-1], cum_work[-1], iv.ratio))
         if prev is not None and not _reaches(cum_work[-1], reach):
-            # the segment starts at the previous end, so cum + rate * (end - start)
-            # is rate * (end - offset): one Fraction step fewer
+            cum_work.append(cum_work[-1] + iv.ratio * (prev - breakpoints[-1]))
             breakpoints.append(prev)
-            cum_work.append((prev - offsets[-1]) * iv.ratio)
     if len(rates) < len(breakpoints):  # full speed after the last breakpoint
         rates.append(Fraction(1))
-        offsets.append(_offset(breakpoints[-1], cum_work[-1], Fraction(1)))
-    return CapacityTable(tuple(breakpoints), tuple(cum_work), tuple(rates), tuple(offsets))
+    return CapacityTable(tuple(breakpoints), tuple(cum_work), tuple(rates))
 
 
 def _reaches(work: Fraction, reach: Optional[tuple[int, int]]) -> bool:
@@ -124,22 +117,10 @@ def _reaches(work: Fraction, reach: Optional[tuple[int, int]]) -> bool:
     return num * reach[1] >= reach[0] * den
 
 
-def _offset(bp: Fraction, cum: Fraction, rate: Fraction) -> Fraction:
-    """``bp - cum / rate``, built as one Fraction from integers: on the short
-    tables of small instances, a division and a subtraction of Fractions
-    would cost more than `finish_time` then saves."""
-    bp_num, bp_den = bp.as_integer_ratio()
-    cum_num, cum_den = cum.as_integer_ratio()
-    rate_num, rate_den = rate.as_integer_ratio()
-    return Fraction(
-        bp_num * cum_den * rate_num - cum_num * rate_den * bp_den, bp_den * cum_den * rate_num
-    )
-
-
 def finish_time(table: CapacityTable, work) -> Fraction:
     """Earliest time by which a never-idle machine completes `work` units:
-    ``offsets[k] + work / rates[k]`` on the segment k holding the work,
-    built as one Fraction from integers."""
+    ``breakpoints[k] + (work - cum_work[k]) / rates[k]`` on the segment k
+    holding the work, built as one Fraction from integers."""
     if not isinstance(work, Fraction):
         work = Fraction(work)
     num, den = work.as_integer_ratio()
@@ -155,9 +136,12 @@ def finish_time(table: CapacityTable, work) -> Fraction:
             return table.breakpoints[0]
     else:
         k = -1
-    off_num, off_den = table.offsets[k].as_integer_ratio()
+    bp_num, bp_den = table.breakpoints[k].as_integer_ratio()
+    cum_num, cum_den = cum[k].as_integer_ratio()
     rate_num, rate_den = table.rates[k].as_integer_ratio()
-    return Fraction(off_num * den * rate_num + num * rate_den * off_den, off_den * den * rate_num)
+    # (work - cum) / rate over the denominator den * cum_den * rate_num, then bp added
+    rest, over = (num * cum_den - cum_num * den) * rate_den, den * cum_den * rate_num
+    return Fraction(bp_num * over + rest * bp_den, bp_den * over)
 
 
 # The integer kernel.  Over a common scale S, every job length, breakpoint,
@@ -267,5 +251,5 @@ def scale_instance(inst: "Instance") -> tuple[int, tuple[int, ...], tuple[Scaled
             cum.append(cum[-1] + work)
         nums, dens = zip(*[(r.numerator, r.denominator) for r in rates])
         tables.append(ScaledTable(tuple(bps), tuple(cum), nums, dens))
-    sizes = tuple([p.numerator * (scale // p.denominator) for p in inst.jobs])
-    return scale, sizes, tuple(tables)
+    per_key = scale // den
+    return scale, tuple([key * per_key for key in keys]), tuple(tables)

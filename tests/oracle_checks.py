@@ -6,9 +6,10 @@ completion-time sums on full-speed machines in closed form;
 `exact_bucket_index` finds a geometric bucket index by exact powers alone;
 `reference_list_schedule` is the list scheduler placing every job by
 `Fraction` finish times; `work_at` is the inverse of `finish_time`,
-`segment_finish_time` is `finish_time` by the segment formula, without the
-table's offsets, and `reference_evaluate` is `evaluate` on `Fraction`
-prefix sums, whole tables and `segment_finish_time`.
+`segment_finish_time` is `finish_time`'s segment formula in `Fraction`
+steps, with no integer cross-products and no tail shortcut, and
+`reference_evaluate` is `evaluate` on `Fraction` prefix sums, whole tables
+and `segment_finish_time`.
 """
 
 import math

@@ -26,8 +26,6 @@ def test_table_for_slowdown_profile():
     assert table.breakpoints == (F(0), F(1))
     assert table.cum_work == (F(0), F(1))
     assert table.rates == (F(1), F(1, 2))
-    # 0 - 0/1 on the first segment, 1 - 1/(1/2) on the tail
-    assert table.offsets == (F(0), F(-1))
 
 
 def test_table_for_single_unbounded_interval():
@@ -148,23 +146,21 @@ def _seeded_profiles(rng):
         yield _profile(*segments)
 
 
-def test_each_rate_and_offset_belongs_to_the_segment_from_its_breakpoint():
+def test_each_rate_belongs_to_the_segment_from_its_breakpoint():
     rng = random.Random(26)
     for profile in _seeded_profiles(rng):
         table = build_capacity_table(profile)
-        bps, cum, rates, offsets = table
-        assert len(rates) == len(offsets) == len(cum) == len(bps)
+        bps, cum, rates = table
+        assert len(rates) == len(cum) == len(bps)
         # the profile's ratios in order, then full speed unless the last is unbounded
         intervals = profile.intervals
         tail = [] if intervals and intervals[-1].end is None else [F(1)]
         assert list(rates) == [iv.ratio for iv in intervals] + tail
         for k in range(len(bps) - 1):
             assert cum[k + 1] == cum[k] + rates[k] * (bps[k + 1] - bps[k])
-        for k in range(len(bps)):
-            assert offsets[k] == bps[k] - cum[k] / rates[k]
 
 
-def test_finish_time_offsets_equal_the_segment_formula():
+def test_finish_time_equals_the_segment_formula():
     # at 0, at every cumulative work, 10^-6 either side of each and deep in
     # the tail, as int, float, Fraction and bool works
     rng = random.Random(24)

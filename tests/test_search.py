@@ -28,7 +28,7 @@ from sharedsched import (
     random_instance,
     validate_instance,
 )
-from sharedsched import capacity, heuristics, oracle, schemes
+from sharedsched import capacity, heuristics, model, oracle, schemes
 from sharedsched.capacity import finish_key, scale_instance
 from sharedsched.heuristics import ect_placement, job_order
 from sharedsched.schemes import makespan_scheme, totaltime_scheme
@@ -298,30 +298,31 @@ def test_the_scale_ignores_segments_past_the_total_job_work():
             )
 
 
-def test_evaluate_on_long_profiles_builds_offsets_only_up_to_each_load(monkeypatch):
+def test_evaluate_on_long_profiles_builds_tables_only_up_to_each_load(monkeypatch):
     # each machine's Fraction table stops at the first breakpoint reaching
-    # its load, as the view's tables stop at the total job work, so evaluate
-    # builds at most the view's segments plus each machine's tail; the whole
-    # tables hold 4,004 offsets, about 1.5 s of math.gcd on 160,000-bit
-    # denominators, where a count bounds the work on any host
+    # its load, as the view's tables stop at the total job work, so no table
+    # evaluate builds has more breakpoints than the view's for that machine;
+    # the whole tables have 1,001 each, and a count bounds the work on any host
     inst = stress_instance(n=6)
-    kept = sum(len(table.rate_num) for table in inst._view[2])
-    calls = 0
-    offset = capacity._offset
+    kept = [len(table.breakpoints) for table in inst._view[2]]
+    built = []
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return offset(*args)
+    def counted(profile, machine=1, reach=None):
+        table = build_capacity_table(profile, machine, reach)
+        built.append(len(table.breakpoints))
+        return table
 
-    monkeypatch.setattr(capacity, "_offset", counted)
-    for assignment in ([[0, 1], [2], [3, 4], [5]], [list(range(6)), [], [], []]):
-        calls = 0
-        evaluate(inst, assignment)
-        assert 0 < calls <= kept
-    calls = 0
-    list_schedule(inst, OrderRule.LPT, PlacementRule.EARLIEST_COMPLETION)
-    assert 0 < calls <= kept
+    monkeypatch.setattr(model, "build_capacity_table", counted)
+    runs = [
+        lambda assignment=assignment: evaluate(inst, assignment)
+        for assignment in ([[0, 1], [2], [3, 4], [5]], [list(range(6)), [], [], []])
+    ]
+    runs.append(lambda: list_schedule(inst, OrderRule.LPT, PlacementRule.EARLIEST_COMPLETION))
+    for run in runs:
+        built.clear()
+        run()
+        assert len(built) == len(kept)
+        assert all(b <= k for b, k in zip(built, kept)), (built, kept)
 
 
 @pytest.mark.parametrize(

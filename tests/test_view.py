@@ -135,3 +135,13 @@ def test_a_shared_view_gives_the_schedules_of_fresh_instances(inst):
     assert forward == fresh
     assert backward == fresh
     assert inst._view == scale_instance(inst)
+
+
+@pytest.mark.parametrize("inst", _instances())
+def test_float_jobs_give_the_schedules_of_the_equal_fraction_jobs(inst):
+    # a float is read exactly, as the Fraction it equals, by the view and by evaluate
+    floats = dataclasses.replace(inst, jobs=tuple(float(p) for p in inst.jobs))
+    exact = dataclasses.replace(inst, jobs=tuple(F(p) for p in floats.jobs))
+    assert any(p.denominator > 2**40 for p in exact.jobs)
+    for label, run in _runs(inst):
+        assert run(floats) == run(exact), label
