@@ -2,10 +2,11 @@
 
 A machine's availability is a piecewise-constant rate over left-open,
 right-closed intervals.  The table below turns that into cumulative work at
-each breakpoint, so a completion-time query is a binary search plus one
-Fraction built from integers, ``bp + (work - cum) / rate`` on the segment
-holding the work.  A table can stop at the first breakpoint that reaches a
-given work, when no query passes it.
+each breakpoint, so a completion-time query is a binary search on integer
+cross-products plus one Fraction built from integers,
+``bp + (work - cum) / rate`` on the segment holding the work.  A table can
+stop at the first breakpoint that reaches a given work, when no query
+passes it.
 
 The same queries also run on integers, over one instance-wide scale.
 `scale_instance` is the one place that builds an instance's integer view
@@ -101,11 +102,23 @@ def build_capacity_table(
             continue
         rates.append(iv.ratio)
         if prev is not None and not _reaches(cum_work[-1], reach):
-            cum_work.append(cum_work[-1] + iv.ratio * (prev - breakpoints[-1]))
+            cum_work.append(_work_by(cum_work[-1], breakpoints[-1], prev, iv.ratio))
             breakpoints.append(prev)
     if len(rates) < len(breakpoints):  # full speed after the last breakpoint
         rates.append(Fraction(1))
     return CapacityTable(tuple(breakpoints), tuple(cum_work), tuple(rates))
+
+
+def _work_by(work: Fraction, start: Fraction, end: Fraction, rate: Fraction) -> Fraction:
+    """`work` plus the segment's work ``rate * (end - start)``, built as one
+    Fraction from integers.  The sum is Fraction addition, which skips the
+    large gcd when the two denominators are coprime, as they are on long
+    profiles with prime denominators; one constructor over the whole sum
+    would not."""
+    s_num, s_den = start.as_integer_ratio()
+    e_num, e_den = end.as_integer_ratio()
+    r_num, r_den = rate.as_integer_ratio()
+    return work + Fraction((e_num * s_den - s_num * e_den) * r_num, e_den * s_den * r_den)
 
 
 def _reaches(work: Fraction, reach: Optional[tuple[int, int]]) -> bool:
@@ -129,11 +142,20 @@ def finish_time(table: CapacityTable, work) -> Fraction:
     cum = table.cum_work
     last_num, last_den = cum[-1].as_integer_ratio()
     if num * last_den <= last_num * den:
-        # leftmost segment reaching the work, so a value landing exactly on a
-        # breakpoint resolves to the earlier time
-        k = bisect_left(cum, work) - 1
-        if k < 0:
+        # the leftmost cum_work[k] reaching the work, so a value landing
+        # exactly on a breakpoint resolves to the earlier time, found by
+        # comparing integer cross-products as the test above does
+        lo, hi = 0, len(cum) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            cum_num, cum_den = cum[mid].as_integer_ratio()
+            if cum_num * den < num * cum_den:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == 0:
             return table.breakpoints[0]
+        k = lo - 1
     else:
         k = -1
     bp_num, bp_den = table.breakpoints[k].as_integer_ratio()
@@ -230,7 +252,7 @@ def scale_instance(inst: "Instance") -> tuple[int, tuple[int, ...], tuple[Scaled
                 break
             factors.add(start.denominator * r.denominator)
             factors.add(iv.end.denominator * r.denominator)
-            reached += r * (iv.end - start)
+            reached = _work_by(reached, start, iv.end, r)
             start = iv.end
             ends.append(start)
             rates.append(r)

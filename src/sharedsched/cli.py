@@ -30,6 +30,7 @@ from .model import (
     Objective,
     Schedule,
     _frac_from_str,
+    _indented,
     instance_from_json,
     instance_to_json,
     objective_value,
@@ -178,7 +179,7 @@ def cmd_solve(args) -> int:
     }
     if params:
         report["params"] = params
-    print(json.dumps(report, indent=2))
+    print(_indented(report))
     return 0
 
 

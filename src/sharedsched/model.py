@@ -10,11 +10,13 @@ Job indices are 0-based inside the library and 1-based in serialized output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
 from .capacity import (
@@ -189,8 +191,25 @@ def evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
         assignment=tuple(tuple(seq) for seq in assignment),
         completions=tuple(completions),
         makespan=max(tops, default=Fraction(0)),
-        total_completion=sum([Fraction(num, d) for d, num in sums.items()], Fraction(0)),
+        total_completion=_tree_total(sums),
     )
+
+
+def _tree_total(sums: dict[int, int]) -> Fraction:
+    """The sum of num/den over `sums`, which maps each denominator to a
+    numerator, as one Fraction.  The terms are added in pairs up a tree on
+    integers, each pair over the lcm of its two denominators, so each step
+    joins two sums of about the same size; added one by one, every term
+    would meet the whole running total in a gcd."""
+    terms = list(sums.items()) or [(1, 0)]
+    while len(terms) > 1:
+        paired = [terms[-1]] if len(terms) % 2 else []
+        for (d1, n1), (d2, n2) in zip(terms[::2], terms[1::2]):
+            d = math.lcm(d1, d2)
+            paired.append((d, n1 * (d // d1) + n2 * (d // d2)))
+        terms = paired
+    d, num = terms[0]
+    return Fraction(num, d)
 
 
 def _schedule_of(inst: Instance, jobs: Iterable[int], machines: Iterable[int]) -> Schedule:
@@ -317,7 +336,29 @@ def instance_to_json(inst: Instance) -> str:
         "m1": inst.m1,
         "e0": str(inst.e0),
     }
-    return json.dumps(payload, indent=2)
+    return _indented(payload)
+
+
+def _indented(value, pad: str = "") -> str:
+    """Exactly `json.dumps(value, indent=2)`, nested `pad` deep, without the
+    json module's pure-Python encoder (the one `indent` selects) for the
+    strings, plain ints, lists, tuples and string-keyed dicts that
+    serialized instances and reports hold; anything else goes through
+    `json.dumps`."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return repr(value)
+    inner = pad + "  "
+    if value and isinstance(value, (list, tuple)):
+        items = [_indented(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if value and isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        items = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    # json.dumps escapes every newline inside a string, so each one it
+    # writes starts a line, which the nesting indents
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 def instance_from_json(text: str) -> Instance:

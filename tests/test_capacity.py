@@ -6,9 +6,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from sharedsched import MachineProfile, SharedInterval, build_capacity_table, finish_time
+from sharedsched import (
+    MachineProfile,
+    RandomSpec,
+    SharedInterval,
+    build_capacity_table,
+    finish_time,
+    random_instance,
+)
 
 from oracle_checks import segment_finish_time, work_at
+from test_search import stress_instance
 
 
 def _profile(*segments):
@@ -195,3 +203,34 @@ def test_a_table_with_a_work_bound_is_the_whole_table_up_to_the_first_breakpoint
             for work in (bound, bound / 3, *(cum for cum in whole.cum_work if cum <= bound)):
                 assert finish_time(table, work) == finish_time(whole, work)
 
+
+def _check_search(table, step=1):
+    """`finish_time` against `segment_finish_time`, whose `bisect_left` over
+    Fractions picks the segment, at every `step`-th cumulative work (where
+    the answer is its breakpoint), halfway to the next, 1/(2·den) either side
+    of it and past the end."""
+    cum = table.cum_work
+    for k in (*range(0, len(cum), step), len(cum) - 1):
+        assert finish_time(table, cum[k]) == table.breakpoints[k]
+        beside = F(1, 2 * cum[k].denominator)
+        works = [cum[k] - beside, cum[k] + beside]
+        if k + 1 < len(cum):
+            works.append((cum[k] + cum[k + 1]) / 2)
+        for work in works:
+            if work >= 0:
+                assert finish_time(table, work) == segment_finish_time(table, work), (k, work)
+    for work in (cum[-1] + F(1, 3), 2 * cum[-1] + 1):
+        assert finish_time(table, work) == segment_finish_time(table, work)
+
+
+def test_the_integer_search_picks_the_segment_bisect_left_picks():
+    # every cumulative work of a table the size cli-large times (20-40
+    # breakpoints per machine), and of the four whole tables of 1000
+    # segments with prime denominators near 10^5, whose cross-products run
+    # to about 67,000 bits; each of their queries costs milliseconds of gcd,
+    # so those are checked at every 125th breakpoint and the last
+    spec = RandomSpec(n=1000, m=6, m1=5, e0=F(1, 4), seed=29, min_breakpoints=20, max_breakpoints=40)
+    for profile in random_instance(spec).machines:
+        _check_search(build_capacity_table(profile))
+    for profile in stress_instance(n=6).machines:
+        _check_search(build_capacity_table(profile), step=125)

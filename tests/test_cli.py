@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from sharedsched import evaluate, generators, instance_from_json, instance_to_json, named_example, schemes
-from sharedsched.cli import CEILINGS, main
+from sharedsched.cli import ALGORITHMS, CEILINGS, main
 from sharedsched.generators import RandomSpec, random_instance
 
 
@@ -84,6 +84,25 @@ def test_solve_decimal_flag(capsys, example_path):
     report = json.loads(out)
     assert report["value"] == "5.0"
     assert report["completions"][1] == repr(8 / 3)
+
+
+def test_every_solve_report_is_written_as_json_dumps_writes_it(capsys, example_path):
+    # json.loads gives back the report's strings, ints and float unchanged
+    shown = set()
+    for name, alg in ALGORITHMS.items():
+        for obj in [alg.objective.value] if alg.objective else ["makespan", "totaltime"]:
+            for extra in ([], ["--epsilon", "1/2"], ["--d", "2"], ["--decimal", "--epsilon", "1/4"]):
+                argv = ["solve", example_path, "--alg", name, "--obj", obj, *extra]
+                code, out, _ = _run(capsys, argv)
+                if code != 0:  # a scheme without the --epsilon (or --d) it needs
+                    continue
+                report = json.loads(out)
+                assert out == json.dumps(report, indent=2) + "\n", argv
+                shown.add((name, "params" in report, "--decimal" in extra))
+    assert {name for name, _, _ in shown} == set(ALGORITHMS)
+    assert {(params, decimal) for _, params, decimal in shown} == {
+        (False, False), (False, True), (True, False), (True, True)
+    }
 
 
 def test_solve_reads_stdin(capsys, monkeypatch):

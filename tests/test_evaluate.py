@@ -5,9 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from sharedsched import Instance, MachineProfile, RandomSpec, SharedInterval, evaluate, random_instance
+from sharedsched import Instance, MachineProfile, RandomSpec, SharedInterval, evaluate, model, random_instance
 
 from oracle_checks import reference_evaluate
+from test_search import stress_instance
 
 
 def _profile(*segments):
@@ -110,3 +111,41 @@ def test_a_job_of_negative_length_is_timed_as_the_reference_times_it():
     for call in (evaluate, reference_evaluate):
         with pytest.raises(ValueError, match="^work must be nonnegative$"):
             call(inst, [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 5])
+def test_the_tree_total_is_the_sum_of_its_terms(count):
+    rng = random.Random(count)
+    sums = {}
+    while len(sums) < count:
+        sums[rng.randint(1, 10**12)] = rng.randint(-(10**15), 10**15)
+    total = model._tree_total(sums)
+    assert type(total) is F
+    assert total == sum([F(num, den) for den, num in sums.items()], F(0))
+
+
+def _round_robin(n: int, m: int) -> list[list[int]]:
+    return [list(range(i, n, m)) for i in range(m)]
+
+
+def test_the_total_on_long_profiles_is_the_sum_of_the_completions():
+    # nearly every completion has a denominator of thousands of bits of its own
+    inst = stress_instance(n=300)
+    sched = evaluate(inst, _round_robin(inst.n, inst.m))
+    assert sched.total_completion == sum(sched.completions, F(0))
+
+
+def test_evaluate_builds_one_fraction_per_job_and_a_few_more(monkeypatch):
+    # a count bounds the work on any host: the prefix work passed to
+    # finish_time per job, the total once, and two zeros; summing one
+    # Fraction per completion denominator would build n more
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return F(*args)
+
+    inst = stress_instance(n=60)
+    monkeypatch.setattr(model, "Fraction", counted)
+    evaluate(inst, _round_robin(inst.n, inst.m))
+    assert len(built) <= inst.n + 3

@@ -25,7 +25,7 @@ from sharedsched import (
     totaltime_scheme,
     validate_instance,
 )
-from sharedsched.model import _frac_from_str
+from sharedsched.model import _frac_from_str, _indented
 
 
 def _machine(*segments):
@@ -352,6 +352,29 @@ def test_both_number_parser_paths_agree(text, expected):
         assert type(got) is F and got == expected
         # the text's value as Fraction itself reads it
         assert got == F(text)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"machines": [], "jobs": [], "m1": 1, "e0": "1"},
+        {"machines": [{"intervals": []}, {"intervals": [{"start": "0", "end": "inf"}]}], "jobs": ["1/2"]},
+        ("a", 1, ("b", [], ())),
+        {"wall_time_s": 0.000123, "nested": [[1.5, -2], {}], "flags": [True, False, None]},
+        "caf\u00e9 \u2192 \U0001f600 \"quoted\"\n\t",
+        {"\u00e9": ["\u2192", {"k": [1e300, float("inf")]}]},
+        {1: "an int key", "a": [2, 3]},
+        [{"a": {1: [True]}}],
+        -(10**40),
+        0,
+        [],
+        {},
+        (),
+        None,
+    ],
+)
+def test_indented_writes_exactly_what_json_dumps_writes(value):
+    assert _indented(value) == json.dumps(value, indent=2)
 
 
 def test_json_round_trip_on_random_instances():

@@ -2,13 +2,23 @@
 and leaves the library as it found it."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
-from sharedsched import Objective, capacity, cli, heuristics, named_example, oracle, schemes
+from sharedsched import (
+    Objective,
+    capacity,
+    cli,
+    heuristics,
+    instance_to_json,
+    named_example,
+    oracle,
+    schemes,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = ROOT / "tools" / "expected_digest.txt"
@@ -36,10 +46,15 @@ def test_every_output_digest_equals_its_committed_line():
     assert [line.split() for line in out.stdout.splitlines()] == _expected(version)
 
 
-def test_a_digest_run_in_process_puts_the_library_back():
+def _tool():
     spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_a_digest_run_in_process_puts_the_library_back():
+    tool = _tool()
     users = (heuristics, oracle, schemes)
     index = vars(schemes.GeometricBuckets)["index"]
     assert all(module.finish_key is capacity.finish_key for module in users)
@@ -54,3 +69,12 @@ def test_a_digest_run_in_process_puts_the_library_back():
     calls = digest.finish_key.calls, digest.index.calls
     cli.ALGORITHMS["scheme-totaltime"].run(inst, Objective.TOTAL_COMPLETION, F(1, 2), None)
     assert (digest.finish_key.calls, digest.index.calls) == calls
+
+
+def test_every_corpus_instance_serializes_as_json_dumps_writes_it():
+    # the named examples and the malformed profiles too; json.loads gives
+    # back the strings and ints the serialization holds, unchanged
+    tool = _tool()
+    for label, inst in tool.corpus() + tool.malformed():
+        text = instance_to_json(inst)
+        assert text == json.dumps(json.loads(text), indent=2), label
