@@ -7,8 +7,9 @@ slow, so the optimal objective value answers the question.
 
 from __future__ import annotations
 
+import inspect
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -83,17 +84,86 @@ def _constant_machine(ratio: Fraction) -> MachineProfile:
     return MachineProfile(intervals=(iv,))
 
 
-# each named example and the parameters it takes
-_PARAMETERS = {
-    "ls_bad": ("e0", "x"),
-    "lsect_tight": ("e0", "x"),
-    "lpt_n2": ("e0",),
-    "lptect_322": (),
-    "spt_vs_sptect": (),
-    "spt_vs_sptect_plus3": (),
-    "spt_unbounded": ("alpha",),
+def _ls_bad(e0: Fraction = Fraction(1, 2), x: Fraction = Fraction(1, 100)) -> Instance:
+    """LS makespan ratio max(1, e0/(2x)): 25 at the defaults."""
+    if not (0 < x <= e0 <= 1):
+        raise ValueError("ls_bad needs 0 < x <= e0 <= 1")
+    machines = (_constant_machine(e0), _constant_machine(x))
+    return Instance(machines=machines, jobs=(Fraction(1), Fraction(1)), m1=1, e0=e0)
+
+
+def _lsect_tight(e0: Fraction = Fraction(1, 2), x: Fraction = Fraction(10)) -> Instance:
+    """LS-ECT makespan ratio (x + 2 + (2x - 2)/e0)/(x + 2), tending to 1 + 2/e0."""
+    if not (0 < e0 <= 1) or x <= 0 or e0 > 3 * x:
+        raise ValueError("lsect_tight needs e0 in (0, 1] and x >= e0/3")
+    m1_profile = MachineProfile(
+        intervals=(
+            SharedInterval(Fraction(0), x + 2, Fraction(1)),
+            SharedInterval(x + 2, None, e0),
+        )
+    )
+    crowded = MachineProfile(
+        intervals=(
+            SharedInterval(Fraction(0), x, Fraction(1)),
+            SharedInterval(x, None, e0 / (3 * x)),
+        )
+    )
+    jobs = (x, Fraction(1), Fraction(1), x, x)
+    return Instance(machines=(m1_profile, crowded, crowded), jobs=jobs, m1=1, e0=e0)
+
+
+def _lpt_n2(e0: Fraction = Fraction(1, 4)) -> Instance:
+    """LPT makespan ratio max(1, 1/(2 e0)): 2 at the default."""
+    if not (0 < e0 <= 1):
+        raise ValueError("lpt_n2 needs e0 in (0, 1]")
+    machines = (_FULL_MACHINE, _constant_machine(e0))
+    return Instance(machines=machines, jobs=(Fraction(1), Fraction(1)), m1=1, e0=e0)
+
+
+def _lptect_322() -> Instance:
+    """LPT-ECT makespan ratio 5/4."""
+    machines = (_FULL_MACHINE, _constant_machine(Fraction(3, 4)))
+    jobs = (Fraction(3), Fraction(2), Fraction(2))
+    return Instance(machines=machines, jobs=jobs, m1=2, e0=Fraction(3, 4))
+
+
+def _spt_vs_sptect() -> Instance:
+    """Total-time ratios: SPT 8/7, SPT-ECT 1."""
+    slowdown = MachineProfile(
+        intervals=(
+            SharedInterval(Fraction(0), Fraction(1), Fraction(1)),
+            SharedInterval(Fraction(1), None, Fraction(1, 2)),
+        )
+    )
+    jobs = (Fraction(1), Fraction(2), Fraction(2))
+    return Instance(machines=(slowdown, _FULL_MACHINE), jobs=jobs, m1=2, e0=Fraction(1, 2))
+
+
+def _spt_vs_sptect_plus3() -> Instance:
+    """Total-time ratios with one more job of 3: SPT 1, SPT-ECT 14/13."""
+    inst = _spt_vs_sptect()
+    return replace(inst, jobs=inst.jobs + (Fraction(3),))
+
+
+def _spt_unbounded(alpha: Fraction = Fraction(100)) -> Instance:
+    """SPT total-time ratio max(1, (alpha + 1)/3): 101/3 at the default."""
+    if alpha < 1:
+        raise ValueError("spt_unbounded needs alpha >= 1")
+    machines = (_FULL_MACHINE, _constant_machine(1 / alpha))
+    return Instance(machines=machines, jobs=(Fraction(1), Fraction(1)), m1=1, e0=Fraction(1))
+
+
+# each named example's builder; its keyword defaults are the example's parameters
+_EXAMPLES = {
+    "ls_bad": _ls_bad,
+    "lsect_tight": _lsect_tight,
+    "lpt_n2": _lpt_n2,
+    "lptect_322": _lptect_322,
+    "spt_vs_sptect": _spt_vs_sptect,
+    "spt_vs_sptect_plus3": _spt_vs_sptect_plus3,
+    "spt_unbounded": _spt_unbounded,
 }
-NAMED_EXAMPLES = tuple(_PARAMETERS)
+NAMED_EXAMPLES = tuple(_EXAMPLES)
 
 
 def named_example(
@@ -109,74 +179,14 @@ def named_example(
     name, or a parameter given to an example that does not take it, raises
     ValueError.
     """
-    if name not in _PARAMETERS:
+    if name not in _EXAMPLES:
         raise ValueError(f"unknown example {name!r}; known names: {', '.join(NAMED_EXAMPLES)}")
-    for param, value in (("e0", e0), ("x", x), ("alpha", alpha)):
-        if value is not None and param not in _PARAMETERS[name]:
+    build = _EXAMPLES[name]
+    given = {k: v for k, v in {"e0": e0, "x": x, "alpha": alpha}.items() if v is not None}
+    for param in given:
+        if param not in inspect.signature(build).parameters:
             raise ValueError(f"example {name} takes no parameter {param}")
-    if name == "ls_bad":
-        e0 = _rational(e0, "e0") if e0 is not None else Fraction(1, 2)
-        x = _rational(x, "x") if x is not None else Fraction(1, 100)
-        if not (0 < x <= e0 <= 1):
-            raise ValueError("ls_bad needs 0 < x <= e0 <= 1")
-        machines = (_constant_machine(e0), _constant_machine(x))
-        return _checked(Instance(machines=machines, jobs=(Fraction(1), Fraction(1)), m1=1, e0=e0))
-    if name == "lsect_tight":
-        e0 = _rational(e0, "e0") if e0 is not None else Fraction(1, 2)
-        x = _rational(x, "x") if x is not None else Fraction(10)
-        if not (0 < e0 <= 1) or x <= 0 or e0 > 3 * x:
-            raise ValueError("lsect_tight needs e0 in (0, 1] and x >= e0/3")
-        m1_profile = MachineProfile(
-            intervals=(
-                SharedInterval(Fraction(0), x + 2, Fraction(1)),
-                SharedInterval(x + 2, None, e0),
-            )
-        )
-        crowded = MachineProfile(
-            intervals=(
-                SharedInterval(Fraction(0), x, Fraction(1)),
-                SharedInterval(x, None, e0 / (3 * x)),
-            )
-        )
-        jobs = (x, Fraction(1), Fraction(1), x, x)
-        return _checked(
-            Instance(machines=(m1_profile, crowded, crowded), jobs=jobs, m1=1, e0=e0)
-        )
-    if name == "lpt_n2":
-        e0 = _rational(e0, "e0") if e0 is not None else Fraction(1, 4)
-        if not (0 < e0 <= 1):
-            raise ValueError("lpt_n2 needs e0 in (0, 1]")
-        machines = (_FULL_MACHINE, _constant_machine(e0))
-        return _checked(Instance(machines=machines, jobs=(Fraction(1), Fraction(1)), m1=1, e0=e0))
-    if name == "lptect_322":
-        machines = (_FULL_MACHINE, _constant_machine(Fraction(3, 4)))
-        jobs = (Fraction(3), Fraction(2), Fraction(2))
-        return _checked(Instance(machines=machines, jobs=jobs, m1=2, e0=Fraction(3, 4)))
-    if name in ("spt_vs_sptect", "spt_vs_sptect_plus3"):
-        slowdown = MachineProfile(
-            intervals=(
-                SharedInterval(Fraction(0), Fraction(1), Fraction(1)),
-                SharedInterval(Fraction(1), None, Fraction(1, 2)),
-            )
-        )
-        jobs = [Fraction(1), Fraction(2), Fraction(2)]
-        if name.endswith("plus3"):
-            jobs.append(Fraction(3))
-        return _checked(
-            Instance(
-                machines=(slowdown, _FULL_MACHINE),
-                jobs=tuple(jobs),
-                m1=2,
-                e0=Fraction(1, 2),
-            )
-        )
-    # spt_unbounded
-    alpha = _rational(alpha, "alpha") if alpha is not None else Fraction(100)
-    if alpha < 1:
-        raise ValueError("spt_unbounded needs alpha >= 1")
-    machines = (_FULL_MACHINE, _constant_machine(1 / alpha))
-    jobs = (Fraction(1), Fraction(1))
-    return _checked(Instance(machines=machines, jobs=jobs, m1=1, e0=Fraction(1)))
+    return _checked(build(**{param: _rational(value, param) for param, value in given.items()}))
 
 
 @dataclass(frozen=True)

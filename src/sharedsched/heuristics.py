@@ -155,6 +155,10 @@ def guarantee_ratio(
     grows without limit as the unguarded machine's share shrinks.  Refuses
     n < 1, an m1 outside [1, m], an e0 outside (0, 1] and, for the schemes,
     an epsilon outside (0, 1) with ValueError.
+
+    The LS-ECT bound may not be tight: at m=3, m1=1 the `lsect_tight`
+    family's ratio tends to 1 + 2/e0 (5 at e0=1/2), while this gives
+    1 + 3/e0 (7).  Only the paper's statement of the bound could say which.
     """
     if n < 1:
         raise ValueError(f"n={n} must be at least 1")

@@ -135,7 +135,8 @@ def validate_instance(inst: Instance) -> list[str]:
     if len(inst.jobs) == 0:
         errors.append("instance has no jobs")
     for j, p in enumerate(inst.jobs):
-        if p <= 0:
+        # a Fraction's sign is its numerator's, which compares without building a Fraction
+        if (p.numerator if type(p) is Fraction else p) <= 0:
             errors.append(f"job {j + 1}: processing time {p} is not positive")
     errors += _m1_faults(m, inst.m1) + _e0_faults(inst.e0)
     for i, mp in enumerate(inst.machines, start=1):

@@ -6,13 +6,21 @@ import pytest
 
 from sharedsched import (
     NAMED_EXAMPLES,
+    Objective,
     RandomSpec,
+    exact_optimal,
     instance_from_json,
     instance_to_json,
+    ls,
+    ls_ect,
+    lpt,
+    lpt_ect,
     named_example,
     partition_gadget_makespan,
     partition_gadget_totaltime,
     random_instance,
+    spt,
+    spt_ect,
     validate_instance,
 )
 
@@ -102,6 +110,33 @@ def test_named_example_refuses_a_parameter_it_does_not_take(name, param):
     # an unknown name is named as such, whatever parameters come with it
     with pytest.raises(ValueError, match="^unknown example 'no_such_example'"):
         named_example("no_such_example", **{param: "1/3"})
+
+
+@pytest.mark.parametrize(
+    "name, params, rule, objective, ratio",
+    [
+        ("ls_bad", {}, ls, Objective.MAKESPAN, F(25)),
+        ("ls_bad", {"e0": F(1), "x": F(1, 10)}, ls, Objective.MAKESPAN, F(5)),
+        ("lsect_tight", {"x": F(10)}, ls_ect, Objective.MAKESPAN, F(4)),
+        ("lsect_tight", {"x": F(1000)}, ls_ect, Objective.MAKESPAN, F(833, 167)),
+        ("lsect_tight", {"e0": F(1, 4), "x": F(10)}, ls_ect, Objective.MAKESPAN, F(7)),
+        ("lpt_n2", {"e0": F(1, 4)}, lpt, Objective.MAKESPAN, F(2)),
+        ("lpt_n2", {"e0": F(1, 3)}, lpt, Objective.MAKESPAN, F(3, 2)),
+        ("lptect_322", {}, lpt_ect, Objective.MAKESPAN, F(5, 4)),
+        ("spt_vs_sptect", {}, spt, Objective.TOTAL_COMPLETION, F(8, 7)),
+        ("spt_vs_sptect", {}, spt_ect, Objective.TOTAL_COMPLETION, F(1)),
+        ("spt_vs_sptect_plus3", {}, spt, Objective.TOTAL_COMPLETION, F(1)),
+        ("spt_vs_sptect_plus3", {}, spt_ect, Objective.TOTAL_COMPLETION, F(14, 13)),
+        ("spt_unbounded", {"alpha": F(100)}, spt, Objective.TOTAL_COMPLETION, F(101, 3)),
+        ("spt_unbounded", {"alpha": F(1000)}, spt, Objective.TOTAL_COMPLETION, F(1001, 3)),
+    ],
+)
+def test_each_named_example_reaches_its_documented_ratio(name, params, rule, objective, ratio):
+    # the closed forms in the builders' docstrings, at a few parameters
+    inst = named_example(name, **params)
+    schedule = rule(inst)
+    value = schedule.makespan if objective is Objective.MAKESPAN else schedule.total_completion
+    assert value / exact_optimal(inst, objective).objective_value == ratio
 
 
 def test_string_parameters_parse_as_rationals():
