@@ -10,15 +10,16 @@ passes it.
 
 The same queries also run on integers, over one instance-wide scale.
 `scale_instance` is the one place that builds an instance's integer view
-(the scale, the job lengths as keys, the scaled tables, all tuples),
-straight from the machine profiles.  The `Instance` builds it on first use
-and keeps it, so every algorithm call on one instance shares it; the
-instance's fields are tuples that must not change after that.  The list
-heuristics and the searches decide on the view, while
+(the scale, the job lengths as keys, the scaled tables, all tuples), from
+each machine's table cut at the positive job work.  The `Instance` builds
+it on first use and keeps it, so every algorithm call on one instance
+shares it; the instance's fields are tuples that must not change after
+that.  The list heuristics and the searches decide on the view, while
 `finish_time` stays the exact reference with which `model.evaluate` builds
-every reported schedule.  Both halves refuse a malformed interval through
-`_interval_faults`, the one statement of the interval rules, which
-`model.validate_instance` reports from too.
+every reported schedule.  `build_capacity_table` is the one reader of a
+profile for both: it checks every interval with `_interval_faults`, the
+one statement of the interval rules, which `model.validate_instance`
+reports from too.
 """
 
 from __future__ import annotations
@@ -86,9 +87,11 @@ def build_capacity_table(
 
     With `reach = (num, den)`, no query passes the work num/den: the table
     stops at the first breakpoint whose cumulative work reaches it and takes
-    the next interval's rate (or full speed) as the tail, as
-    `scale_instance` does, so `finish_time` gives the same value for every
-    work up to num/den.  The later intervals are still checked.
+    the next interval's rate (or full speed) as the tail, so `finish_time`
+    gives the same value for every work up to num/den.  The later intervals
+    are still checked.  `scale_instance` builds the integer view from
+    these tables, cut at the positive job work, and `model.evaluate` cuts
+    each at its machine's largest load.
     """
     breakpoints = [Fraction(0)]
     cum_work = [Fraction(0)]
@@ -222,11 +225,12 @@ def scale_instance(inst: "Instance") -> tuple[int, tuple[int, ...], tuple[Scaled
     The one integer set-up behind the list heuristics and the searches,
     and the one place that refuses an instance with no machines; they read
     it as `Instance._view`, which builds it on first use and keeps it.  No
-    load passes the total job work, so each profile is read only up to the
-    first breakpoint whose cumulative work reaches it, the next interval's
-    rate (or full speed) kept as the tail; later segments add nothing to the
-    scale.  Each interval read, the tail's included, is refused (ValueError)
-    with the first of `validate_instance`'s messages on it.
+    load passes the sum of the positive job lengths, so each machine's
+    scaled table is its `build_capacity_table` cut at that work, converted
+    to the scale: segments past the cut add nothing to the scale.
+    `build_capacity_table` reads every interval, past the cut too, and
+    refuses (ValueError) a malformed one with the first of
+    `validate_instance`'s messages on it.
 
     S = S0 * lcm(rate numerators, tail included), where S0 is the lcm of
     the job denominators and of den(bp) * rate denominator at both ends of
@@ -234,44 +238,32 @@ def scale_instance(inst: "Instance") -> tuple[int, tuple[int, ...], tuple[Scaled
     multiple of 1/S0, hence so are the cumulative works, and (w - cum) / r
     is a multiple of 1/S.  Every factor is small; the lcms are taken
     pairwise up a tree, so no step combines a large partial result with one
-    small factor.
+    small factor, and none takes a cumulative work's denominator.
     """
     if not inst.machines:
         raise ValueError("instance has no machines")
     den, keys = _job_keys(inst.jobs)
-    total = Fraction(sum(keys), den)
-    factors, rate_nums, kept = {den}, set(), []
-    for i, mp in enumerate(inst.machines, start=1):
-        ends, rates, start, reached = [], [], Fraction(0), Fraction(0)
-        for k, iv in enumerate(mp.intervals, start=1):
-            if faults := _interval_faults(iv, start, i, k):
-                raise ValueError(faults[0])
-            r = iv.ratio
-            if iv.end is None or reached >= total:
-                rates.append(r)
-                break
-            factors.add(start.denominator * r.denominator)
-            factors.add(iv.end.denominator * r.denominator)
-            reached = _work_by(reached, start, iv.end, r)
-            start = iv.end
-            ends.append(start)
-            rates.append(r)
-        else:
-            rates.append(Fraction(1))
+    reach = (sum(key for key in keys if key > 0), den)
+    exact = [build_capacity_table(mp, i, reach) for i, mp in enumerate(inst.machines, start=1)]
+    factors, rate_nums = {den}, set()
+    for bps, _, rates in exact:
+        for start, end, r in zip(bps, bps[1:], rates):
+            factors.update((start.denominator * r.denominator, end.denominator * r.denominator))
         rate_nums.update(r.numerator for r in rates)
-        kept.append((ends, rates))
     scale = _lcm_tree(factors) * _lcm_tree(rate_nums)
     tables = []
-    for ends, rates in kept:
+    for table in exact:
+        # cumulative works summed on the scale, never from the exact ones,
+        # whose denominators can grow with every segment
         bps, cum = [0], [0]
-        for end, r in zip(ends, rates):
+        for end, r in zip(table.breakpoints[1:], table.rates):
             bp = end.numerator * (scale // end.denominator)
             work, rest = divmod((bp - bps[-1]) * r.numerator, r.denominator)
             if rest:
                 raise ArithmeticError(f"the work of segment {len(bps)} is off the scale")
             bps.append(bp)
             cum.append(cum[-1] + work)
-        nums, dens = zip(*[(r.numerator, r.denominator) for r in rates])
+        nums, dens = zip(*[(r.numerator, r.denominator) for r in table.rates])
         tables.append(ScaledTable(tuple(bps), tuple(cum), nums, dens))
     per_key = scale // den
     return scale, tuple([key * per_key for key in keys]), tuple(tables)

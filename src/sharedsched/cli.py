@@ -97,12 +97,9 @@ ALGORITHMS = {
 }
 
 
-class OutputLimitError(Exception):
-    """A result has more digits than Python converts to a string."""
-
-
-class FlagLimitError(Exception):
-    """A size flag asks for more than its ceiling."""
+class _LimitError(Exception):
+    """A size flag asks for more than its ceiling, or a result has more
+    digits than Python converts to a string."""
 
 
 # Ceilings on the flags that size `gadget random` and `experiment`, far above
@@ -116,7 +113,7 @@ def _check_ceilings(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value > ceiling:
             flag = "--" + name.replace("_", "-")
-            raise FlagLimitError(f"{flag}={value} exceeds its ceiling of {ceiling}")
+            raise _LimitError(f"{flag}={value} exceeds its ceiling of {ceiling}")
 
 
 def _fail(kind: str, message: str) -> int:
@@ -151,7 +148,7 @@ def _fmt(value: Fraction, what: str, decimal: bool = False) -> str:
     try:
         return str(value)
     except ValueError:  # Python's limit on integer string conversion
-        raise OutputLimitError(
+        raise _LimitError(
             f"{what} has more digits than Python converts to a string (4300 by default)"
         ) from None
 
@@ -393,7 +390,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         # the library raises ValueError on every input it rejects
         return _fail("input", str(exc))
-    except (OracleLimitError, OutputLimitError, FlagLimitError) as exc:
+    except (OracleLimitError, _LimitError) as exc:
         return _fail("limit", str(exc))
 
 

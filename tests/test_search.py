@@ -121,8 +121,8 @@ def test_every_entry_point_refuses_a_malformed_interval_it_reads(intervals, mess
 
 
 # (intervals of a lone machine, validate_instance's first message); one job
-# of length 5, so the integer walk stops at the unbounded interval 1 or at
-# interval 2, and only evaluate reads the interval after it
+# of length 5, so the tables stop at the unbounded interval 1 or at interval
+# 2, and the malformed interval after it is only checked
 MALFORMED_PAST_THE_WORK = {
     "reversed": (
         [(0, 10, 1), (10, 11, 1), (11, 1, 1), (1, 2, 1), (2, 3, 1), (3, 20, F(1, 2))],
@@ -139,14 +139,14 @@ MALFORMED_PAST_THE_WORK = {
 @pytest.mark.parametrize(
     "intervals, message", list(MALFORMED_PAST_THE_WORK.values()), ids=list(MALFORMED_PAST_THE_WORK)
 )
-def test_evaluate_refuses_a_malformed_interval_past_the_total_work(intervals, message):
+def test_evaluate_refuses_a_malformed_interval_past_the_total_work(calls, intervals, message):
     profile = MachineProfile(
         tuple(SharedInterval(F(a), None if b is None else F(b), F(r)) for a, b, r in intervals)
     )
     inst = Instance(machines=(profile,), jobs=(F(5),), m1=1, e0=F(1, 2))
     assert validate_instance(inst)[0] == message
-    scale_instance(inst)  # the integer set-up never reads the malformed interval
     refusals = (
+        lambda: scale_instance(inst),
         lambda: evaluate(inst, [[0]]),
         lambda: list_schedule(inst, OrderRule.LPT, PlacementRule.EARLIEST_COMPLETION),
         lambda: list_schedule(inst, OrderRule.INPUT, PlacementRule.EARLIEST_START),
@@ -159,6 +159,8 @@ def test_evaluate_refuses_a_malformed_interval_past_the_total_work(intervals, me
         with pytest.raises(ValueError) as caught:
             refused()
         assert str(caught.value) == message
+    # the integer set-up checks every interval, so no algorithm reaches the kernel
+    assert calls[0] == 0
 
 
 def _primes_from(low: int, count: int) -> list[int]:
@@ -346,16 +348,33 @@ def test_each_table_stops_at_the_first_breakpoint_reaching_the_total_work(jobs, 
     assert F(scaled.rate_num[-1], scaled.rate_den[-1]) == tail
 
 
-def test_the_integer_set_up_builds_no_fraction_table(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("scale_instance built a CapacityTable")
+def test_the_integer_set_up_builds_each_table_only_up_to_the_total_work(monkeypatch):
+    # one exact table per machine, cut at the total job work, with exactly the
+    # breakpoints of the machine's scaled table, so no segment past it is built
+    built = []
 
-    monkeypatch.setattr(capacity, "build_capacity_table", refuse)
-    monkeypatch.setattr(capacity, "CapacityTable", refuse)
-    for param in _instances():
-        scale_instance(param.values[0])
+    def recorded(profile, machine=1, reach=None):
+        built.append((reach, build_capacity_table(profile, machine, reach)))
+        return built[-1][1]
+
+    monkeypatch.setattr(capacity, "build_capacity_table", recorded)
     for inst in (stress_instance(n=6), _whole(stress_instance(n=6, m=2))):
-        scale_instance(inst)
+        built.clear()
+        scale, _, scaled = scale_instance(inst)
+        assert len(built) == inst.m
+        for (reach, table), view in zip(built, scaled):
+            assert F(*reach) == sum(inst.jobs)
+            assert table.breakpoints == tuple(F(bp, scale) for bp in view.breakpoints)
+
+
+def test_the_view_is_cut_at_the_positive_job_work():
+    # jobs (3, -1) total 2, but job 0 alone loads its machine with 3, past the
+    # breakpoint 2 where a cut at the total would take the rate 1/4 as the tail
+    intervals = (SharedInterval(F(0), F(2), F(1)), SharedInterval(F(2), F(3), F(1, 4)))
+    inst = Instance(machines=(MachineProfile(intervals),), jobs=(F(3), F(-1)), m1=1, e0=F(1, 4))
+    scale, sizes, (scaled,) = scale_instance(inst)
+    assert evaluate(inst, [[0, 1]]).completions[0] == F(15, 4)
+    assert F(finish_key(scaled, sizes[0]), scale) == F(15, 4)
 
 
 def _brute_force(inst, jobs, objective, rest):
