@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .model import Instance, MachineProfile
@@ -186,11 +186,13 @@ class ScaledTable(NamedTuple):
     rate_den: tuple[int, ...]
 
 
-def _lcm_tree(values: Iterable[int]) -> int:
-    values = list(values)
-    while len(values) > 1:
-        values = [math.lcm(*values[k : k + 2]) for k in range(0, len(values), 2)]
-    return values[0] if values else 1
+def _pairwise(items: list, join: Callable):
+    """`items` (at least one) reduced with `join` in pairs up a tree, so each
+    step joins two results of about the same size; an odd one out is passed
+    to `join` alone."""
+    while len(items) > 1:
+        items = [join(*items[k : k + 2]) for k in range(0, len(items), 2)]
+    return items[0]
 
 
 def finish_key(table: ScaledTable, work: int) -> int:
@@ -250,7 +252,7 @@ def scale_instance(inst: "Instance") -> tuple[int, tuple[int, ...], tuple[Scaled
         for start, end, r in zip(bps, bps[1:], rates):
             factors.update((start.denominator * r.denominator, end.denominator * r.denominator))
         rate_nums.update(r.numerator for r in rates)
-    scale = _lcm_tree(factors) * _lcm_tree(rate_nums)
+    scale = _pairwise(list(factors), math.lcm) * _pairwise(list(rate_nums), math.lcm)
     tables = []
     for table in exact:
         # cumulative works summed on the scale, never from the exact ones,

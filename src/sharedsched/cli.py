@@ -31,6 +31,7 @@ from .model import (
     Schedule,
     _frac_from_str,
     _indented,
+    _shown,
     instance_from_json,
     instance_to_json,
     objective_value,
@@ -279,7 +280,9 @@ def cmd_gadget(args) -> int:
         try:
             sizes = [int(part) for part in args.a.split(",") if part.strip() != ""]
         except ValueError as exc:
-            raise ValueError(f"--a: cannot parse {args.a!r} as comma-separated integers") from exc
+            raise ValueError(
+                f"--a: cannot parse {_shown(args.a)} as comma-separated integers"
+            ) from exc
         build = (
             generators.partition_gadget_makespan
             if args.kind == "partition-makespan"

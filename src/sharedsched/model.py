@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .capacity import (
     ScaledTable,
     _interval_faults,
     _job_keys,
+    _pairwise,
     build_capacity_table,
     finish_time,
     scale_instance,
@@ -202,15 +204,15 @@ def _tree_total(sums: dict[int, int]) -> Fraction:
     integers, each pair over the lcm of its two denominators, so each step
     joins two sums of about the same size; added one by one, every term
     would meet the whole running total in a gcd."""
-    terms = list(sums.items()) or [(1, 0)]
-    while len(terms) > 1:
-        paired = [terms[-1]] if len(terms) % 2 else []
-        for (d1, n1), (d2, n2) in zip(terms[::2], terms[1::2]):
-            d = math.lcm(d1, d2)
-            paired.append((d, n1 * (d // d1) + n2 * (d // d2)))
-        terms = paired
-    d, num = terms[0]
+    d, num = _pairwise(list(sums.items()) or [(1, 0)], _add_terms)
     return Fraction(num, d)
+
+
+def _add_terms(a: tuple[int, int], b: tuple[int, int] = (1, 0)) -> tuple[int, int]:
+    """The sum of two (denominator, numerator) terms, over the lcm of their denominators."""
+    (d1, n1), (d2, n2) = a, b
+    d = math.lcm(d1, d2)
+    return d, n1 * (d // d1) + n2 * (d // d2)
 
 
 def _schedule_of(inst: Instance, jobs: Iterable[int], machines: Iterable[int]) -> Schedule:
@@ -235,16 +237,26 @@ def _checked(inst: Instance) -> Instance:
     return inst
 
 
-# Fraction expands a decimal exponent into an integer before anything can
-# check it, so "1e10000000" alone takes seconds.  Python converts no integer
-# of more than 4300 digits to or from a string.  A decimal's numerator and
-# denominator have at most one digit more than its mantissa digits plus its
-# exponent, so a number whose sum stays below the limit parses and prints;
-# each side of p/q may have up to the limit.
+# A decimal exponent is expanded into an integer, so unchecked, "1e10000000"
+# alone would take seconds.  Python converts no integer of more than 4300
+# digits to or from a string.  A decimal's numerator and denominator have at
+# most one digit more than its mantissa digits plus its exponent, so a number
+# whose sum stays below the limit parses and prints; each side of p/q may
+# have up to the limit.
 MAX_DIGITS = 4300
 
 # A refusal quotes at most this many characters of the text it refuses.
 MAX_SHOWN = 60
+
+# The number grammar of Fraction(text) on Python 3.13: space around the
+# whole, a sign, then p/q with space allowed beside the slash, or digits with
+# a decimal part and an exponent, each optional; a single "_" may join two
+# digits, and a digit is whatever `\d` matches.
+_DIGITS = r"\d+(?:_\d+)*"
+_NUMBER = re.compile(
+    rf"\s*(?P<sign>[-+]?)(?=\.?\d)(?P<num>(?:{_DIGITS})?)(?:\s*/\s*(?P<den>{_DIGITS})"
+    rf"|(?:\.(?P<dec>(?:{_DIGITS})?))?(?:[eE](?P<exp>[-+]?{_DIGITS}))?)\s*"
+)
 
 
 def _shown(text: str) -> str:
@@ -255,7 +267,11 @@ def _shown(text: str) -> str:
 
 
 def _frac_from_str(text, what: str) -> Fraction:
-    """Parse one exact rational from instance JSON, a command line flag or a library string."""
+    """Parse one exact rational from instance JSON, a command line flag or a library string.
+
+    The grammar is `_NUMBER`'s, the one `Fraction(text)` reads on Python
+    3.13, on every Python; the value is built from the matched digits, and
+    the digit limits (MAX_DIGITS) are checked on them first."""
     text = str(text)
     num, slash, den = text.partition("/")
     # plain ASCII p or p/q, each side below the digit limit and q nonzero;
@@ -265,23 +281,21 @@ def _frac_from_str(text, what: str) -> Fraction:
             return Fraction(int(num))
         if den.isdigit() and len(den) < MAX_DIGITS and (q := int(den)):
             return Fraction(int(num), q)
-    if slash:
-        if max(sum(map(str.isdigit, num)), sum(map(str.isdigit, den))) > MAX_DIGITS:
+    match = _NUMBER.fullmatch(text)
+    if match:
+        sign, num, den, dec, exp = [part.replace("_", "") for part in match.groups("")]
+        # an exponent longer than int() converts reaches the limit, whatever its value
+        shift = int(exp or 0) if len(exp) <= MAX_DIGITS else MAX_DIGITS
+        if den and max(len(num), len(den)) > MAX_DIGITS:
             raise ValueError(f"{what}: a side of {_shown(text)} has more than {MAX_DIGITS} digits")
-    else:
-        mantissa, _, exponent = text.lower().partition("e")
-        try:
-            shift = abs(int(exponent)) if exponent else 0
-        except ValueError:  # Fraction rejects the text below
-            shift = 0
-        if sum(map(str.isdigit, mantissa)) + shift >= MAX_DIGITS:
+        if not den and len(num + dec) + abs(shift) >= MAX_DIGITS:
             raise ValueError(
                 f"{what}: the mantissa digits plus exponent of {_shown(text)} reach {MAX_DIGITS}"
             )
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{what}: cannot parse {_shown(text)} as a rational") from exc
+        shift -= len(dec)
+        if q := (int(den) if den else 10 ** max(-shift, 0)):  # else a zero denominator
+            return Fraction(int(sign + num + dec) * 10 ** max(shift, 0), q)
+    raise ValueError(f"{what}: cannot parse {_shown(text)} as a rational")
 
 
 def _rational(value, what: str) -> Fraction:

@@ -519,6 +519,22 @@ def test_gadget_input_errors_exit_2(capsys):
     assert json.loads(err) == {"error": "input", "message": "m=0 must be at least 1"}
 
 
+@pytest.mark.parametrize(
+    "a, shown",
+    [
+        ("1,x", "'1,x'"),
+        # a refusal quotes the first 60 characters of a longer text
+        ("1," * 3000 + "x", f"{'1,' * 30!r}... (6001 characters)"),
+    ],
+    ids=["short", "6001-characters"],
+)
+def test_an_unparsed_a_is_quoted_as_every_refusal_quotes(capsys, a, shown):
+    code, out, err = _run(capsys, ["gadget", "partition-makespan", "--a", a, "--f", "2"])
+    assert (code, out) == (2, "")
+    message = f"--a: cannot parse {shown} as comma-separated integers"
+    assert json.loads(err) == {"error": "input", "message": message}
+
+
 def test_unknown_algorithm_is_an_argparse_error(capsys, example_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", example_path, "--alg", "magic", "--obj", "makespan"])

@@ -290,14 +290,6 @@ def _unparsed(text):
     return f"x: cannot parse {text!r} as a rational"
 
 
-def _as_fraction_reads(text):
-    """What the running Python's `Fraction` makes of `text`: its value, or the refusal."""
-    try:
-        return F(text)
-    except (ValueError, ZeroDivisionError):
-        return _unparsed(text)
-
-
 _NINES = "9" * 4300
 
 
@@ -318,12 +310,22 @@ _NINES = "9" * 4300
         ("-3/4", F(-3, 4)),
         ("3/-4", _unparsed("3/-4")),
         (" 3", F(3)),
-        # Fraction reads these two by the Python version: a space beside the
-        # slash from 3.12 on, an underscore from 3.11 on
-        ("3/ 4", _as_fraction_reads("3/ 4")),
-        ("1_000", _as_fraction_reads("1_000")),
+        # Python 3.13's grammar on every Python, which 3.10 and 3.11 Fraction
+        # do not read in full: a space beside the slash, a "_" between digits
+        ("3/ 4", F(3, 4)),
+        (" 3 / 4 ", F(3, 4)),
+        ("1_000", F(1000)),
+        ("1_0/2", F(5)),
+        ("1e1_0", F(10**10)),
         ("1.5", F(3, 2)),
         ("1e3", F(1000)),
+        (".5", F(1, 2)),
+        ("5.", F(5)),
+        ("1__0", _unparsed("1__0")),
+        ("_1", _unparsed("_1")),
+        ("1_", _unparsed("1_")),
+        ("1/_2", _unparsed("1/_2")),
+        ("1.5/2", _unparsed("1.5/2")),
         # "²".isdigit() holds, but int("²") raises
         ("²", _unparsed("²")),
         ("٣", F(3)),
@@ -334,12 +336,15 @@ _NINES = "9" * 4300
         ("7/" + _NINES, F(7, int(_NINES))),
         (_NINES + "9/7", f"x: a side of {_NINES[:60]!r}... (4303 characters) has more than 4300 digits"),
         ("7/9" + _NINES, f"x: a side of {'7/' + _NINES[:58]!r}... (4303 characters) has more than 4300 digits"),
+        # outside the grammar, whatever its length
+        ("x/9" + _NINES, f"x: cannot parse {'x/' + _NINES[:58]!r}... (4303 characters) as a rational"),
     ],
     ids=[
         "0", "007/010", "6/8", "4299-digits", "4299-digits/7", "7/4299-digits",
-        "1/0", "0/0", "+3", "-3/4", "3/-4", "space-3", "3/space-4", "1_000", "1.5", "1e3",
+        "1/0", "0/0", "+3", "-3/4", "3/-4", "space-3", "3/space-4", "spaces-3/4", "1_000",
+        "1_0/2", "1e1_0", "1.5", "1e3", ".5", "5.", "1__0", "_1", "1_", "1/_2", "1.5/2",
         "superscript-2", "arabic-indic-3", "fullwidth-3/4", "4300-digits", "4300-digits/7",
-        "7/4300-digits", "4301-digits/7", "7/4301-digits",
+        "7/4300-digits", "4301-digits/7", "7/4301-digits", "x/4301-digits",
     ],
 )
 def test_both_number_parser_paths_agree(text, expected):
@@ -350,8 +355,27 @@ def test_both_number_parser_paths_agree(text, expected):
     else:
         got = _frac_from_str(text, "x")
         assert type(got) is F and got == expected
-        # the text's value as Fraction itself reads it
-        assert got == F(text)
+
+
+def test_every_text_the_running_fraction_reads_keeps_its_value():
+    # short texts over the grammar's characters, a few non-ASCII digits among them
+    rng = random.Random(32)
+    alphabet = "0123456789+-./eE_ \t٣²"
+    for _ in range(4000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+        try:
+            got = _frac_from_str(text, "x")
+        except ValueError as exc:
+            got = exc
+        try:
+            expected = F(text)
+        except (ValueError, ZeroDivisionError):
+            continue
+        if isinstance(got, ValueError):
+            # only the digit limit refuses what Fraction reads
+            assert str(got).endswith(("reach 4300", "more than 4300 digits")), text
+        else:
+            assert type(got) is F and got == expected, text
 
 
 @pytest.mark.parametrize(

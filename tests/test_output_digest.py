@@ -24,15 +24,10 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = ROOT / "tools" / "expected_digest.txt"
 
 
-def _expected(version: str) -> list[list[str]]:
-    """The committed (name, value) lines that hold on Python `version`, in order."""
-    lines = []
-    for line in EXPECTED.read_text(encoding="utf-8").splitlines():
-        if line and not line.startswith("#"):
-            name, value, *versions = line.split()
-            if not versions or version in versions:
-                lines.append([name, value])
-    return lines
+def _expected() -> list[list[str]]:
+    """The committed (name, value) lines, in order."""
+    lines = EXPECTED.read_text(encoding="utf-8").splitlines()
+    return [line.split() for line in lines if line and not line.startswith("#")]
 
 
 def test_every_output_digest_equals_its_committed_line():
@@ -42,8 +37,7 @@ def test_every_output_digest_equals_its_committed_line():
         capture_output=True, text=True, timeout=300, check=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
-    version = f"{sys.version_info.major}.{sys.version_info.minor}"
-    assert [line.split() for line in out.stdout.splitlines()] == _expected(version)
+    assert [line.split() for line in out.stdout.splitlines()] == _expected()
 
 
 def _tool():

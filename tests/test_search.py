@@ -78,7 +78,7 @@ def test_a_value_off_the_scale_raises_instead_of_rounding(monkeypatch):
     segment = MachineProfile(intervals=(SharedInterval(start=F(0), end=F(1), ratio=F(2, 3)),))
     inst = Instance(machines=(segment,), jobs=(F(1),), m1=1, e0=F(2, 3))
     assert scale_instance(inst)[0] == 6
-    monkeypatch.setattr(capacity, "_lcm_tree", lambda values: 1)
+    monkeypatch.setattr(capacity, "_pairwise", lambda items, join: 1)
     with pytest.raises(ArithmeticError):
         scale_instance(inst)
 
