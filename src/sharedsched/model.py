@@ -137,17 +137,22 @@ def validate_instance(inst: Instance) -> list[str]:
     if len(inst.jobs) == 0:
         errors.append("instance has no jobs")
     for j, p in enumerate(inst.jobs):
+        # every algorithm reads a float as the rational it equals; NaN and infinity equal none
+        if type(p) is not Fraction and isinstance(p, float) and not math.isfinite(p):
+            errors.append(f"job {j + 1}: processing time {p} is not a finite number")
         # a Fraction's sign is its numerator's, which compares without building a Fraction
-        if (p.numerator if type(p) is Fraction else p) <= 0:
+        elif (p.numerator if type(p) is Fraction else p) <= 0:
             errors.append(f"job {j + 1}: processing time {p} is not positive")
     errors += _m1_faults(m, inst.m1) + _e0_faults(inst.e0)
+    # an m1 that is no int bounds no machine, so it is never compared with an index
+    m1 = inst.m1 if _is_int(inst.m1) else 0
     for i, mp in enumerate(inst.machines, start=1):
         prev_end: Optional[Fraction] = Fraction(0)
         for k, iv in enumerate(mp.intervals, start=1):
             errors += _interval_faults(iv, prev_end, i, k)
             if prev_end is None:
                 break
-            if i <= inst.m1 and iv.ratio < inst.e0:
+            if i <= m1 and iv.ratio < inst.e0:
                 where = f"machine {i} interval {k}"
                 errors.append(f"{where}: ratio {iv.ratio} below e0={inst.e0} on a bounded machine")
             prev_end = iv.end
@@ -170,7 +175,7 @@ def evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
         raise ValueError(f"assignment covers {len(assignment)} machines, instance has {inst.m}")
     seen = [j for seq in assignment for j in seq]
     for j in seen:
-        if not isinstance(j, int) or isinstance(j, bool):
+        if not _is_int(j):
             raise ValueError(f"assignment holds {j!r}, which is not a job index")
     if sorted(seen) != list(range(len(jobs))):
         raise ValueError("assignment is not a partition of the job indices")
@@ -213,6 +218,11 @@ def _add_terms(a: tuple[int, int], b: tuple[int, int] = (1, 0)) -> tuple[int, in
     (d1, n1), (d2, n2) = a, b
     d = math.lcm(d1, d2)
     return d, n1 * (d // d1) + n2 * (d // d2)
+
+
+def _is_int(value) -> bool:
+    """Whether value is an int; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _schedule_of(inst: Instance, jobs: Iterable[int], machines: Iterable[int]) -> Schedule:
@@ -304,7 +314,10 @@ def _rational(value, what: str) -> Fraction:
 
 
 def _m1_faults(m: int, m1: int) -> list[str]:
-    """The message for an m1 outside [1, m], or none; with no machine, m1 = 1 passes."""
+    """The message for an m1 that is no int (a bool is not one) or lies
+    outside [1, m], or none; with no machine, m1 = 1 passes."""
+    if not _is_int(m1):
+        return ["m1 must be an integer"]
     return [] if 1 <= m1 <= max(m, 1) else [f"m1={m1} is outside [1, {m}]"]
 
 
@@ -332,26 +345,44 @@ def _check_epsilon(epsilon: Fraction) -> Fraction:
 
 
 def instance_to_json(inst: Instance) -> str:
-    """Serialize an instance; exact rationals become "p/q" strings."""
-    payload = {
-        "machines": [
-            {
-                "intervals": [
-                    {
-                        "start": str(iv.start),
-                        "end": "inf" if iv.end is None else str(iv.end),
-                        "ratio": str(iv.ratio),
-                    }
-                    for iv in mp.intervals
-                ]
-            }
-            for mp in inst.machines
-        ],
-        "jobs": [str(p) for p in inst.jobs],
-        "m1": inst.m1,
-        "e0": str(inst.e0),
-    }
-    return _indented(payload)
+    """Serialize an instance; every finite number becomes an exact "p/q" string.
+
+    The text is exactly `json.dumps(..., indent=2)` of the object
+    {"machines": [{"intervals": [{"start", "end", "ratio"}, ...]}, ...],
+    "jobs", "m1", "e0"}, written here in that fixed layout."""
+    machines = []
+    for mp in inst.machines:
+        intervals = [
+            f'{{\n          "start": {_number(iv.start)},'
+            f'\n          "end": {_number("inf" if iv.end is None else iv.end)},'
+            f'\n          "ratio": {_number(iv.ratio)}\n        }}'
+            for iv in mp.intervals
+        ]
+        machines.append(f'{{\n      "intervals": {_block(intervals, "      ")}\n    }}')
+    return (
+        f'{{\n  "machines": {_block(machines, "  ")},'
+        f'\n  "jobs": {_block([_number(p) for p in inst.jobs], "  ")},'
+        f'\n  "m1": {_indented(inst.m1, "  ")},\n  "e0": {_number(inst.e0)}\n}}'
+    )
+
+
+def _number(x) -> str:
+    """A number of an instance as a JSON string: exactly "p/q" or "p" for a
+    Fraction, an int or a finite float, and what str() gives otherwise."""
+    if type(x) is not Fraction and (
+        isinstance(x, int) or isinstance(x, float) and math.isfinite(x)
+    ):
+        x = Fraction(x)
+    return encode_basestring_ascii(str(x))
+
+
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """The items, each already written, in `json.dumps(indent=2)`'s layout
+    of a list (or, with brackets "{}", an object) nested `pad` deep."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def _indented(value, pad: str = "") -> str:
@@ -364,13 +395,16 @@ def _indented(value, pad: str = "") -> str:
         return encode_basestring_ascii(value)
     if type(value) is int:
         return repr(value)
-    inner = pad + "  "
     if value and isinstance(value, (list, tuple)):
-        items = [_indented(item, inner) for item in value]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+        kinds = set(map(type, value))
+        # a flat list of strings or of plain ints, as a report's rows are, in one join
+        if kinds in ({str}, {int}):
+            return _block(list(map(encode_basestring_ascii if str in kinds else repr, value)), pad)
+        return _block([_indented(item, pad + "  ") for item in value], pad)
     if value and isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        inner = pad + "  "
         items = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in value.items()]
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+        return _block(items, pad, "{}")
     # json.dumps escapes every newline inside a string, so each one it
     # writes starts a line, which the nesting indents
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
@@ -393,6 +427,18 @@ def instance_from_json(text: str) -> Instance:
         raise ValueError(f"instance JSON is missing key {exc}") from exc
     if not isinstance(raw_machines, list) or not isinstance(raw_jobs, list):
         raise ValueError("machines and jobs must be lists")
+    parsed: dict[str, Fraction] = {}
+
+    def number(raw, what: str) -> Fraction:
+        """`_frac_from_str(raw, what)`, each distinct text parsed once per
+        call; a JSON number or `true` is no text, and is parsed every time."""
+        if type(raw) is not str:
+            return _frac_from_str(raw, what)
+        value = parsed.get(raw)
+        if value is None:
+            value = parsed[raw] = _frac_from_str(raw, what)
+        return value
+
     machines = []
     for i, raw_mp in enumerate(raw_machines, start=1):
         if not isinstance(raw_mp, dict):
@@ -409,18 +455,18 @@ def instance_from_json(text: str) -> Instance:
                 raw_start, raw_end, raw_ratio = raw_iv["start"], raw_iv["end"], raw_iv["ratio"]
             except KeyError as exc:
                 raise ValueError(f"{where} is missing key {exc}") from exc
-            start = _frac_from_str(raw_start, where)
-            end = None if raw_end == "inf" else _frac_from_str(raw_end, where)
-            ratio = _frac_from_str(raw_ratio, where)
+            start = number(raw_start, where)
+            end = None if raw_end == "inf" else number(raw_end, where)
+            ratio = number(raw_ratio, where)
             intervals.append(SharedInterval(start=start, end=end, ratio=ratio))
         machines.append(MachineProfile(intervals=tuple(intervals)))
-    if not isinstance(raw_m1, int) or isinstance(raw_m1, bool):
+    if not _is_int(raw_m1):
         raise ValueError("m1 must be an integer")
     return _checked(
         Instance(
             machines=tuple(machines),
-            jobs=tuple(_frac_from_str(p, f"job {j + 1}") for j, p in enumerate(raw_jobs)),
+            jobs=tuple(number(p, f"job {j + 1}") for j, p in enumerate(raw_jobs)),
             m1=raw_m1,
-            e0=_frac_from_str(raw_e0, "e0"),
+            e0=number(raw_e0, "e0"),
         )
     )

@@ -26,6 +26,7 @@ from .model import (
     Schedule,
     _check_epsilon,
     _check_shares,
+    _is_int,
     _rational,
     _schedule_of,
 )
@@ -76,7 +77,7 @@ def makespan_scheme(inst: Instance, d: int) -> Schedule:
     still visits every placement.  Each machine runs its jobs longest first.
     """
     n, m = inst.n, inst.m
-    if not isinstance(d, int) or isinstance(d, bool):
+    if not _is_int(d):
         raise ValueError(f"d={d!r} is not an integer")
     if not (0 <= d <= n):
         raise ValueError(f"d={d} is outside [0, {n}]")

@@ -7,11 +7,13 @@ completion-time sums on full-speed machines in closed form;
 `reference_list_schedule` is the list scheduler placing every job by
 `Fraction` finish times; `work_at` is the inverse of `finish_time`,
 `segment_finish_time` is `finish_time`'s segment formula in `Fraction`
-steps, with no integer cross-products and no tail shortcut, and
+steps, with no integer cross-products and no tail shortcut,
 `reference_evaluate` is `evaluate` on `Fraction` prefix sums, whole tables
-and `segment_finish_time`.
+and `segment_finish_time`, and `reference_instance_json` is
+`instance_to_json` as `json.dumps` of a payload object.
 """
 
+import json
 import math
 import sys
 from bisect import bisect_left
@@ -207,3 +209,27 @@ def reference_list_schedule(inst: Instance, order: OrderRule, placement: Placeme
         loads[i] += p
         finishes[i] = c
     return evaluate(inst, assignment)
+
+
+def reference_instance_json(inst: Instance) -> str:
+    """The instance as `json.dumps(..., indent=2)` writes its fields, each
+    number as its `str`."""
+    payload = {
+        "machines": [
+            {
+                "intervals": [
+                    {
+                        "start": str(iv.start),
+                        "end": "inf" if iv.end is None else str(iv.end),
+                        "ratio": str(iv.ratio),
+                    }
+                    for iv in mp.intervals
+                ]
+            }
+            for mp in inst.machines
+        ],
+        "jobs": [str(p) for p in inst.jobs],
+        "m1": inst.m1,
+        "e0": str(inst.e0),
+    }
+    return json.dumps(payload, indent=2)

@@ -1,5 +1,6 @@
 """Command line behavior: reports, CSV shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -39,6 +40,23 @@ def test_solve_reports_value_completions_and_assignment(capsys, example_path):
     assert report["assignment"] == [[1, 3], [2]]
     assert len(report["instance_digest"]) == 64
     assert report["wall_time_s"] >= 0
+
+
+def test_instance_digest_is_the_sha256_of_the_canonical_instance(capsys, tmp_path):
+    argv = ["gadget", "random", "--n", "12", "--m", "3", "--e0", "1/2", "--max-breakpoints", "4"]
+    code, text, _ = _run(capsys, argv + ["--seed", "5"])
+    assert code == 0 and text.endswith("}\n")
+    payload = json.loads(text)
+    # the same instance spelled otherwise: 2/4 for e0, keys reversed, no indent
+    respelled = dict(reversed(list(dict(payload, e0="2/4").items())))
+    digests = []
+    for name, content in (("canonical", text), ("respelled", json.dumps(respelled))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(content)
+        code, out, _ = _run(capsys, ["solve", str(path), "--alg", "ls", "--obj", "makespan"])
+        assert code == 0
+        digests.append(json.loads(out)["instance_digest"])
+    assert digests == [hashlib.sha256(text[:-1].encode("utf-8")).hexdigest()] * 2
 
 
 def test_solve_report_value_is_rederivable(capsys, example_path):

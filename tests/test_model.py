@@ -1,5 +1,6 @@
 """Instance validation, schedule evaluation, and JSON round-trips."""
 
+import dataclasses
 import json
 import random
 import time
@@ -25,7 +26,10 @@ from sharedsched import (
     totaltime_scheme,
     validate_instance,
 )
+from sharedsched import model
 from sharedsched.model import _frac_from_str, _indented
+
+from oracle_checks import reference_instance_json
 
 
 def _machine(*segments):
@@ -95,6 +99,31 @@ def test_validation_flags_instance_level_problems():
         with pytest.raises(ValueError) as refused:
             compute_d(1, 2, e0, F(1, 2), 1)
         assert str(refused.value) == message
+
+
+def test_validation_refuses_float_lengths_that_are_no_finite_number():
+    inst = _instance([_machine((None, 1))], [1])
+    jobs = (float("nan"), float("inf"), float("-inf"), 0.5, -0.5, 10**400)
+    assert validate_instance(dataclasses.replace(inst, jobs=jobs)) == [
+        "job 1: processing time nan is not a finite number",
+        "job 2: processing time inf is not a finite number",
+        "job 3: processing time -inf is not a finite number",
+        "job 5: processing time -0.5 is not positive",
+    ]
+
+
+@pytest.mark.parametrize("m1", [True, 2.0, "2", None], ids=["bool", "float", "str", "none"])
+def test_an_m1_that_is_no_int_is_refused_everywhere(m1):
+    # bounded by e0 on machine 1 only under an integer m1
+    low = _instance([_machine((None, F(1, 4))), _machine((None, 1))], [1], e0=F(1, 2))
+    assert validate_instance(dataclasses.replace(low, m1=m1)) == ["m1 must be an integer"]
+    for call in (
+        lambda: compute_d(2, m1, F(1, 2), F(1, 2), 3),
+        lambda: guarantee_ratio("ls", n=3, m=2, m1=m1, e0=F(1, 2)),
+        lambda: random_instance(RandomSpec(n=3, m=2, m1=m1, e0=F(1, 2))),
+    ):
+        with pytest.raises(ValueError, match="^m1 must be an integer$"):
+            call()
 
 
 def test_validation_enforces_e0_on_the_bounded_prefix():
@@ -395,10 +424,70 @@ def test_every_text_the_running_fraction_reads_keeps_its_value():
         {},
         (),
         None,
+        ["3", "8/3", "caf\u00e9"],
+        [1, -2, 10**40],
+        ["a", 1, "b", 2],
+        [True, False],
+        [1, True],
+        [[1, 3], [2], []],
+        [[], (), [[]]],
     ],
 )
 def test_indented_writes_exactly_what_json_dumps_writes(value):
     assert _indented(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        Instance(machines=(), jobs=(F(1),), m1=1, e0=F(1)),
+        Instance(machines=(MachineProfile(intervals=()),), jobs=(F(3, 2),), m1=1, e0=F(1)),
+        Instance(machines=(MachineProfile(intervals=()),), jobs=(), m1=1, e0=F(1, 2)),
+        _instance([_machine((1, 1), (F(5, 2), F(1, 3)), (None, F(1, 2)))], [2, F(7, 3)], e0=F(1, 3)),
+        _instance([_machine((F(-1, 2), F(-3)))], [-1, F(-5, 7)], m1=-2, e0=F(-1, 4)),
+        _instance([_machine((None, 1)), _machine()], [10**40, F(1, 10**30)], m1=True),
+    ],
+    ids=["no-machines", "no-intervals", "no-jobs", "unbounded-last", "negative", "m1-true"],
+)
+def test_instance_to_json_writes_what_json_dumps_writes_of_its_fields(inst):
+    assert instance_to_json(inst) == reference_instance_json(inst)
+
+
+def test_each_distinct_number_text_is_parsed_once_per_call(monkeypatch):
+    texts = ["3", "1/2", "7/3", "0.25", "1e2", " 5 ", "2_0"]
+    rng = random.Random(7)
+    jobs = [rng.choice(texts) for _ in range(1000)]
+    assert set(jobs) == set(texts)
+    payload = json.loads(instance_to_json(named_example("lptect_322")))
+    text = json.dumps(dict(payload, jobs=jobs))
+    calls = []
+
+    def counted(raw, what):
+        calls.append(raw)
+        return _frac_from_str(raw, what)
+
+    monkeypatch.setattr(model, "_frac_from_str", counted)
+    inst = instance_from_json(text)
+    assert inst.jobs == tuple(_frac_from_str(p, "job") for p in jobs)
+    numbers = [iv[key] for mp in payload["machines"] for iv in mp["intervals"] for key in iv]
+    distinct = set(jobs + numbers + [payload["e0"]]) - {"inf"}
+    assert sorted(calls) == sorted(distinct)
+
+
+def test_a_repeated_bad_number_is_refused_at_its_first_place():
+    jobs = ["1"] * 12
+    jobs[2] = jobs[8] = "1/0"
+    text = _mutated(lambda p: p.update(jobs=jobs))
+    with pytest.raises(ValueError, match=r"^job 3: cannot parse '1/0' as a rational$"):
+        instance_from_json(text)
+
+
+def test_json_numbers_and_true_are_parsed_apart_from_texts():
+    # a JSON number is read by its str; true is no number, though "1" was read before it
+    inst = instance_from_json(_mutated(lambda p: p.update(jobs=["1", 1, 0.5, "0.5", 2])))
+    assert inst.jobs == (F(1), F(1), F(1, 2), F(1, 2), F(2))
+    with pytest.raises(ValueError, match=r"^job 2: cannot parse 'True' as a rational$"):
+        instance_from_json(_mutated(lambda p: p.update(jobs=["1", True])))
 
 
 def test_json_round_trip_on_random_instances():

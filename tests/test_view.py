@@ -11,6 +11,8 @@ from sharedsched import (
     Objective,
     RandomSpec,
     SharedInterval,
+    instance_from_json,
+    instance_to_json,
     random_instance,
 )
 from sharedsched import capacity, cli, heuristics, model, oracle, schemes
@@ -143,5 +145,7 @@ def test_float_jobs_give_the_schedules_of_the_equal_fraction_jobs(inst):
     floats = dataclasses.replace(inst, jobs=tuple(float(p) for p in inst.jobs))
     exact = dataclasses.replace(inst, jobs=tuple(F(p) for p in floats.jobs))
     assert any(p.denominator > 2**40 for p in exact.jobs)
+    # and written exactly, so the round trip gives the same instance
+    assert instance_from_json(instance_to_json(floats)) == exact
     for label, run in _runs(inst):
         assert run(floats) == run(exact), label
