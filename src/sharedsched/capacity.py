@@ -9,17 +9,19 @@ stop at the first breakpoint that reaches a given work, when no query
 passes it.
 
 The same queries also run on integers, over one instance-wide scale.
-`scale_instance` is the one place that builds an instance's integer view
-(the scale, the job lengths as keys, the scaled tables, all tuples), from
-each machine's table cut at the positive job work.  The `Instance` builds
-it on first use and keeps it, so every algorithm call on one instance
-shares it; the instance's fields are tuples that must not change after
-that.  The list heuristics and the searches decide on the view, while
-`finish_time` stays the exact reference with which `model.evaluate` builds
-every reported schedule.  `build_capacity_table` is the one reader of a
-profile for both: it checks every interval with `_interval_faults`, the
-one statement of the interval rules, which `model.validate_instance`
-reports from too.
+`exact_view` reads each machine's profile once per instance, cut at the
+positive job work, and `scale_instance` is the one place that builds the
+instance's integer view (the scale, the job lengths as keys, the scaled
+tables, all tuples) from those tables.  The `Instance` builds both on first
+use and keeps them, so every algorithm call on one instance shares them;
+the instance's fields are tuples that must not change after that.  The
+list heuristics and the searches decide on the view and time the schedules
+they return with `finish_time` on the kept tables, while `model.evaluate`,
+the reference those schedules are checked against, reads each profile
+afresh on every call.  `build_capacity_table` is the one reader of a
+profile: it checks every interval with `_interval_faults`, the one
+statement of the interval rules, which `model.validate_instance` reports
+from too.
 """
 
 from __future__ import annotations
@@ -89,9 +91,8 @@ def build_capacity_table(
     stops at the first breakpoint whose cumulative work reaches it and takes
     the next interval's rate (or full speed) as the tail, so `finish_time`
     gives the same value for every work up to num/den.  The later intervals
-    are still checked.  `scale_instance` builds the integer view from
-    these tables, cut at the positive job work, and `model.evaluate` cuts
-    each at its machine's largest load.
+    are still checked.  `exact_view` cuts each machine of an instance at
+    the positive job work, and `model.evaluate` at its largest load.
     """
     breakpoints = [Fraction(0)]
     cum_work = [Fraction(0)]
@@ -220,19 +221,36 @@ def _job_keys(jobs: Iterable[Fraction]) -> tuple[int, list[int]]:
     return den, [num * (den // d) for num, d in ratios]
 
 
+def exact_view(inst: "Instance") -> tuple[int, tuple[int, ...], tuple[CapacityTable, ...]]:
+    """The job lengths over their common denominator (`_job_keys`: the
+    denominator, then each length times it, by job index) and each machine's
+    `build_capacity_table`, cut at the sum of the positive lengths, which no
+    prefix load passes, a negative length's machine included.
+
+    `Instance._exact` builds it on first use and keeps it: `scale_instance`
+    converts its tables to the scale, and the algorithms time the schedules
+    they return on them (`model._schedule_of`).  A malformed interval on any
+    machine is refused (ValueError) with the first of `validate_instance`'s
+    messages on it.
+    """
+    den, keys = _job_keys(inst.jobs)
+    reach = (sum(key for key in keys if key > 0), den)
+    tables = tuple(build_capacity_table(mp, i, reach) for i, mp in enumerate(inst.machines, start=1))
+    return den, tuple(keys), tables
+
+
 def scale_instance(inst: "Instance") -> tuple[int, tuple[int, ...], tuple[ScaledTable, ...]]:
     """An instance's common scale, its job lengths times the scale (by job
     index) and its machines' scaled tables, all immutable.
 
     The one integer set-up behind the list heuristics and the searches,
     and the one place that refuses an instance with no machines; they read
-    it as `Instance._view`, which builds it on first use and keeps it.  No
-    load passes the sum of the positive job lengths, so each machine's
-    scaled table is its `build_capacity_table` cut at that work, converted
-    to the scale: segments past the cut add nothing to the scale.
-    `build_capacity_table` reads every interval, past the cut too, and
-    refuses (ValueError) a malformed one with the first of
-    `validate_instance`'s messages on it.
+    it as `Instance._view`, which builds it on first use and keeps it.  Each
+    machine's scaled table is its kept exact table (`Instance._exact`, cut
+    at the positive job work by `exact_view`) converted to the scale:
+    segments past the cut add nothing to the scale.  Reading those tables
+    refuses (ValueError) a malformed interval anywhere in a profile, past
+    the cut too, with the first of `validate_instance`'s messages on it.
 
     S = S0 * lcm(rate numerators, tail included), where S0 is the lcm of
     the job denominators and of den(bp) * rate denominator at both ends of
@@ -244,9 +262,7 @@ def scale_instance(inst: "Instance") -> tuple[int, tuple[int, ...], tuple[Scaled
     """
     if not inst.machines:
         raise ValueError("instance has no machines")
-    den, keys = _job_keys(inst.jobs)
-    reach = (sum(key for key in keys if key > 0), den)
-    exact = [build_capacity_table(mp, i, reach) for i, mp in enumerate(inst.machines, start=1)]
+    den, keys, exact = inst._exact
     factors, rate_nums = {den}, set()
     for bps, _, rates in exact:
         for start, end, r in zip(bps, bps[1:], rates):

@@ -21,11 +21,13 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
 from .capacity import (
+    CapacityTable,
     ScaledTable,
     _interval_faults,
     _job_keys,
     _pairwise,
     build_capacity_table,
+    exact_view,
     finish_time,
     scale_instance,
 )
@@ -77,11 +79,13 @@ class Instance:
     of their speed available at all times; machines after them may drop
     arbitrarily low.
 
-    The integer view the algorithms decide on (`capacity.scale_instance`)
-    is built on first use and kept on the instance, so every algorithm call
-    on it shares one.  `machines` and `jobs` are tuples, which must not
-    change after that; `dataclasses.replace` makes an instance with a view
-    of its own.
+    Each machine's exact capacity table (`capacity.exact_view`), on which
+    the algorithms time the schedules they return, and the integer view
+    they decide on (`capacity.scale_instance`, built from those tables) are
+    built on first use and kept on the instance, so every algorithm call on
+    it shares one of each.  `machines` and `jobs` are tuples, which must not
+    change after that; `dataclasses.replace` makes an instance with tables
+    and a view of its own.
     """
 
     machines: tuple[MachineProfile, ...]
@@ -96,6 +100,12 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.jobs)
+
+    @cached_property
+    def _exact(self) -> tuple[int, tuple[int, ...], tuple[CapacityTable, ...]]:
+        """`exact_view(self)`: the job keys over their denominator and each
+        machine's exact table.  A refusal is not kept, as for `_view`."""
+        return exact_view(self)
 
     @cached_property
     def _view(self) -> tuple[int, tuple[int, ...], tuple[ScaledTable, ...]]:
@@ -137,18 +147,25 @@ def validate_instance(inst: Instance) -> list[str]:
     if len(inst.jobs) == 0:
         errors.append("instance has no jobs")
     for j, p in enumerate(inst.jobs):
-        # every algorithm reads a float as the rational it equals; NaN and infinity equal none
-        if type(p) is not Fraction and isinstance(p, float) and not math.isfinite(p):
-            errors.append(f"job {j + 1}: processing time {p} is not a finite number")
+        # every algorithm reads a number as the rational it equals; a NaN, an
+        # infinity or a string equals none
+        if type(p) is not Fraction and (fault := _number_fault(f"job {j + 1}: processing time", p)):
+            errors += fault
         # a Fraction's sign is its numerator's, which compares without building a Fraction
         elif (p.numerator if type(p) is Fraction else p) <= 0:
             errors.append(f"job {j + 1}: processing time {p} is not positive")
     errors += _m1_faults(m, inst.m1) + _e0_faults(inst.e0)
-    # an m1 that is no int bounds no machine, so it is never compared with an index
-    m1 = inst.m1 if _is_int(inst.m1) else 0
+    # an m1 that is no int, or an e0 that is no number, bounds no machine, so
+    # neither is compared with an index or a ratio
+    m1 = inst.m1 if _is_int(inst.m1) and not _number_fault("e0", inst.e0) else 0
     for i, mp in enumerate(inst.machines, start=1):
         prev_end: Optional[Fraction] = Fraction(0)
         for k, iv in enumerate(mp.intervals, start=1):
+            # nothing compares with a field that is no number, so a machine's
+            # check stops there, as it stops after an unbounded interval
+            if prev_end is not None and (bad := _field_faults(iv, i, k)):
+                errors += bad
+                break
             errors += _interval_faults(iv, prev_end, i, k)
             if prev_end is None:
                 break
@@ -164,11 +181,13 @@ def evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
 
     `assignment` must partition the job indices across exactly the instance's
     machines, each index an `int` (a `bool` is not one); jobs run back to
-    back in the given per-machine order.  A malformed interval anywhere in a
-    profile, an interval after an unbounded one included, is refused
-    (ValueError) by `build_capacity_table`, machine by machine, before any
-    job of that machine is timed.  Each machine's table stops at its
-    largest load, and each completion is one `finish_time` call.
+    back in the given per-machine order.  The reference every algorithm's
+    schedule is checked against: on every call it reads each machine's
+    profile afresh with `build_capacity_table`, cut at that machine's
+    largest load, not the tables the instance keeps for the algorithms.  A
+    malformed interval anywhere in any profile, an interval after an
+    unbounded one included, is refused (ValueError) there, before any job
+    is timed.  Each completion is one `finish_time` call.
     """
     jobs = inst.jobs
     if len(assignment) != inst.m:
@@ -181,20 +200,29 @@ def evaluate(inst: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
         raise ValueError("assignment is not a partition of the job indices")
     # job lengths as integers over one denominator, so each prefix load is an int
     den, keys = _job_keys(jobs)
-    completions: list[Fraction] = [Fraction(0)] * len(jobs)
+    prefixes = [list(accumulate([keys[j] for j in seq])) for seq in assignment]
+    tables = [
+        build_capacity_table(mp, i, (max(loads, default=0), den))
+        for i, (mp, loads) in enumerate(zip(inst.machines, prefixes), start=1)
+    ]
+    return _timed(inst, assignment, den, prefixes, tables)
+
+
+def _timed(inst: Instance, assignment, den: int, prefixes: list, tables: Sequence[CapacityTable]) -> Schedule:
+    """The schedule of `assignment`, a partition of the jobs: each completion
+    the `finish_time`, on its machine's table, of the job's prefix load
+    (`prefixes`, by machine) over `den`."""
+    completions: list[Fraction] = [Fraction(0)] * inst.n
     sums: dict[int, int] = {}  # numerators of the completions, by denominator
     tops = []  # each machine's completion at its largest load
-    for i, (mp, seq) in enumerate(zip(inst.machines, assignment), start=1):
-        prefixes = list(accumulate([keys[j] for j in seq]))
-        load = max(prefixes, default=0)
-        table = build_capacity_table(mp, i, (load, den))
-        for j, prefix in zip(seq, prefixes):
+    for table, seq, loads in zip(tables, assignment, prefixes):
+        for j, prefix in zip(seq, loads):
             c = completions[j] = finish_time(table, Fraction(prefix, den))
             num, d = c.as_integer_ratio()
             sums[d] = sums.get(d, 0) + num
         if seq:
             # finish_time never decreases with work
-            tops.append(completions[seq[prefixes.index(load)]])
+            tops.append(completions[seq[loads.index(max(loads))]])
     return Schedule(
         assignment=tuple(tuple(seq) for seq in assignment),
         completions=tuple(completions),
@@ -226,11 +254,15 @@ def _is_int(value) -> bool:
 
 
 def _schedule_of(inst: Instance, jobs: Iterable[int], machines: Iterable[int]) -> Schedule:
-    """`evaluate`'s schedule running job jobs[k] on machine machines[k], in list order."""
+    """The schedule an algorithm returns, running job jobs[k] on machine
+    machines[k], in list order, over all the jobs: `evaluate`'s, timed on
+    the instance's kept tables and job keys (`Instance._exact`)."""
+    den, keys, tables = inst._exact
     assignment: list[list[int]] = [[] for _ in inst.machines]
     for j, i in zip(jobs, machines):
         assignment[i].append(j)
-    return evaluate(inst, assignment)
+    prefixes = [list(accumulate([keys[j] for j in seq])) for seq in assignment]
+    return _timed(inst, assignment, den, prefixes, tables)
 
 
 def objective_value(schedule: Schedule, objective: Objective) -> Fraction:
@@ -321,9 +353,29 @@ def _m1_faults(m: int, m1: int) -> list[str]:
     return [] if 1 <= m1 <= max(m, 1) else [f"m1={m1} is outside [1, {m}]"]
 
 
+def _number_fault(what: str, value) -> list[str]:
+    """[] when `value` is a finite number, which every algorithm reads as the
+    ratio its `as_integer_ratio` gives; else the one message saying it is not."""
+    try:
+        value.as_integer_ratio()
+        return []
+    except (AttributeError, ValueError, OverflowError):  # no number, a NaN or an infinity
+        return [f"{what} {value!r} is not a finite number"]
+
+
+def _field_faults(iv: SharedInterval, machine: int, k: int) -> list[str]:
+    """`_number_fault`'s messages for the start, end and ratio of interval k
+    of a machine, in that order; an unbounded end (None) has none."""
+    if type(iv.start) is type(iv.ratio) is Fraction and type(iv.end) in (Fraction, type(None)):
+        return []  # three type tests, for the Fractions every parsed instance holds
+    fields = {"start": iv.start, "end": 0 if iv.end is None else iv.end, "ratio": iv.ratio}
+    where = f"machine {machine} interval {k}: "
+    return [fault for what, value in fields.items() for fault in _number_fault(where + what, value)]
+
+
 def _e0_faults(e0: Fraction) -> list[str]:
-    """The message for an e0 outside (0, 1], or none."""
-    return [] if 0 < e0 <= 1 else [f"e0={e0} is outside (0, 1]"]
+    """The message for an e0 that is no number or lies outside (0, 1], or none."""
+    return _number_fault("e0", e0) or ([] if 0 < e0 <= 1 else [f"e0={e0} is outside (0, 1]"])
 
 
 def _check_shares(m: int, m1: int, e0: Fraction) -> Fraction:

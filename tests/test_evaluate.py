@@ -5,7 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from sharedsched import Instance, MachineProfile, RandomSpec, SharedInterval, evaluate, model, random_instance
+from sharedsched import (
+    Instance,
+    MachineProfile,
+    RandomSpec,
+    Schedule,
+    SharedInterval,
+    evaluate,
+    model,
+    random_instance,
+)
 
 from oracle_checks import reference_evaluate
 from test_search import stress_instance
@@ -111,6 +120,29 @@ def test_a_job_of_negative_length_is_timed_as_the_reference_times_it():
     for call in (evaluate, reference_evaluate):
         with pytest.raises(ValueError, match="^work must be nonnegative$"):
             call(inst, [[0, 1, 2]])
+
+
+def test_no_machines_and_no_jobs_give_the_empty_schedule():
+    inst = Instance(machines=(), jobs=(), m1=1, e0=F(1, 2))
+    sched = _check(inst, [])
+    assert sched == Schedule(assignment=(), completions=(), makespan=F(0), total_completion=F(0))
+    # only the integer view refuses an instance with no machines
+    with pytest.raises(ValueError, match="^instance has no machines$"):
+        inst._view
+
+
+def test_a_malformed_interval_on_any_machine_is_refused_before_any_job_is_timed():
+    # machine 1's load drops below 0, which finish_time refuses, but every
+    # machine's table is read, and machine 2's gap refused, before any timing
+    gap = MachineProfile((SharedInterval(F(0), F(1), F(1, 2)), SharedInterval(F(2), F(3), F(1, 2))))
+    inst = Instance(machines=(_profile((2, F(1, 2))), gap), jobs=(F(-1), F(1)), m1=1, e0=F(1, 2))
+    with pytest.raises(ValueError) as refused:
+        evaluate(inst, [[0], [1]])
+    assert str(refused.value) == "machine 2 interval 2: starts at 2, expected 1"
+    # with the gap closed, the load below 0 is refused as before
+    closed = Instance((_profile((2, F(1, 2))), _profile((1, F(1, 2)))), inst.jobs, 1, F(1, 2))
+    with pytest.raises(ValueError, match="^work must be nonnegative$"):
+        evaluate(closed, [[0], [1]])
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 5])

@@ -112,6 +112,49 @@ def test_validation_refuses_float_lengths_that_are_no_finite_number():
     ]
 
 
+def _with_interval(inst, **fields):
+    """`inst` with the fields given replaced in machine 1's second interval."""
+    first, second, *rest = inst.machines[0].intervals
+    intervals = (first, dataclasses.replace(second, **fields), *rest)
+    return dataclasses.replace(inst, machines=(MachineProfile(intervals), *inst.machines[1:]))
+
+
+# machine 1 is bounded, its interval 2 below e0 and its interval 3 above rate 1
+_BELOW = "machine 1 interval 2: ratio 1/4 below e0=1/2 on a bounded machine"
+_ABOVE = "machine 1 interval 3: ratio 5 is outside (0, 1]"
+
+
+def _no_number(where, field, value):
+    return f"{where}{field} {value!r} is not a finite number"
+
+
+@pytest.mark.parametrize(
+    "change, messages",
+    [
+        # an e0 that is no number bounds no ratio
+        (dict(e0="1/2"), [_no_number("", "e0", "1/2"), _ABOVE]),
+        (
+            dict(jobs=(F(1), "2", None)),
+            [_no_number("job 2: ", "processing time", "2"), _no_number("job 3: ", "processing time", None)]
+            + [_BELOW, _ABOVE],
+        ),
+        # a machine's check stops at an interval with a field that is no number
+        (dict(start="1"), [_no_number("machine 1 interval 2: ", "start", "1")]),
+        (dict(end=float("inf")), [_no_number("machine 1 interval 2: ", "end", float("inf"))]),
+        (dict(ratio=None), [_no_number("machine 1 interval 2: ", "ratio", None)]),
+    ],
+    ids=["e0", "job", "start", "end", "ratio"],
+)
+def test_validation_reports_a_field_that_is_no_number_and_never_raises(change, messages):
+    inst = _instance([_machine((1, 1), (2, F(1, 4)), (3, 5)), _machine((None, 1))], [1], m1=1, e0=F(1, 2))
+    assert validate_instance(inst) == [_BELOW, _ABOVE]
+    if {"start", "end", "ratio"} & set(change):
+        changed = _with_interval(inst, **change)
+    else:
+        changed = dataclasses.replace(inst, **change)
+    assert validate_instance(changed) == messages
+
+
 @pytest.mark.parametrize("m1", [True, 2.0, "2", None], ids=["bool", "float", "str", "none"])
 def test_an_m1_that_is_no_int_is_refused_everywhere(m1):
     # bounded by e0 on machine 1 only under an integer m1

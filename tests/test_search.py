@@ -315,16 +315,38 @@ def test_evaluate_on_long_profiles_builds_tables_only_up_to_each_load(monkeypatc
         return table
 
     monkeypatch.setattr(model, "build_capacity_table", counted)
-    runs = [
-        lambda assignment=assignment: evaluate(inst, assignment)
-        for assignment in ([[0, 1], [2], [3, 4], [5]], [list(range(6)), [], [], []])
-    ]
-    runs.append(lambda: list_schedule(inst, OrderRule.LPT, PlacementRule.EARLIEST_COMPLETION))
-    for run in runs:
+    for assignment in ([[0, 1], [2], [3, 4], [5]], [list(range(6)), [], [], []]):
         built.clear()
-        run()
+        evaluate(inst, assignment)
         assert len(built) == len(kept)
         assert all(b <= k for b, k in zip(built, kept)), (built, kept)
+
+
+def test_every_algorithm_on_long_profiles_builds_each_table_once(monkeypatch):
+    # a fresh instance keeps one exact table per machine, cut at the positive
+    # job work, which the view converts and every algorithm times its
+    # schedule on, so the six rules, the oracle and both schemes build m
+    # tables between them, each with the view's breakpoints; the whole
+    # tables have 1,001 each, and a count bounds the work on any host
+    inst = stress_instance(n=6)
+    built = []
+
+    def counted(profile, machine=1, reach=None):
+        built.append(build_capacity_table(profile, machine, reach))
+        return built[-1]
+
+    monkeypatch.setattr(capacity, "build_capacity_table", counted)
+    for rule in ("ls", "lpt", "ls_ect", "lpt_ect", "spt", "spt_ect"):
+        getattr(heuristics, rule)(inst)
+    for objective in Objective:
+        exact_optimal(inst, objective)
+    makespan_scheme(inst, 3)
+    totaltime_scheme(inst, F(1, 2))
+    scale, _, scaled = inst._view
+    assert len(built) == inst.m
+    for table, view in zip(built, scaled):
+        assert table.breakpoints == tuple(F(bp, scale) for bp in view.breakpoints)
+        assert len(table.breakpoints) < 1001
 
 
 @pytest.mark.parametrize(

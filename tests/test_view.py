@@ -116,7 +116,8 @@ def test_a_refused_view_is_refused_again_with_the_same_message(inst, message, bu
             inst._view
         assert str(refused.value) == message
         assert builds[0] == attempt
-    assert "_view" not in vars(inst)
+    # nor are the exact tables the view is built from kept
+    assert "_view" not in vars(inst) and "_exact" not in vars(inst)
     # each algorithm refuses it again, with the message it gave the first time
     for label, run in _runs(inst):
         messages = []
