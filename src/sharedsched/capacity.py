@@ -4,7 +4,9 @@ A machine's availability is a piecewise-constant rate over left-open,
 right-closed intervals.  The table below turns that into cumulative work at
 each breakpoint, so a completion-time query is a binary search on integer
 cross-products plus one Fraction built from integers,
-``bp + (work - cum) / rate`` on the segment holding the work.  A table can
+``bp + (work - cum) / rate`` on the segment holding the work.  The work
+may come as an integer over a denominator, as `model` passes each prefix
+load over the job denominator, so no Fraction is built for it.  A table can
 stop at the first breakpoint that reaches a given work, when no query
 passes it.
 
@@ -134,13 +136,21 @@ def _reaches(work: Fraction, reach: Optional[tuple[int, int]]) -> bool:
     return num * reach[1] >= reach[0] * den
 
 
-def finish_time(table: CapacityTable, work) -> Fraction:
-    """Earliest time by which a never-idle machine completes `work` units:
-    ``breakpoints[k] + (work - cum_work[k]) / rates[k]`` on the segment k
-    holding the work, built as one Fraction from integers."""
-    if not isinstance(work, Fraction):
-        work = Fraction(work)
-    num, den = work.as_integer_ratio()
+def finish_time(table: CapacityTable, work, den: int = 1) -> Fraction:
+    """Earliest time by which a never-idle machine completes ``work / den``
+    units: ``breakpoints[k] + (work / den - cum_work[k]) / rates[k]`` on the
+    segment k holding that work, built as one Fraction from integers.
+
+    An int `work` is the numerator as it stands, so an integer load over a
+    common denominator builds no Fraction; any other work (a Fraction, a
+    float, a bool) is read exactly first.  `den` must be at least 1.
+    """
+    if den < 1:
+        raise ValueError(f"den must be at least 1, not {den}")
+    num = work
+    if type(work) is not int:
+        num, work_den = (work if isinstance(work, Fraction) else Fraction(work)).as_integer_ratio()
+        den *= work_den
     if num < 0:
         raise ValueError("work must be nonnegative")
     cum = table.cum_work

@@ -212,21 +212,21 @@ def _timed(inst: Instance, assignment, den: int, prefixes: list, tables: Sequenc
     """The schedule of `assignment`, a partition of the jobs: each completion
     the `finish_time`, on its machine's table, of the job's prefix load
     (`prefixes`, by machine) over `den`."""
-    completions: list[Fraction] = [Fraction(0)] * inst.n
+    completions: list = [None] * inst.n  # every slot is set: the assignment is a partition
     sums: dict[int, int] = {}  # numerators of the completions, by denominator
     tops = []  # each machine's completion at its largest load
     for table, seq, loads in zip(tables, assignment, prefixes):
         for j, prefix in zip(seq, loads):
-            c = completions[j] = finish_time(table, Fraction(prefix, den))
+            c = completions[j] = finish_time(table, prefix, den)
             num, d = c.as_integer_ratio()
             sums[d] = sums.get(d, 0) + num
         if seq:
             # finish_time never decreases with work
             tops.append(completions[seq[loads.index(max(loads))]])
     return Schedule(
-        assignment=tuple(tuple(seq) for seq in assignment),
+        assignment=tuple(map(tuple, assignment)),
         completions=tuple(completions),
-        makespan=max(tops, default=Fraction(0)),
+        makespan=max(tops) if tops else Fraction(0),
         total_completion=_tree_total(sums),
     )
 

@@ -83,10 +83,13 @@ def test_zero_work_and_zero_time():
 
 def test_negative_arguments_are_rejected():
     table = build_capacity_table(_profile((None, 1)))
-    for work in (F(-1), F(-1, 10**9), -1, -0.5):
+    for work, den in ((F(-1), 1), (F(-1, 10**9), 1), (-1, 1), (-0.5, 1), (-1, 3), (-(10**20), 7)):
         with pytest.raises(ValueError) as caught:
-            finish_time(table, work)
+            finish_time(table, work, den)
         assert str(caught.value) == "work must be nonnegative"
+    for work, den in ((1, 0), (1, -1), (0, 0), (F(1, 2), -1)):
+        with pytest.raises(ValueError, match="den must be at least 1"):
+            finish_time(table, work, den)
     with pytest.raises(ValueError):
         work_at(table, F(-1))
 
@@ -170,7 +173,8 @@ def test_each_rate_belongs_to_the_segment_from_its_breakpoint():
 
 def test_finish_time_equals_the_segment_formula():
     # at 0, at every cumulative work, 10^-6 either side of each and deep in
-    # the tail, as int, float, Fraction and bool works
+    # the tail, as int, float, Fraction and bool works, and each as an int
+    # over its denominator, reduced or not, and over 3
     rng = random.Random(24)
     eps = F(1, 10**6)
     for profile in _seeded_profiles(rng):
@@ -187,11 +191,15 @@ def test_finish_time_equals_the_segment_formula():
             got = finish_time(table, work)
             assert type(got) is F
             assert got == segment_finish_time(table, work), (table, work)
+            num, den = F(work).as_integer_ratio()
+            assert finish_time(table, num, den) == finish_time(table, 3 * num, 3 * den) == got
+            assert finish_time(table, work, 3) == segment_finish_time(table, F(work) / 3), (table, work)
 
 
 def test_a_table_with_a_work_bound_is_the_whole_table_up_to_the_first_breakpoint_reaching_it():
     # its tail is the rate from that breakpoint on, so every work up to the
-    # bound finishes where it does on the whole table
+    # bound finishes where it does on the whole table, its work given as a
+    # Fraction or as an int over a denominator
     rng = random.Random(27)
     for profile in _seeded_profiles(rng):
         whole = build_capacity_table(profile)
@@ -201,7 +209,8 @@ def test_a_table_with_a_work_bound_is_the_whole_table_up_to_the_first_breakpoint
             k = next((k for k, cum in enumerate(whole.cum_work) if cum >= bound), len(whole.cum_work) - 1)
             assert table == tuple(column[: k + 1] for column in whole)
             for work in (bound, bound / 3, *(cum for cum in whole.cum_work if cum <= bound)):
-                assert finish_time(table, work) == finish_time(whole, work)
+                num, den = work.as_integer_ratio()
+                assert finish_time(table, work) == finish_time(table, 5 * num, 5 * den) == finish_time(whole, work)
 
 
 def _check_search(table, step=1):

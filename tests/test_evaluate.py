@@ -12,6 +12,7 @@ from sharedsched import (
     Schedule,
     SharedInterval,
     evaluate,
+    heuristics,
     model,
     random_instance,
 )
@@ -167,10 +168,11 @@ def test_the_total_on_long_profiles_is_the_sum_of_the_completions():
     assert sched.total_completion == sum(sched.completions, F(0))
 
 
-def test_evaluate_builds_one_fraction_per_job_and_a_few_more(monkeypatch):
-    # a count bounds the work on any host: the prefix work passed to
-    # finish_time per job, the total once, and two zeros; summing one
-    # Fraction per completion denominator would build n more
+def test_timing_a_schedule_builds_one_fraction_in_model_the_total(monkeypatch):
+    # a count bounds the work on any host: each prefix load reaches
+    # finish_time as an integer over the job denominator, so `model` builds
+    # only the total, in `evaluate` and in a heuristic's `_schedule_of`
+    # alike; summing one Fraction per completion denominator would build n more
     built = []
 
     def counted(*args):
@@ -180,4 +182,7 @@ def test_evaluate_builds_one_fraction_per_job_and_a_few_more(monkeypatch):
     inst = stress_instance(n=60)
     monkeypatch.setattr(model, "Fraction", counted)
     evaluate(inst, _round_robin(inst.n, inst.m))
-    assert len(built) <= inst.n + 3
+    assert len(built) == 1
+    built.clear()
+    heuristics.lpt(inst)
+    assert len(built) == 1

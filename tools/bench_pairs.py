@@ -44,7 +44,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     `attempted`, `failed` and `metrics` (name to value); a pair is the two
     sides' runs of one workload and seed, and a seed with only one side is
     left out.  `end_to_end` is BENCHMARK.json's list of metrics, each with
-    `name`, `better` ("lower" or "higher") and `bound`.
+    `name`, `better` ("lower" or "higher") and `bound`.  Each metric's
+    `claim_rule_met` and `unresolved` apply the rules of a claimed gain and
+    of a spread wider than the bound.
     """
     by_key = {(run["workload"], run["seed"], run["side"]): run for run in runs}
     summary = {}
@@ -63,22 +65,30 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             median = {side: statistics.median(values[side]) for side in SIDES}
             q1, q3 = _quartiles(values["parent"])
             gain = sign * (median["change"] - median["parent"])
+            better_in = sum(
+                sign * (pair["change"]["metrics"][name] - pair["parent"]["metrics"][name]) > 0 for pair in pairs
+            )
+            beyond_spread = gain > q3 - q1
+            every_run_better = min(sign * v for v in values["change"]) > max(sign * v for v in values["parent"])
             entry[name] = {
                 "pairs": len(pairs),
                 "parent_median": median["parent"],
                 "change_median": median["change"],
                 "relative_change": (median["change"] - median["parent"]) / median["parent"],
-                "change_better_in": sum(
-                    sign * (pair["change"]["metrics"][name] - pair["parent"]["metrics"][name]) > 0
-                    for pair in pairs
-                ),
+                "change_better_in": better_in,
                 "parent_q1": q1,
                 "parent_q3": q3,
                 "parent_range": [min(values["parent"]), max(values["parent"])],
                 "change_range": [min(values["change"]), max(values["change"])],
                 "bound": bound,
                 "within_bound": gain >= -bound * median["parent"],
-                "beyond_parent_spread": gain > q3 - q1,
+                "beyond_parent_spread": beyond_spread,
+                # a gain may be claimed: the change wins nine tenths of the
+                # pairs, ties counting for neither, beyond the parent's spread
+                "claim_rule_met": 10 * better_in >= 9 * len(pairs) and beyond_spread,
+                # the parent's own spread is wider than the bound, so the bound
+                # cannot be judged, unless every change run beats every parent run
+                "unresolved": q3 - q1 > bound * median["parent"] and not every_run_better,
             }
             if name == "peak_rss_mib":
                 entry[name]["attempted_median"] = {
