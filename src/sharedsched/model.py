@@ -65,10 +65,14 @@ class MachineProfile:
 
     An empty interval tuple means the machine is fully available throughout.
     After the last finite breakpoint the machine is fully available again
-    unless the final interval is unbounded.
+    unless the final interval is unbounded.  `intervals` is kept as a tuple,
+    whatever sequence it is given as.
     """
 
     intervals: tuple[SharedInterval, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "intervals", tuple(self.intervals))
 
 
 @dataclass(frozen=True)
@@ -83,15 +87,20 @@ class Instance:
     the algorithms time the schedules they return, and the integer view
     they decide on (`capacity.scale_instance`, built from those tables) are
     built on first use and kept on the instance, so every algorithm call on
-    it shares one of each.  `machines` and `jobs` are tuples, which must not
-    change after that; `dataclasses.replace` makes an instance with tables
-    and a view of its own.
+    it shares one of each.  `machines` and `jobs` are kept as tuples,
+    whatever sequences they are given as, so a list the caller changes later
+    cannot make them stale; `dataclasses.replace` makes an instance with
+    tables and a view of its own.
     """
 
     machines: tuple[MachineProfile, ...]
     jobs: tuple[Fraction, ...]
     m1: int
     e0: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "machines", tuple(self.machines))
+        object.__setattr__(self, "jobs", tuple(self.jobs))
 
     @property
     def m(self) -> int:

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, compress
-from operator import add
+from operator import add, itemgetter
 from typing import Optional
 
 from .capacity import finish_key
@@ -119,7 +119,9 @@ class GeometricBuckets:
     when the rationals say so.  Zero gets its own bucket (None).  An index
     whose powers of q would exceed MAX_BUCKET_BITS raises OracleLimitError.
     The powers for the exponents next to the last exact index are kept, so
-    a repeated value computes none again.
+    a repeated value computes none again.  `totaltime_scheme` keeps each
+    key's index itself, so it asks for each distinct key once per sweep, and
+    refuses a key it never asks for by the same size test (`_check`).
     """
 
     def __init__(self, delta: Fraction):
@@ -143,6 +145,17 @@ class GeometricBuckets:
             self._powers[x] = power
         return num * power[1] >= den * power[0]
 
+    def _check(self, log_value: float) -> None:
+        """Refuse the value whose log is `log_value` when its index would need
+        powers of q beyond MAX_BUCKET_BITS: the test `index` runs first."""
+        # |log_value / log_q| * bits >= MAX_BUCKET_BITS, multiplied out so
+        # that a q which is 1 in floating point (log_q == 0) is always refused
+        if abs(log_value) * self._bits >= MAX_BUCKET_BITS * self._log_q:
+            raise OracleLimitError(
+                f"the bucket grid is too fine: an index needs powers of q beyond "
+                f"{MAX_BUCKET_BITS} bits; use a larger epsilon or delta"
+            )
+
     def index(self, num: int, den: int) -> Optional[int]:
         """Bucket index of the nonnegative value num/den; None is the zero bucket."""
         if den <= 0:
@@ -153,13 +166,7 @@ class GeometricBuckets:
             raise ValueError("bucketed values must be nonnegative")
         log_num, log_den = math.log(num), math.log(den)
         log_value = log_num - log_den
-        # |log_value / log_q| * bits >= MAX_BUCKET_BITS, multiplied out so
-        # that a q which is 1 in floating point (log_q == 0) is always refused
-        if abs(log_value) * self._bits >= MAX_BUCKET_BITS * self._log_q:
-            raise OracleLimitError(
-                f"the bucket grid is too fine: an index needs powers of q beyond "
-                f"{MAX_BUCKET_BITS} bits; use a larger epsilon or delta"
-            )
+        self._check(log_value)
         estimate = log_value / self._log_q
         x = math.floor(estimate)
         margin = (
@@ -193,16 +200,23 @@ def totaltime_scheme(
     its least (last-machine load, position): the smaller load on the last
     machine wins, and a tie keeps the older state.  Only a state whose new
     set shares its (load, cost) buckets with another set on that machine can
-    merge, so only such states get a signature.  Pass delta=0 to disable
-    merging, which makes the sweep exact.  States are compared on integer
-    keys, and the schedule returned is `evaluate`'s.  `on_step`, if given,
-    is called with (job_index, kept_states) after each job: the survivors in
-    creation order, each packed for the callback alone into one integer
-    whose bits i*n ... i*n+n-1 hold machine i's set.  The last job builds
-    no columns: each kept position s*m + i is valued as state s's cost
-    summed over the machines plus the job's finish key on machine i's set,
-    and the first least wins; only for `on_step` is each kept final state
-    packed, as its parent's integer plus the job's bit for machine i.
+    merge, so only such states get a signature.  Each distinct key is
+    bucketed once per sweep.  Every set in play on a machine at a job (the
+    parents and the sets they make) has its load bucketed, and only a set
+    whose load bucket another set there holds has its cost bucketed too; a
+    signature holds each set's pair where it has one and otherwise the set
+    itself, so signatures are equal exactly when the pairs of every held set
+    are.  A cost left unbucketed is refused as `GeometricBuckets.index` would
+    refuse it, by that test on the job's largest new cost.  Pass delta=0 to
+    disable merging, which makes the sweep exact.  States are compared on
+    integer keys, and the schedule returned is `evaluate`'s.  `on_step`, if
+    given, is called with (job_index, kept_states) after each job: the
+    survivors in creation order, each packed for the callback alone into
+    one integer whose bits i*n ... i*n+n-1 hold machine i's set.  The last
+    job builds no columns: each kept position s*m + i is valued as state s's
+    cost summed over the machines plus the job's finish key on machine i's
+    set, and the first least wins; only for `on_step` is each kept final
+    state packed, as its parent's integer plus the job's bit for machine i.
     Refuses with OracleLimitError before a job whose states times m would
     exceed the oracle's ceiling of DEFAULT_MAX_M^DEFAULT_MAX_N leaves.
     """
@@ -226,9 +240,19 @@ def totaltime_scheme(
     order = job_order(sizes, OrderRule.SPT)
     cols: list[list[int]] = [[0] for _ in range(m)]  # one state, every set empty
     # each machine's (load, shortest-first completion-time sum) keys of every
-    # job set a state holds, and their bucket pair (None when nothing merges)
-    sets: list[dict[int, tuple]] = [{0: (0, 0, (None, None))} for _ in range(m)]
+    # job set a state holds, and the load's bucket (None when nothing merges)
+    sets: list[dict[int, tuple]] = [{0: (0, 0, None)} for _ in range(m)]
     buckets = GeometricBuckets(delta) if delta > 0 else None
+    # each positive key's bucket index: a key is bucketed once per sweep, and
+    # a load key is the same on every machine
+    levels: dict[int, int] = {}
+
+    def level(key: int) -> int:
+        x = levels.get(key)
+        if x is None:
+            x = levels[key] = buckets.index(key, scale)
+        return x
+
     for b, j in enumerate(order):
         if len(cols[0]) * m > _LIMIT:
             raise OracleLimitError(
@@ -237,44 +261,66 @@ def totaltime_scheme(
         bit, size = 1 << b, sizes[j]
         # per machine, each parent set's gain: the job's finish key on top of it
         gains = []
+        # per machine, the (load, cost) buckets of each set in play there (the
+        # parents and the sets they make) whose load bucket another set there holds
+        paired = []
         # per machine, the parents whose new set shares its (load, cost)
         # buckets with a parent or another new set there
         marked = []
+        top = 0  # the largest new cost
         for i, made in enumerate(sets):
             gain = {}
             for mask in set(cols[i]):
                 load, cost, _ = made[mask]
                 load += size
                 gain[mask] = finish = finish_key(scaled[i], load)
-                cost += finish
-                pair = buckets and (buckets.index(load, scale), buckets.index(cost, scale))
-                made[mask | bit] = (load, cost, pair)
+                # level(load), inline: this loop is the sweep's hottest
+                x = levels.get(load)
+                if x is None and buckets:
+                    x = levels[load] = buckets.index(load, scale)
+                made[mask | bit] = (load, cost + finish, x)
             gains.append(gain)
-            if buckets is not None:
-                counts = Counter(made[mask][2] for mask in gain)
-                counts.update(made[mask | bit][2] for mask in gain)
-                sharing = {mask for mask in gain if counts[made[mask | bit][2]] > 1}
-                if sharing:
-                    marked.append((i, sharing))
+            pairs = {}
+            if buckets:
+                play = [*gain, *[mask | bit for mask in gain]]
+                top = max(top, *map(itemgetter(1), map(made.__getitem__, play[len(gain) :])))
+                load_buckets = [made[c][2] for c in play]
+                # two sets of distinct load buckets never share a pair, so
+                # only a load bucket held twice needs cost buckets
+                if len(set(load_buckets)) < len(load_buckets):
+                    counts = Counter(load_buckets)
+                    pairs = {c: (x, level(made[c][1])) for c, x in zip(play, load_buckets) if counts[x] > 1}
+                    counts = Counter(pairs.values())
+                    if len(counts) < len(pairs):  # some pair is held twice
+                        sharing = {mask for mask in gain if counts.get(pairs.get(mask | bit), 0) > 1}
+                        if sharing:
+                            marked.append((i, sharing))
+            paired.append(pairs)
+        if buckets:
+            # a cost left unbucketed is still refused as `index` would refuse
+            # it: it is at least its load, which is bucketed, and at most `top`
+            buckets._check(math.log(top) - math.log(scale))
         # State s extended onto machine i is position s*m + i.  Only a state
         # whose new set is marked can merge: the states kept after the last
         # job have distinct signatures, so two extended states of one
         # signature that got the job on one machine hold two new sets of
         # equal buckets there, and two that got it on machines i and k hold,
-        # on i, a new set and a parent of equal buckets.  Each signature keeps
-        # its least (last-machine load, position): the smaller last load
-        # wins, and a tie keeps the older state.
+        # on i, a new set and a parent of equal buckets.  A signature holds
+        # each set's buckets where it has a pair, and otherwise the set
+        # itself: no other set in play on its machine has its load bucket, so
+        # no other has its pair.  Each signature keeps its least (last-machine
+        # load, position): the smaller last load wins, and a tie keeps the
+        # older state.
         least: dict[tuple, tuple[int, int]] = {}  # signature: least (last load, position)
         keep = bytearray(b"\x01") * (len(cols[0]) * m)  # 0: merged away
         for i, sharing in marked:
-            for s, mask in enumerate(cols[i]):
-                if mask in sharing:
-                    held = [col[s] for col in cols]
-                    held[i] = mask | bit
-                    sig = tuple([made[c][2] for made, c in zip(sets, held)])
-                    here = (sets[-1][held[-1]][0], s * m + i)
-                    least[sig] = min(here, least.get(sig, here))
-                    keep[s * m + i] = 0
+            for s in compress(range(len(cols[i])), map(sharing.__contains__, cols[i])):
+                held = [col[s] for col in cols]
+                held[i] |= bit
+                sig = tuple(map(dict.get, paired, held, held))
+                here = (sets[-1][held[-1]][0], s * m + i)
+                least[sig] = min(here, least.get(sig, here))
+                keep[s * m + i] = 0
         for _, pos in least.values():
             keep[pos] = 1
         if b == n - 1:

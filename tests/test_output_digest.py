@@ -70,3 +70,27 @@ def test_every_corpus_instance_serializes_as_json_dumps_writes_it():
     tool = _tool()
     for label, inst in tool.corpus() + tool.malformed():
         assert instance_to_json(inst) == reference_instance_json(inst), label
+
+
+def test_runs_lists_each_runs_counts_in_place_of_the_digests(monkeypatch, capsys):
+    # the corpus cut to one instance, so the listing can be checked run by run
+    tool = _tool()
+    inst = named_example("lptect_322")
+
+    def one_instance(digest):
+        tool.run_algorithms(digest, "algorithms", "lptect_322", inst)
+        digest.run("totaltime", "lptect_322 1/2", schemes.totaltime_scheme, inst, F(1, 2))
+
+    monkeypatch.setattr(tool, "record_corpus", one_instance)
+    monkeypatch.setattr(tool, "record_parsing", lambda digest: None)
+    assert tool.main(["--runs"]) == 0
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert len(lines) > 2 and all(len(fields) == 4 for fields in lines)
+    assert {part for part, *_ in lines} == {"algorithms", "totaltime"}
+    part, label, finish_keys, indices = lines[-1]
+    assert (part, label) == ("totaltime", "lptect_322 1/2")
+    assert int(finish_keys) > 0 and int(indices) > 0
+    # without the flag, the digest lines and the count of runs
+    assert tool.main([]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].split() == ["runs", str(len(lines))]

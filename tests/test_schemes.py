@@ -17,6 +17,7 @@ from sharedsched import (
     OracleLimitError,
     OrderRule,
     RandomSpec,
+    SharedInterval,
     build_capacity_table,
     compute_d,
     evaluate,
@@ -283,6 +284,59 @@ def test_buckets_refuse_indices_with_oversized_powers():
     assert bucket_of(GeometricBuckets(F(1, 10**12)), F(1)) == 0
     with pytest.raises(OracleLimitError):
         totaltime_scheme(named_example("lptect_322"), F(1, 10**4))
+
+
+def test_a_cost_no_pair_buckets_is_refused_as_index_would_refuse_it():
+    # the slow machine's costs reach about 10^14 times the job work, beyond
+    # the grid at delta = 10^-4; no two sets there share a load bucket, so
+    # no cost is bucketed, and the sweep checks the largest new cost instead
+    slow = MachineProfile((SharedInterval(F(0), None, F(1, 10**14)),))
+    inst = Instance((MachineProfile(()), slow), (F(1), F(2)), 1, F(1, 2))
+    steps = []
+    with pytest.raises(OracleLimitError) as refused:
+        totaltime_scheme(inst, F(1, 2), delta=F(1, 10**4), on_step=lambda j, s: steps.append(s))
+    assert str(refused.value) == (
+        f"the bucket grid is too fine: an index needs powers of q beyond "
+        f"{schemes.MAX_BUCKET_BITS} bits; use a larger epsilon or delta"
+    )
+    assert steps == []  # refused at the first job
+
+
+def test_the_sweep_buckets_each_distinct_key_once(monkeypatch):
+    # full-speed machines and repeated integer lengths: many sets share
+    # their keys, and states merge at the default delta
+    inst = Instance(
+        machines=(MachineProfile(intervals=()),) * 3, jobs=tuple(map(F, [1, 1, 2, 2, 3, 3, 1])),
+        m1=3, e0=F(1),
+    )
+    asked = []
+    index = GeometricBuckets.index
+    monkeypatch.setattr(
+        GeometricBuckets, "index", lambda self, num, den: asked.append((num, den)) or index(self, num, den)
+    )
+    steps = []
+    totaltime_scheme(inst, F(1, 2), on_step=lambda j, s: steps.append(s))
+    assert len(asked) == len(set(asked))
+    # every key of every set in play at some job: the sets the kept states
+    # hold after the job before, and each of them with the job's bit
+    scale = inst._view[0]
+    decode = decoder(inst)
+    keys = set()
+    for b, kept in enumerate([(0,), *steps[:-1]]):
+        for state in kept:
+            for i in range(inst.m):
+                for extra in (0, 1 << (i * inst.n + b)):
+                    loads, costs = decode(state | extra)
+                    keys |= {v * scale for v in loads + costs if v}
+    assert 0 < len(asked) <= len(keys)
+    assert {F(num, den) * scale for num, den in asked} <= keys
+    # the merges themselves: the replay on the Fraction reference agrees
+    _check_survivors(inst, None)
+    assert [len(kept) for kept in steps] == [3, 6, 10, 30, 60, 180, 360]
+    # with no merging, nothing is bucketed
+    asked.clear()
+    totaltime_scheme(inst, F(1, 2), delta=F(0))
+    assert asked == []
 
 
 def test_similar_compares_bucket_by_bucket():

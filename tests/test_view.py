@@ -150,3 +150,19 @@ def test_float_jobs_give_the_schedules_of_the_equal_fraction_jobs(inst):
     assert instance_from_json(instance_to_json(floats)) == exact
     for label, run in _runs(inst):
         assert run(floats) == run(exact), label
+
+
+def test_a_list_changed_after_a_run_leaves_the_kept_view_true():
+    # the instance keeps tuples of the lists it is given, so changing a list
+    # after an algorithm has run cannot make the kept view stale
+    jobs = [F(3), F(1)]
+    intervals = [SharedInterval(F(0), F(1), F(1, 2))]
+    inst = Instance(machines=[MachineProfile(intervals)], jobs=jobs, m1=1, e0=F(1, 2))
+    assert type(inst.jobs) is tuple and type(inst.machines) is tuple
+    assert type(inst.machines[0].intervals) is tuple
+    first = heuristics.lpt(inst)
+    jobs[0] = F(30)
+    intervals[0] = SharedInterval(F(0), F(1), F(1))
+    again = heuristics.lpt(inst)
+    assert again == first == model.evaluate(inst, first.assignment)
+    assert inst.jobs == (F(3), F(1))

@@ -33,14 +33,22 @@ that made it.  The parts:
   underscores, zero denominators and non-ASCII digits), and of
   `instance_from_json` with that text as a job length, as e0 and as a ratio.
 
-The last line is the digest of the part digests.  Standard library only;
-it takes no flags.  A `Digest` counts the kernel calls only while it is
-open as a context manager, so its parts can also run inside another
-process, which gets the library's own functions back when it closes.
+The last line is the digest of the part digests.  Standard library only.
+With `--runs` it prints, in place of the digests, one tab-separated line per
+run: the part, the label, the `finish_key` calls and the `GeometricBuckets.index`
+calls.  Two such listings, one per side of a change, diff run by run, so a
+change to a `*-counts` line can show which runs' counts moved and which way:
+
+    PYTHONPATH=src python tools/output_digest.py --runs
+
+A `Digest` counts the kernel calls only while it is open as a context
+manager, so its parts can also run inside another process, which gets the
+library's own functions back when it closes.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
@@ -95,9 +103,14 @@ class Digest:
     def __init__(self):
         names = [*PARTS, *(f"{part}-counts" for part in PARTS), "parsing"]
         self.parts = {name: hashlib.sha256() for name in names}
-        self.runs = 0
+        # each run's (part, label, finish_key calls, index calls), in order
+        self.counts: list[tuple[str, str, int, int]] = []
         self.finish_key = Counted(oracle.finish_key)
         self.index = Counted(schemes.GeometricBuckets.index)
+
+    @property
+    def runs(self) -> int:
+        return len(self.counts)
 
     def __enter__(self) -> "Digest":
         self.originals = [(module, "finish_key", module.finish_key) for module in KERNEL_USERS]
@@ -122,13 +135,13 @@ class Digest:
         A ValueError or OracleLimitError is a refusal; any other exception
         fails the tool.
         """
-        self.runs += 1
         self.finish_key.calls = self.index.calls = 0
         try:
             result = call(*args, **kwargs)
         except (ValueError, oracle.OracleLimitError) as exc:
             self.record("refusals", label, type(exc).__name__, str(exc))
             result = None
+        self.counts.append((part, label, self.finish_key.calls, self.index.calls))
         self.record(f"{part}-counts", label, self.finish_key.calls, self.index.calls)
         return result
 
@@ -284,10 +297,17 @@ def record_corpus(digest: Digest) -> None:
         run("refusals", f"evaluate index {index!r}", evaluate, lptect, [[0, 1, index], []])
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Digests of sharedsched's outputs over a fixed corpus.")
+    parser.add_argument("--runs", action="store_true", help="print each run's call counts instead")
+    args = parser.parse_args(argv)
     with Digest() as digest:
         record_corpus(digest)
         record_parsing(digest)
+    if args.runs:
+        for part, label, finish_keys, indices in digest.counts:
+            print(f"{part}\t{label}\t{finish_keys}\t{indices}")
+        return 0
     total = hashlib.sha256()
     for part, sha in digest.parts.items():
         total.update(sha.hexdigest().encode("ascii"))
